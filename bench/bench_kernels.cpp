@@ -1,5 +1,5 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
-// tensor permutation (HPTT stand-in), einsum contraction (dense and sparse),
+// tensor permutation (HPTT stand-in), dense einsum contraction,
 // SVD, and block-sparse contraction (Alg. 2). These measure real host
 // throughput — the numbers behind the wall-clock columns of the figure
 // benches.
@@ -77,24 +77,6 @@ void BM_EinsumDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EinsumDense)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
-
-void BM_EinsumSparse(benchmark::State& state) {
-  const index_t m = state.range(0);
-  Rng rng(4);
-  tt::tensor::DenseTensor dl({m, 16, m});
-  tt::tensor::DenseTensor dx({m, 2, 2, m});
-  for (index_t i = 0; i < dl.size(); ++i)
-    if (rng.uniform() < 0.2) dl[i] = rng.normal();
-  for (index_t i = 0; i < dx.size(); ++i)
-    if (rng.uniform() < 0.2) dx[i] = rng.normal();
-  auto sl = tt::tensor::SparseTensor::from_dense(dl);
-  auto sx = tt::tensor::SparseTensor::from_dense(dx);
-  for (auto _ : state) {
-    auto y = tt::tensor::einsum_ss("akb,bstc->akstc", sl, sx);
-    benchmark::DoNotOptimize(y.nnz());
-  }
-}
-BENCHMARK(BM_EinsumSparse)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_Svd(benchmark::State& state) {
   const index_t n = state.range(0);

@@ -19,14 +19,6 @@
 
 namespace {
 
-tt::dmrg::EngineKind parse_engine(const std::string& s) {
-  if (s == "reference") return tt::dmrg::EngineKind::kReference;
-  if (s == "list") return tt::dmrg::EngineKind::kList;
-  if (s == "sparse-dense") return tt::dmrg::EngineKind::kSparseDense;
-  if (s == "sparse-sparse") return tt::dmrg::EngineKind::kSparseSparse;
-  TT_FAIL("unknown engine '" << s << "'");
-}
-
 tt::rt::MachineModel parse_machine(const std::string& s) {
   if (s == "bw") return tt::rt::blue_waters();
   if (s == "s2") return tt::rt::stampede2();
@@ -34,9 +26,7 @@ tt::rt::MachineModel parse_machine(const std::string& s) {
   TT_FAIL("unknown machine '" << s << "' (bw|s2|local)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
   const int lx = static_cast<int>(cli.get_int("lx", 6));
@@ -44,7 +34,7 @@ int main(int argc, char** argv) {
   const double j2 = cli.get_double("j2", 0.5);
   const index_t m = cli.get_int("m", 64);
   const int sweeps = static_cast<int>(cli.get_int("sweeps", 4));
-  const auto kind = parse_engine(cli.get("engine", "list"));
+  const auto kind = dmrg::engine_from_name(cli.get("engine", "list"));
   const rt::Cluster cluster{parse_machine(cli.get("machine", "bw")),
                             static_cast<int>(cli.get_int("nodes", 4)),
                             static_cast<int>(cli.get_int("ppn", 16))};
@@ -97,4 +87,15 @@ int main(int argc, char** argv) {
               << fmt_sci(solver.last_energy() - e_ed, 2) << ")\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

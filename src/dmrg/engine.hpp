@@ -1,21 +1,26 @@
-// Contraction engines: the paper's three block-sparsity algorithms plus the
-// single-node reference baseline (§IV-A).
+// The contraction engine: one block-wise executor priced as one of the
+// paper's three block-sparsity algorithms or the single-node baseline (§IV-A).
 //
-//   Reference     — serial block-wise execution, single node, no network.
-//                   Plays the role of the paper's ITensor baseline.
+// Every contraction executes the same way whatever the engine kind: the
+// thread-parallel block executor symm::contract (paper Alg. 2), or
+// rt::Scheduler::contract when a multi-rank scheduler is attached. Results
+// are therefore bitwise identical across kinds. The kind chooses only the
+// cost model — what the tracker is charged and which OpRecords are logged:
+//
+//   Reference     — serial single node, no network. Plays the role of the
+//                   paper's ITensor baseline.
 //   List          — each quantum-number block is its own distributed dense
-//                   tensor; every compatible block pair is contracted with a
-//                   3D dense algorithm (paper Alg. 2). O(Nb) supersteps.
+//                   tensor; every compatible block pair is one 3D dense
+//                   contraction. O(Nb) supersteps.
 //   SparseDense   — operator tensors (MPS/MPO/environments) fused into single
 //                   sparse tensors, Davidson intermediates fused dense;
 //                   one 2D contraction per step. O(1) supersteps.
 //   SparseSparse  — everything fused sparse, output sparsity precomputed from
 //                   the quantum numbers. O(1) supersteps, sparse flop rate.
 //
-// Every engine produces bit-equivalent block tensors (the numerics are
-// format-independent); they differ in the kernels that execute the work, the
-// real wall time measured, and the simulated distributed cost charged to the
-// tracker (runtime/cost_model.hpp).
+// The fused kinds are priced from block shapes and exact-nonzero counts, as
+// the paper's persistent CTF tensors would store them; no fused tensor is
+// ever built (runtime/cost_model.hpp has the per-layout cost formulas).
 #pragma once
 
 #include <memory>
@@ -33,10 +38,10 @@ class Scheduler;  // runtime/scheduler.hpp — the distributed block scheduler
 
 namespace tt::dmrg {
 
-/// Which contraction strategy an engine executes (see the taxonomy above and
-/// docs/ARCHITECTURE.md). The kind fixes the storage format of operands, the
-/// kernels that run locally, and the distributed cost charged per operation —
-/// never the numerical result.
+/// Which algorithm an engine is priced as (see the taxonomy above and
+/// docs/ARCHITECTURE.md). The kind fixes the modelled storage format and the
+/// distributed cost charged per operation — never the execution or the
+/// numerical result.
 enum class EngineKind {
   kReference,     ///< serial single-node baseline (ITensor stand-in, §IV-A)
   kList,          ///< per-block-pair distributed dense contractions (Alg. 2)
@@ -47,6 +52,9 @@ enum class EngineKind {
 /// Stable display name ("reference", "list", "sparse-dense", "sparse-sparse")
 /// as used by the CLI `--engine` flags and the bench tables.
 const char* engine_name(EngineKind k);
+
+/// Inverse of engine_name. Throws tt::Error listing the valid names.
+EngineKind engine_from_name(const std::string& name);
 
 /// One charged operation, recorded when logging is enabled. An op log can be
 /// replayed against any Cluster — the benches execute the (cluster-invariant)
@@ -66,42 +74,44 @@ rt::CostTracker replay_log(const std::vector<OpRecord>& log,
                            const rt::Cluster& cluster,
                            const rt::CostModelParams& params = {});
 
-/// Storage role of a contraction operand in the sparse-dense algorithm:
-/// operator tensors stay sparse, Davidson intermediates go dense (§IV-A).
-/// Callers tag each operand; the result's role is implied (any intermediate
-/// operand makes the result an intermediate). Engines other than sparse-dense
-/// accept the tags but store both roles the same way.
+/// Modelled storage role of a contraction operand in the sparse-dense
+/// algorithm: operator tensors stay sparse, Davidson intermediates go dense
+/// (§IV-A). Callers tag each operand; the result's role is implied (any
+/// intermediate operand makes the result an intermediate). Roles only change
+/// what the sparse-dense kind charges — execution is block-wise for every
+/// role.
 enum class Role {
   kOperator,      ///< MPS/MPO/environment tensor: long-lived, fused sparse
   kIntermediate,  ///< Davidson work vector: transient, fused dense
 };
 
-/// Abstract contraction engine. Owns a cluster description and a cost
-/// tracker; all DMRG work flows through contract()/svd().
+/// The contraction engine. Owns a cluster description and a cost tracker;
+/// all DMRG work flows through contract()/svd(). kind(), contract() and svd()
+/// are virtual so a decorator can wrap an engine (forwarding to an inner one).
 class ContractionEngine {
  public:
-  explicit ContractionEngine(rt::Cluster cluster, rt::CostModelParams params = {})
-      : cluster_(cluster), params_(params) {}
+  explicit ContractionEngine(rt::Cluster cluster, rt::CostModelParams params = {},
+                             EngineKind kind = EngineKind::kList)
+      : cluster_(cluster), params_(params), kind_(kind) {}
   virtual ~ContractionEngine() = default;
 
-  virtual EngineKind kind() const = 0;
+  virtual EngineKind kind() const { return kind_; }
   std::string name() const { return engine_name(kind()); }
 
   /// Contract two block tensors over the given (mode of a, mode of b) pairs.
   /// Uncontracted modes of a then of b, each in order, form the result. The
-  /// output role is implied: if either operand is an intermediate the result
-  /// is an intermediate. All engines must return bit-identical block tensors
-  /// for the same operands — only execution strategy and charged cost differ.
+  /// roles only select the sparse-dense pricing; the result is bitwise the
+  /// same for every kind and role.
   virtual symm::BlockTensor contract(const symm::BlockTensor& a, Role role_a,
                                      const symm::BlockTensor& b, Role role_b,
-                                     const std::vector<std::pair<int, int>>& pairs) = 0;
+                                     const std::vector<std::pair<int, int>>& pairs);
 
   /// Truncated SVD across the (row_modes | remaining modes) bipartition,
   /// truncated per `trunc` (symm::TruncParams: absolute/relative cutoff and
   /// bond cap, applied globally across quantum-number groups). Always
-  /// executed in the list format (paper §IV-A); fused engines additionally
+  /// executed in the list format (paper §IV-A); the fused kinds additionally
   /// charge the redistribution of blocks out of / back into the single
-  /// tensor.
+  /// tensor, the reference kind a serial single-node SVD.
   virtual symm::BlockSvd svd(const symm::BlockTensor& a,
                              const std::vector<int>& row_modes,
                              const symm::TruncParams& trunc);
@@ -121,12 +131,13 @@ class ContractionEngine {
 
   /// Attach a distributed block scheduler (non-owning; the caller keeps it
   /// alive for the engine's lifetime, e.g. the `--ranks N` bench drivers).
-  /// With a scheduler of more than one rank attached, block-wise contractions
-  /// (the list algorithm) execute across its ranks and the tracker is charged
-  /// the *measured* DistStats of each exchange — real bytes, real busy time,
-  /// real idle tails — instead of the simulated BSP cost model. Results stay
-  /// bitwise identical to the local path (the scheduler's rank-parity
-  /// invariant). nullptr (the default) restores the simulated charging.
+  /// With a scheduler of more than one rank attached, every contraction
+  /// executes across its ranks and the tracker is charged the *measured*
+  /// DistStats of each exchange — real bytes, real busy time, real idle
+  /// tails — instead of the simulated BSP cost model; the op log keeps the
+  /// kind's modelled records. Results stay bitwise identical to the local
+  /// path (the scheduler's rank-parity invariant). nullptr (the default)
+  /// restores the simulated charging.
   void set_scheduler(rt::Scheduler* s) { scheduler_ = s; }
   rt::Scheduler* scheduler() const { return scheduler_; }
 
@@ -135,45 +146,14 @@ class ContractionEngine {
   const std::vector<OpRecord>& log() const { return log_; }
   void clear_log() { log_.clear(); }
 
- protected:
-  void charge_and_log(const rt::ContractionCost& cost, rt::Layout layout) {
-    rt::charge_contraction(cluster_, tracker_, cost, layout, params_);
-    if (logging_) {
-      OpRecord r;
-      r.type = OpRecord::Type::kContraction;
-      r.cost = cost;
-      r.layout = layout;
-      log_.push_back(r);
-    }
-  }
-  // layout kLocal marks a serial single-node SVD; anything else replays as
-  // the distributed pdgesvd-style cost.
-  void log_svd(index_t rows, index_t cols, rt::Layout layout) {
-    if (!logging_) return;
-    OpRecord r;
-    r.type = OpRecord::Type::kSvd;
-    r.rows = rows;
-    r.cols = cols;
-    r.layout = layout;
-    log_.push_back(r);
-  }
-  void log_redistribution(double words) {
-    if (!logging_) return;
-    OpRecord r;
-    r.type = OpRecord::Type::kRedistribution;
-    r.words = words;
-    log_.push_back(r);
-  }
-
-  /// Options handed to symm::contract by the block-wise engines.
-  symm::ContractOptions contract_options() const {
-    symm::ContractOptions o;
-    o.num_threads = num_threads_;
-    return o;
-  }
+ private:
+  /// Charge `r` to the tracker (unless the tracker already holds a measured
+  /// record of the operation) and log it if logging is on.
+  void record(const OpRecord& r, bool charge_tracker = true);
 
   rt::Cluster cluster_;
   rt::CostModelParams params_;
+  EngineKind kind_;
   rt::CostTracker tracker_;
   rt::Scheduler* scheduler_ = nullptr;
   bool logging_ = false;
@@ -181,8 +161,8 @@ class ContractionEngine {
   int num_threads_ = 0;
 };
 
-/// Factory for the four engines. `cluster` describes the virtual machine the
-/// cost model charges against (use {rt::localhost(), 1, 1} for purely local
+/// Engine priced as `kind`. `cluster` describes the virtual machine the cost
+/// model charges against (use {rt::localhost(), 1, 1} for purely local
 /// runs); it does not affect the numerics.
 std::unique_ptr<ContractionEngine> make_engine(EngineKind kind, rt::Cluster cluster,
                                                rt::CostModelParams params = {});

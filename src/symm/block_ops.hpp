@@ -52,13 +52,12 @@ struct ContractOptions {
   std::function<void(const BlockOpCost&)> block_hook;
 };
 
-/// Validated structural plan of a block contraction, shared by the list
-/// algorithm (block-wise) and the fused single-tensor algorithms.
+/// Validated structural plan of a block contraction.
 struct ContractPlan {
   std::vector<int> free_a, free_b;      ///< uncontracted mode positions
   std::vector<Index> out_indices;       ///< free(a) then free(b)
   QN out_flux;                          ///< flux(a) + flux(b)
-  std::string spec;                     ///< einsum spec usable on fused tensors
+  std::string spec;                     ///< einsum spec of every block pair
 };
 
 /// Validate the contraction pattern and derive the output structure.

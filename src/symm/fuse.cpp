@@ -1,13 +1,10 @@
 #include "symm/fuse.hpp"
 
-#include <algorithm>
-
 namespace tt::symm {
 
 namespace {
 
 using tensor::DenseTensor;
-using tensor::SparseTensor;
 
 std::vector<index_t> fused_shape(const std::vector<Index>& indices) {
   std::vector<index_t> shape;
@@ -57,34 +54,6 @@ void for_each_element(const std::vector<index_t>& block_shape,
   }
 }
 
-// Lookup table: fused position along one mode -> (sector id, local offset).
-struct ModeLookup {
-  std::vector<int> sector_of;
-  std::vector<index_t> local_of;
-};
-
-ModeLookup make_lookup(const Index& idx) {
-  ModeLookup lut;
-  lut.sector_of.resize(static_cast<std::size_t>(idx.dim()));
-  lut.local_of.resize(static_cast<std::size_t>(idx.dim()));
-  index_t pos = 0;
-  for (int s = 0; s < idx.num_sectors(); ++s) {
-    for (index_t l = 0; l < idx.sector(s).dim; ++l, ++pos) {
-      lut.sector_of[static_cast<std::size_t>(pos)] = s;
-      lut.local_of[static_cast<std::size_t>(pos)] = l;
-    }
-  }
-  return lut;
-}
-
-std::vector<index_t> strides_of(const std::vector<index_t>& shape) {
-  std::vector<index_t> s(shape.size(), 1);
-  for (int i = static_cast<int>(shape.size()) - 2; i >= 0; --i)
-    s[static_cast<std::size_t>(i)] =
-        s[static_cast<std::size_t>(i + 1)] * shape[static_cast<std::size_t>(i + 1)];
-  return s;
-}
-
 }  // namespace
 
 DenseTensor fuse_dense(const BlockTensor& t) {
@@ -96,93 +65,6 @@ DenseTensor fuse_dense(const BlockTensor& t) {
                      [&](index_t bflat, index_t fflat) { out[fflat] = blk[bflat]; });
   }
   return out;
-}
-
-SparseTensor fuse_sparse(const BlockTensor& t) {
-  SparseTensor out(fused_shape(t.indices()));
-  const std::vector<index_t> strides = strides_of(fused_shape(t.indices()));
-  for (const auto& [key, blk] : t.blocks()) {
-    const auto offsets = block_offsets(t, key);
-    for_each_element(blk.shape(), offsets, strides, [&](index_t bflat, index_t fflat) {
-      out.add(fflat, blk[bflat]);
-    });
-  }
-  out.finalize();
-  return out;
-}
-
-BlockTensor split_dense(const DenseTensor& d, std::vector<Index> indices,
-                        const QN& flux) {
-  TT_CHECK(d.shape() == fused_shape(indices),
-           "fused dense tensor shape does not match index structure");
-  BlockTensor out(std::move(indices), flux);
-  const std::vector<index_t> strides = d.strides();
-  for (const BlockKey& key : out.admissible_keys()) {
-    const auto shape = out.block_shape(key);
-    std::vector<index_t> offsets(key.size());
-    for (int m = 0; m < out.order(); ++m)
-      offsets[static_cast<std::size_t>(m)] =
-          out.index(m).sector_offset(key[static_cast<std::size_t>(m)]);
-    DenseTensor blk(shape);
-    bool nonzero = false;
-    for_each_element(shape, offsets, strides, [&](index_t bflat, index_t fflat) {
-      blk[bflat] = d[fflat];
-      if (d[fflat] != 0.0) nonzero = true;
-    });
-    if (nonzero) out.accumulate(key, std::move(blk));
-  }
-  return out;
-}
-
-BlockTensor split_sparse(const SparseTensor& s, std::vector<Index> indices,
-                         const QN& flux) {
-  TT_CHECK(s.shape() == fused_shape(indices),
-           "fused sparse tensor shape does not match index structure");
-  BlockTensor out(std::move(indices), flux);
-  const int r = out.order();
-  std::vector<ModeLookup> luts;
-  luts.reserve(static_cast<std::size_t>(r));
-  for (int m = 0; m < r; ++m) luts.push_back(make_lookup(out.index(m)));
-  const std::vector<index_t> strides = strides_of(s.shape());
-
-  auto idxs = s.indices();
-  auto vals = s.values();
-  for (std::size_t i = 0; i < idxs.size(); ++i) {
-    index_t rem = idxs[i];
-    BlockKey key(static_cast<std::size_t>(r));
-    index_t bflat = 0;
-    for (int m = 0; m < r; ++m) {
-      const auto mi = static_cast<std::size_t>(m);
-      const index_t pos = rem / strides[mi];
-      rem %= strides[mi];
-      key[mi] = luts[mi].sector_of[static_cast<std::size_t>(pos)];
-      const index_t local = luts[mi].local_of[static_cast<std::size_t>(pos)];
-      const index_t bdim = out.index(m).sector(key[mi]).dim;
-      bflat = bflat * bdim + local;
-    }
-    TT_CHECK(out.key_allowed(key),
-             "sparse element at flat index " << idxs[i]
-                                             << " violates charge conservation");
-    out.block(key)[bflat] = vals[i];
-  }
-  return out;
-}
-
-SparseTensor structure_mask(const std::vector<Index>& indices, const QN& flux) {
-  BlockTensor probe(indices, flux);
-  SparseTensor mask(fused_shape(indices));
-  const std::vector<index_t> strides = strides_of(fused_shape(indices));
-  for (const BlockKey& key : probe.admissible_keys()) {
-    const auto shape = probe.block_shape(key);
-    std::vector<index_t> offsets(key.size());
-    for (int m = 0; m < probe.order(); ++m)
-      offsets[static_cast<std::size_t>(m)] =
-          probe.index(m).sector_offset(key[static_cast<std::size_t>(m)]);
-    for_each_element(shape, offsets, strides,
-                     [&](index_t, index_t fflat) { mask.add(fflat, 1.0); });
-  }
-  mask.finalize();
-  return mask;
 }
 
 }  // namespace tt::symm

@@ -1,37 +1,15 @@
-// Conversion between the block (list) format and fused single-tensor formats.
+// Fusing the block (list) format into one dense tensor.
 //
-// The sparse-dense algorithm fuses all blocks into one dense tensor (zeros
-// outside blocks); the sparse-sparse algorithm fuses into one sparse tensor.
 // Each index's sectors map to contiguous offset ranges of its fused dimension
-// (paper §IV-A, Fig 3b). structure_mask() provides the quantum-number-derived
-// output sparsity the paper precomputes for sparse contractions.
+// (paper §IV-A, Fig 3b); elements outside present blocks are zero. Used as the
+// dense oracle the block-sparse kernels are checked against.
 #pragma once
 
 #include "symm/block_tensor.hpp"
-#include "tensor/sparse.hpp"
 
 namespace tt::symm {
 
 /// Fused dense tensor of shape [index(0).dim(), …]; zero outside blocks.
 tensor::DenseTensor fuse_dense(const BlockTensor& t);
-
-/// Fused sparse tensor holding exactly the elements inside present blocks.
-tensor::SparseTensor fuse_sparse(const BlockTensor& t);
-
-/// Rebuild the block format from a fused dense tensor. Elements outside
-/// admissible blocks are ignored (they are structural zeros of the fused
-/// format). Blocks that are entirely zero are pruned.
-BlockTensor split_dense(const tensor::DenseTensor& d, std::vector<Index> indices,
-                        const QN& flux);
-
-/// Rebuild the block format from a fused sparse tensor. Throws tt::Error if a
-/// nonzero lies outside every admissible block — that would mean a symmetry
-/// violation upstream.
-BlockTensor split_sparse(const tensor::SparseTensor& s, std::vector<Index> indices,
-                         const QN& flux);
-
-/// Sparsity mask of the admissible-block structure: value 1.0 at every
-/// position any conserving block may occupy.
-tensor::SparseTensor structure_mask(const std::vector<Index>& indices, const QN& flux);
 
 }  // namespace tt::symm

@@ -1,10 +1,9 @@
-// Einstein-summation contraction of two tensors (dense and sparse kernels).
+// Einstein-summation contraction of two dense tensors.
 //
 // This is the contraction interface of the Cyclops stand-in: a spec string
 // like "akb,bscd->aksc" names each mode with one character; labels shared by
 // both inputs and absent from the output are summed. Execution follows CTF:
-// permute operands into matrix layout, GEMM (or an SpGEMM-style kernel for
-// sparse operands), permute the result back. Operand permutations that are a
+// permute operands into matrix layout, GEMM, permute the result back. Operand permutations that are a
 // pure matrix transpose skip the copy entirely: they lower to the gemm_raw
 // transa/transb flags, which the backends absorb for free.
 //
@@ -16,7 +15,6 @@
 #include <string>
 
 #include "tensor/dense.hpp"
-#include "tensor/sparse.hpp"
 
 namespace tt::tensor {
 
@@ -33,29 +31,14 @@ struct EinsumStats {
   double flops = 0.0;           ///< 2·(scalar multiplies)
   double permuted_words = 0.0;  ///< elements moved by layout permutations
   /// Operands whose permutation was a pure matrix transpose and lowered to a
-  /// gemm_raw trans flag instead of a materialized copy (dense path); such
-  /// operands do not contribute to permuted_words.
+  /// gemm_raw trans flag instead of a materialized copy; such operands do not
+  /// contribute to permuted_words.
   int lowered_transposes = 0;
-  index_t m = 0, n = 0, k = 0;  ///< matricized GEMM dimensions (dense path)
+  index_t m = 0, n = 0, k = 0;  ///< matricized GEMM dimensions
 };
 
 /// Dense × dense → dense.
 DenseTensor einsum(const std::string& spec, const DenseTensor& a,
                    const DenseTensor& b, EinsumStats* stats = nullptr);
-
-/// Sparse × sparse → sparse. If `out_mask` is non-null, only locations present
-/// in the mask are accumulated (the paper's precomputed output sparsity, which
-/// Cyclops uses to bound memory during sparse contraction).
-SparseTensor einsum_ss(const std::string& spec, const SparseTensor& a,
-                       const SparseTensor& b, EinsumStats* stats = nullptr,
-                       const SparseTensor* out_mask = nullptr);
-
-/// Sparse × dense → dense.
-DenseTensor einsum_sd(const std::string& spec, const SparseTensor& a,
-                      const DenseTensor& b, EinsumStats* stats = nullptr);
-
-/// Dense × sparse → dense.
-DenseTensor einsum_ds(const std::string& spec, const DenseTensor& a,
-                      const SparseTensor& b, EinsumStats* stats = nullptr);
 
 }  // namespace tt::tensor

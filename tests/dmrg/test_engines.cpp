@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dmrg/dmrg.hpp"
 #include "dmrg/engine.hpp"
 #include "models/heisenberg.hpp"
@@ -8,20 +13,46 @@
 #include "models/lattice.hpp"
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
+#include "runtime/scheduler.hpp"
+#include "support/error.hpp"
+#include "symm/fuse.hpp"
+#include "tensor/einsum.hpp"
 
 namespace {
 
 using tt::Rng;
+using tt::index_t;
 using tt::dmrg::EngineKind;
+using tt::dmrg::OpRecord;
 using tt::dmrg::Role;
 using tt::rt::Category;
 using tt::symm::BlockTensor;
+using tt::symm::Dir;
+using tt::symm::Index;
 using tt::symm::QN;
+using tt::symm::Sector;
+using tt::tensor::DenseTensor;
+using Pairs = std::vector<std::pair<int, int>>;
 
 const EngineKind kAllEngines[] = {EngineKind::kReference, EngineKind::kList,
                                   EngineKind::kSparseDense, EngineKind::kSparseSparse};
+const Role kRoles[] = {Role::kOperator, Role::kIntermediate};
 
 tt::rt::Cluster test_cluster() { return {tt::rt::blue_waters(), 4, 16}; }
+
+// Same keys, same shapes, same bytes.
+void expect_bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
+  ASSERT_TRUE(x.same_structure(y));
+  ASSERT_EQ(x.num_blocks(), y.num_blocks());
+  for (const auto& [key, blk] : x.blocks()) {
+    const DenseTensor* other = y.find_block(key);
+    ASSERT_NE(other, nullptr);
+    ASSERT_EQ(blk.shape(), other->shape());
+    EXPECT_EQ(std::memcmp(blk.data(), other->data(),
+                          static_cast<std::size_t>(blk.size()) * sizeof(double)),
+              0);
+  }
+}
 
 // Random MPS-shaped operands for engine contraction equivalence.
 struct Operands {
@@ -43,11 +74,10 @@ TEST_P(EngineParam, ContractionMatchesReference) {
   auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
   BlockTensor want = ref->contract(ops.a, Role::kOperator, ops.b, Role::kOperator,
                                    {{2, 0}});
-  for (auto ra : {Role::kOperator, Role::kIntermediate})
-    for (auto rb : {Role::kOperator, Role::kIntermediate}) {
-      BlockTensor got = eng->contract(ops.a, ra, ops.b, rb, {{2, 0}});
-      EXPECT_LT(tt::symm::max_abs_diff(got, want), 1e-10 * (1.0 + want.norm2()))
-          << tt::dmrg::engine_name(GetParam());
+  for (auto ra : kRoles)
+    for (auto rb : kRoles) {
+      SCOPED_TRACE(tt::dmrg::engine_name(GetParam()));
+      expect_bitwise_equal(eng->contract(ops.a, ra, ops.b, rb, {{2, 0}}), want);
     }
 }
 
@@ -70,6 +100,25 @@ TEST_P(EngineParam, ChargesFlops) {
   eng->contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
   EXPECT_GT(eng->tracker().flops(), 0.0);
   EXPECT_GT(eng->tracker().time(Category::kGemm), 0.0);
+}
+
+TEST_P(EngineParam, SchedulerRunsEveryKindBitwise) {
+  // Every kind executes block-wise, so every kind routes through an attached
+  // multi-rank scheduler and reproduces the local result exactly.
+  Operands ops;
+  auto local = tt::dmrg::make_engine(GetParam(), test_cluster());
+  const BlockTensor want =
+      local->contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}});
+
+  tt::rt::SchedulerOptions opts;
+  opts.num_ranks = 2;
+  opts.mode = tt::rt::SpawnMode::kThread;
+  tt::rt::Scheduler sched(opts);
+  auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
+  eng->set_scheduler(&sched);
+  expect_bitwise_equal(
+      eng->contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}}), want);
+  EXPECT_GT(sched.accumulated().contractions, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, EngineParam, ::testing::ValuesIn(kAllEngines),
@@ -122,13 +171,27 @@ TEST(Engines, NameRoundTrip) {
     auto eng = tt::dmrg::make_engine(k, test_cluster());
     EXPECT_EQ(eng->kind(), k);
     EXPECT_EQ(eng->name(), tt::dmrg::engine_name(k));
+    EXPECT_EQ(tt::dmrg::engine_from_name(tt::dmrg::engine_name(k)), k);
+  }
+}
+
+TEST(Engines, UnknownEngineNameListsTheValidOnes) {
+  try {
+    tt::dmrg::engine_from_name("sparse");
+    FAIL() << "expected tt::Error";
+  } catch (const tt::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'sparse'"), std::string::npos) << msg;
+    for (EngineKind k : kAllEngines)
+      EXPECT_NE(msg.find(tt::dmrg::engine_name(k)), std::string::npos) << msg;
   }
 }
 
 TEST(Engines, FullSweepEquivalenceAcrossEngines) {
   // The headline invariant (paper §III: "We compute DMRG in the same way as
   // the best sequential approach"): every engine produces the same sweep
-  // energies on the same problem.
+  // energies on the same problem — bitwise, since all of them execute the
+  // same block-wise contractions.
   auto lat = tt::models::square_cylinder(3, 2, true);
   auto sites = tt::models::spin_half_sites(lat.num_sites);
   auto h = tt::models::heisenberg_mpo(sites, lat, 1.0, 0.5);
@@ -149,7 +212,7 @@ TEST(Engines, FullSweepEquivalenceAcrossEngines) {
     EXPECT_LE(rec2.energy, rec1.energy + 1e-9) << tt::dmrg::engine_name(k);
   }
   for (std::size_t i = 1; i < energies.size(); ++i)
-    EXPECT_NEAR(energies[i], energies[0], 1e-8)
+    EXPECT_EQ(energies[i], energies[0])
         << "engine " << tt::dmrg::engine_name(kAllEngines[i]);
 }
 
@@ -172,8 +235,232 @@ TEST(Engines, ElectronSweepEquivalence) {
     energies.push_back(solver.sweep(params).energy);
   }
   for (std::size_t i = 1; i < energies.size(); ++i)
-    EXPECT_NEAR(energies[i], energies[0], 1e-8)
+    EXPECT_EQ(energies[i], energies[0])
         << "engine " << tt::dmrg::engine_name(kAllEngines[i]);
 }
+
+// ---------------------------------------------------------------------------
+// Pricing oracle. A sparse-dense or sparse-sparse engine logs one fused
+// contraction record whose flops and words follow from the fused operands
+// alone: nonzeros for operands stored sparse, the full fused size for dense
+// ones. The oracle recomputes every field by walking fuse_dense tensors
+// element by element, independently of the engine's block bookkeeping.
+// ---------------------------------------------------------------------------
+
+// Random index: 1–4 sectors with distinct small charges, dims 1–4.
+Index random_index(Rng& rng, Dir dir) {
+  const int nsec = static_cast<int>(rng.integer(1, 4));
+  std::vector<Sector> sectors;
+  std::vector<QN> used;
+  while (static_cast<int>(sectors.size()) < nsec) {
+    const QN q(static_cast<int>(rng.integer(-1, 2)),
+               static_cast<int>(rng.integer(-1, 1)));
+    bool fresh = true;
+    for (const QN& u : used) fresh &= !(u == q);
+    if (!fresh) continue;
+    used.push_back(q);
+    sectors.push_back({q, rng.integer(1, 4)});
+  }
+  return Index(sectors, dir);
+}
+
+// Calls fn(multi_index) for every row-major position of `shape`.
+template <class Fn>
+void for_each_position(const std::vector<index_t>& shape, Fn&& fn) {
+  std::vector<index_t> idx(shape.size(), 0);
+  for (index_t d : shape)
+    if (d == 0) return;
+  while (true) {
+    fn(idx);
+    int m = static_cast<int>(shape.size()) - 1;
+    for (; m >= 0; --m) {
+      const auto mi = static_cast<std::size_t>(m);
+      if (++idx[mi] < shape[mi]) break;
+      idx[mi] = 0;
+    }
+    if (m < 0) return;
+  }
+}
+
+index_t flat_of(const std::vector<index_t>& idx, const std::vector<index_t>& strides) {
+  index_t f = 0;
+  for (std::size_t i = 0; i < idx.size(); ++i) f += idx[i] * strides[i];
+  return f;
+}
+
+struct FusedCounts {
+  double nnz_a = 0, nnz_b = 0, size_a = 0, size_b = 0;
+  double m = 1, n = 1, k = 1;       // fused free(a), free(b), contracted dims
+  double matched_pairs = 0;         // Σ over contracted positions of nnzA·nnzB
+  double nnz_c = 0;                 // nonzero elements of the fused result
+  double nonzero_block_words_c = 0; // elements of result blocks holding a nonzero
+};
+
+FusedCounts fused_counts(const BlockTensor& a, const BlockTensor& b, const Pairs& pairs) {
+  const DenseTensor fa = tt::symm::fuse_dense(a);
+  const DenseTensor fb = tt::symm::fuse_dense(b);
+  FusedCounts o;
+  o.size_a = static_cast<double>(fa.size());
+  o.size_b = static_cast<double>(fb.size());
+
+  // Einsum labels: contracted legs share a's label; output = free a, free b.
+  std::string la, lb(static_cast<std::size_t>(b.order()), ' '), lc;
+  std::vector<bool> con_a(static_cast<std::size_t>(a.order()), false);
+  std::vector<bool> con_b(static_cast<std::size_t>(b.order()), false);
+  for (const auto& [ma, mb] : pairs) {
+    con_a[static_cast<std::size_t>(ma)] = con_b[static_cast<std::size_t>(mb)] = true;
+    o.k *= static_cast<double>(a.index(ma).dim());
+  }
+  for (int i = 0; i < a.order(); ++i) la.push_back(static_cast<char>('a' + i));
+  for (const auto& [ma, mb] : pairs)
+    lb[static_cast<std::size_t>(mb)] = la[static_cast<std::size_t>(ma)];
+  std::vector<Index> out_indices;
+  for (int i = 0; i < a.order(); ++i)
+    if (!con_a[static_cast<std::size_t>(i)]) {
+      lc.push_back(la[static_cast<std::size_t>(i)]);
+      out_indices.push_back(a.index(i));
+      o.m *= static_cast<double>(a.index(i).dim());
+    }
+  for (int j = 0; j < b.order(); ++j)
+    if (!con_b[static_cast<std::size_t>(j)]) {
+      lb[static_cast<std::size_t>(j)] = static_cast<char>('n' + j);
+      lc.push_back(lb[static_cast<std::size_t>(j)]);
+      out_indices.push_back(b.index(j));
+      o.n *= static_cast<double>(b.index(j).dim());
+    }
+
+  // Nonzeros per contracted position, linearized in pair order.
+  index_t kdim = 1;
+  for (const auto& pr : pairs) kdim *= a.index(pr.first).dim();
+  auto count = [&](const DenseTensor& f, bool first, double& nnz) {
+    std::vector<long long> per_pos(static_cast<std::size_t>(kdim), 0);
+    const auto strides = f.strides();
+    for_each_position(f.shape(), [&](const std::vector<index_t>& idx) {
+      if (f[flat_of(idx, strides)] == 0.0) return;
+      nnz += 1;
+      index_t pos = 0;
+      for (const auto& [ma, mb] : pairs) {
+        const auto mode = static_cast<std::size_t>(first ? ma : mb);
+        pos = pos * f.shape()[mode] + idx[mode];
+      }
+      ++per_pos[static_cast<std::size_t>(pos)];
+    });
+    return per_pos;
+  };
+  const auto pa = count(fa, true, o.nnz_a);
+  const auto pb = count(fb, false, o.nnz_b);
+  long long matched = 0;
+  for (std::size_t p = 0; p < pa.size(); ++p) matched += pa[p] * pb[p];
+  o.matched_pairs = static_cast<double>(matched);
+
+  const DenseTensor fc = tt::tensor::einsum(la + "," + lb + "->" + lc, fa, fb);
+  for (index_t i = 0; i < fc.size(); ++i)
+    if (fc[i] != 0.0) o.nnz_c += 1;
+  const BlockTensor probe(out_indices, a.flux() + b.flux());
+  const auto strides = fc.strides();
+  for (const auto& key : probe.admissible_keys()) {
+    const auto shape = probe.block_shape(key);
+    bool nonzero = false;
+    for_each_position(shape, [&](const std::vector<index_t>& local) {
+      std::vector<index_t> idx(local);
+      for (std::size_t m = 0; m < idx.size(); ++m)
+        idx[m] += probe.index(static_cast<int>(m)).sector_offset(key[m]);
+      nonzero |= fc[flat_of(idx, strides)] != 0.0;
+    });
+    if (!nonzero) continue;
+    double words = 1;
+    for (index_t d : shape) words *= static_cast<double>(d);
+    o.nonzero_block_words_c += words;
+  }
+  return o;
+}
+
+tt::rt::ContractionCost expected_sparse_dense(const FusedCounts& o, Role ra, Role rb) {
+  const bool ia = ra == Role::kIntermediate, ib = rb == Role::kIntermediate;
+  tt::rt::ContractionCost c;
+  if (ia && ib) {  // dense × dense: one GEMM over the fused dims
+    c = {2.0 * o.m * o.n * o.k, o.size_a, o.size_b, 0.0};
+  } else if (ia) {  // dense × sparse: every nonzero of b meets every row of a
+    c = {2.0 * o.m * o.nnz_b, o.size_a, o.nnz_b, 0.0};
+  } else {  // sparse × dense (two operators keep a sparse)
+    c = {2.0 * o.n * o.nnz_a, o.nnz_a, o.size_b, 0.0};
+  }
+  c.words_c = ia || ib ? o.m * o.n : o.nonzero_block_words_c;
+  return c;
+}
+
+tt::rt::ContractionCost expected_sparse_sparse(const FusedCounts& o) {
+  return {2.0 * o.matched_pairs, o.nnz_a, o.nnz_b, o.nnz_c};
+}
+
+class PricingOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(PricingOracle, FusedRecordsMatchFusedDenseWalk) {
+  Rng rng(static_cast<unsigned>(GetParam()) * 7919 + 5);
+  // a(x, c, y, d) · b(d̄, z, c̄) over {c, d}: two contracted legs, listed in a
+  // different order on each operand.
+  const Pairs pairs = {{1, 2}, {3, 0}};
+  BlockTensor a, b;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const Index c = random_index(rng, Dir::Out), d = random_index(rng, Dir::In);
+    const QN fa(static_cast<int>(rng.integer(-1, 1)), 0);
+    a = BlockTensor::random(
+        {random_index(rng, Dir::In), c, random_index(rng, Dir::Out), d}, fa, rng);
+    b = BlockTensor::random({d.reversed(), random_index(rng, Dir::Out), c.reversed()},
+                            QN(0, 0), rng);
+    if (a.num_blocks() >= 3 && b.num_blocks() >= 2 &&
+        tt::symm::contract(a, b, pairs).num_blocks() >= 2)
+      break;
+  }
+  ASSERT_GE(a.num_blocks(), 3);
+  ASSERT_GE(b.num_blocks(), 2);
+
+  // Exact zeros inside blocks, and one block that is zero throughout: stored
+  // elements that a sparse format would not store.
+  for (BlockTensor* t : {&a, &b}) {
+    std::vector<tt::symm::BlockKey> keys;
+    for (const auto& kv : t->blocks()) keys.push_back(kv.first);
+    for (const auto& key : keys) {
+      DenseTensor& blk = t->block(key);
+      for (index_t i = 0; i < blk.size(); ++i)
+        if (rng.uniform() < 0.3) blk[i] = 0.0;
+    }
+  }
+  {
+    DenseTensor& blk = a.block(a.blocks().begin()->first);
+    for (index_t i = 0; i < blk.size(); ++i) blk[i] = 0.0;
+  }
+
+  const FusedCounts o = fused_counts(a, b, pairs);
+  ASSERT_LT(o.nnz_a, o.size_a);
+  ASSERT_GT(o.nnz_c, 0.0);
+
+  for (EngineKind kind : {EngineKind::kSparseDense, EngineKind::kSparseSparse}) {
+    auto eng = tt::dmrg::make_engine(kind, test_cluster());
+    eng->set_logging(true);
+    for (Role ra : kRoles)
+      for (Role rb : kRoles) {
+        SCOPED_TRACE(std::string(tt::dmrg::engine_name(kind)) + " roles " +
+                     std::to_string(static_cast<int>(ra)) +
+                     std::to_string(static_cast<int>(rb)));
+        eng->clear_log();
+        eng->contract(a, ra, b, rb, pairs);
+        ASSERT_EQ(eng->log().size(), 1u);
+        const OpRecord& r = eng->log()[0];
+        EXPECT_EQ(r.type, OpRecord::Type::kContraction);
+        const bool sd = kind == EngineKind::kSparseDense;
+        EXPECT_EQ(r.layout,
+                  sd ? tt::rt::Layout::kFusedDense2D : tt::rt::Layout::kFusedSparse2D);
+        const tt::rt::ContractionCost want =
+            sd ? expected_sparse_dense(o, ra, rb) : expected_sparse_sparse(o);
+        EXPECT_EQ(r.cost.flops, want.flops);
+        EXPECT_EQ(r.cost.words_a, want.words_a);
+        EXPECT_EQ(r.cost.words_b, want.words_b);
+        EXPECT_EQ(r.cost.words_c, want.words_c);
+      }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PricingOracle, ::testing::Range(0, 8));
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "dmrg/dmrg.hpp"
-#include "dmrg/engines.hpp"
+#include "dmrg/engine.hpp"
 #include "models/heisenberg.hpp"
 #include "models/lattice.hpp"
 #include "models/spin_half.hpp"

@@ -7,7 +7,7 @@
 #include <cstring>
 #include <vector>
 
-#include "dmrg/engines.hpp"
+#include "dmrg/engine.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/tracker.hpp"
 #include "support/thread_pool.hpp"
