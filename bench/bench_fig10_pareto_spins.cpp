@@ -92,9 +92,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine,
             << other_pareto << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig10_pareto_spins");
   if (tt::bench::distributed_mode(argc, argv, "bench_fig10_pareto_spins",
                                   tt::bench::Workload::spins(),
@@ -111,4 +109,15 @@ int main(int argc, char** argv) {
                "frontier is all list-algorithm points; best speedups come at\n"
                "modest extra cost (paper: 5.9x-99x rate at ~1.5x cost).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -67,9 +67,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig11_weak_scaling_electrons");
   if (tt::bench::distributed_mode(argc, argv, "bench_fig11_weak_scaling_electrons",
                                   tt::bench::Workload::electrons(),
@@ -83,4 +81,15 @@ int main(int argc, char** argv) {
   panel("Fig 11 (right) — electrons weak scaling, Stampede2 (64/node)",
         tt::rt::stampede2(), 64, "stampede2", csv);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -35,9 +35,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig12_strong_scaling_electrons");
   if (tt::bench::distributed_mode(argc, argv, "bench_fig12_strong_scaling_electrons",
                                   tt::bench::Workload::electrons(),
@@ -51,4 +49,15 @@ int main(int argc, char** argv) {
   panel("Fig 12 (right) — electrons sparse-sparse strong scaling at fixed m, Stampede2",
         tt::rt::stampede2(), 64, 4, "stampede2", csv);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -52,9 +52,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig13_pareto_electrons");
   if (tt::bench::distributed_mode(argc, argv, "bench_fig13_pareto_electrons",
                                   tt::bench::Workload::electrons(),
@@ -71,4 +69,15 @@ int main(int argc, char** argv) {
                "Blue Waters; sparse-sparse reaches higher rates at higher cost;\n"
                "the cost gap narrows on Stampede2.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

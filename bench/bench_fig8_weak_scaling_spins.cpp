@@ -9,7 +9,9 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig8_weak_scaling_spins");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -75,4 +77,15 @@ int main(int argc, char** argv) {
                "when m doubles with the node count, and the preferred\n"
                "processes-per-node crosses from 32 to 16 at large node counts.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -8,7 +8,9 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig9_strong_scaling_spins");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -52,4 +54,15 @@ int main(int argc, char** argv) {
                "few doublings; efficiency drops to roughly 60% and below as the\n"
                "fixed-size blocks can no longer fill the machine.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -12,6 +12,7 @@
 
 #include "linalg/backend.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -51,11 +52,8 @@ rt::MetricsRegistry make_metrics(const std::string& driver) {
 }
 
 std::vector<std::string> pct_cells(const rt::CostTracker& t, int decimals) {
-  const auto p = t.percentages();
   std::vector<std::string> cells;
-  cells.reserve(static_cast<std::size_t>(rt::kNumCategories) - 1);
-  for (int c = 0; c < rt::kNumCategories - 1; ++c)  // skip trailing "Other"
-    cells.push_back(fmt(p[static_cast<std::size_t>(c)], decimals));
+  for (double p : t.percentages()) cells.push_back(fmt(p, decimals));
   return cells;
 }
 
@@ -254,13 +252,29 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
   Timer timer;
   solver.optimize_bond(j, params, /*sweep_right=*/true);
   d.wall_seconds = timer.seconds();
-  d.costs = eng->tracker().diff(before);
   d.dist = sched.accumulated();
-  d.flops = d.costs.flops();
+  d.flops = eng->tracker().diff(before).flops();
   return d;
 }
 
 namespace {
+
+// The measured analogue of print_metrics_summary: total measured seconds of
+// the exchanges, then each nonzero component's share.
+void print_dist_summary(const std::string& title, const rt::DistStats& d) {
+  const std::pair<const char*, double> parts[] = {
+      {"critical busy", d.critical_busy_seconds},
+      {"comm", d.comm_seconds},
+      {"imbalance", d.imbalance_seconds},
+      {"recovery", d.recovery_seconds}};
+  double total = 0.0;
+  for (const auto& [name, secs] : parts) total += secs;
+  std::cout << title << ": total " << fmt_sci(total, 2) << " s";
+  for (const auto& [name, secs] : parts)
+    if (secs > 0.0)
+      std::cout << " | " << name << " " << fmt(100.0 * secs / total, 1) << "%";
+  std::cout << "\n";
+}
 
 // One short prefetch-overlapped sweep through a `ranks`-rank scheduler: the
 // full pipeline — rank-sharded contractions, async environment prefetch, and
@@ -305,8 +319,11 @@ dmrg::SweepRecord pipeline_smoke(const Workload& w, index_t m, int ranks,
 bool distributed_mode(int argc, char** argv, const std::string& driver,
                       const Workload& w, const std::vector<index_t>& ms) {
   Cli cli(argc, argv);
-  const int ranks = static_cast<int>(cli.get_int("ranks", 0));
-  if (ranks <= 0) return false;
+  if (!cli.has("ranks")) return false;
+  const long long ranks_arg = cli.get_int("ranks", 0);
+  TT_CHECK(ranks_arg >= 2, "--ranks must be at least 2 (measured mode runs "
+                           "real scheduler ranks), got " << ranks_arg);
+  const int ranks = static_cast<int>(ranks_arg);
 
   Csv csv(csv_path(argc, argv),
           "driver,workload,source,m_bench,m_equiv,ranks,mode,seconds,gemm_s,"
@@ -322,34 +339,29 @@ bool distributed_mode(int argc, char** argv, const std::string& driver,
               rt::spawn_mode_from_env()) + " mode)");
   t.header({"m(eq)", "ranks", "wall s", "gemm s", "comm s", "imb s", "MB moved",
             "bins"});
-  rt::CostTracker measured_total;
+  rt::DistStats measured_total;
   double first_step_wall = 0.0;
   for (index_t m : ms) {
     const DistMeasurement d = measure_step_distributed(w, m, ranks);
     if (first_step_wall == 0.0) first_step_wall = d.wall_seconds;
-    measured_total.merge(d.costs);
+    measured_total.merge(d.dist);
     int bins = 0;
     for (const auto& r : d.dist.ranks) bins += r.bins;
     t.row({fmt_int(m_equiv(d.m_actual)), std::to_string(d.ranks),
-           fmt_sci(d.wall_seconds, 2),
-           fmt_sci(d.costs.time(rt::Category::kGemm), 2),
-           fmt_sci(d.costs.time(rt::Category::kComm), 2),
-           fmt_sci(d.costs.time(rt::Category::kImbalance), 2),
+           fmt_sci(d.wall_seconds, 2), fmt_sci(d.dist.critical_busy_seconds, 2),
+           fmt_sci(d.dist.comm_seconds, 2), fmt_sci(d.dist.imbalance_seconds, 2),
            fmt(d.dist.total_bytes() / 1e6, 2), fmt_int(bins)});
     csv.row({driver, w.name, "measured", std::to_string(m),
              std::to_string(m_equiv(d.m_actual)),
              std::to_string(d.ranks), rt::spawn_mode_name(d.mode),
-             fmt_sci(d.wall_seconds, 6),
-             fmt_sci(d.costs.time(rt::Category::kGemm), 6),
-             fmt_sci(d.costs.time(rt::Category::kComm), 6),
-             fmt_sci(d.costs.time(rt::Category::kImbalance), 6),
-             fmt_sci(d.costs.words(), 6), fmt_sci(d.dist.total_bytes(), 6),
+             fmt_sci(d.wall_seconds, 6), fmt_sci(d.dist.critical_busy_seconds, 6),
+             fmt_sci(d.dist.comm_seconds, 6), fmt_sci(d.dist.imbalance_seconds, 6),
+             fmt_sci(d.dist.exchange_words, 6), fmt_sci(d.dist.total_bytes(), 6),
              fmt_sci(d.flops, 6)});
 
     const std::string sec = "measured.m" + std::to_string(m);
     mr.add(sec, "wall_s", d.wall_seconds);
     mr.add(sec, "m_equiv", static_cast<double>(m_equiv(d.m_actual)));
-    mr.add_tracker(sec, d.costs);
     mr.add_dist(sec, d.dist);
 
     // BSP-replayed analogue at `ranks` virtual nodes, for contrast: simulated
@@ -368,7 +380,7 @@ bool distributed_mode(int argc, char** argv, const std::string& driver,
     mr.add_tracker("replayed.m" + std::to_string(m), sim);
   }
   t.print();
-  print_metrics_summary("\nmeasured breakdown (all steps)", measured_total);
+  print_dist_summary("\nmeasured breakdown (all steps)", measured_total);
 
   // Full-pipeline smoke: one prefetch-overlapped sweep through the same
   // scheduler config, so a traced run (TT_TRACE=...) shows rank-sharded

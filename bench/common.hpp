@@ -54,13 +54,13 @@ std::string metrics_path(int argc, char** argv);
 rt::MetricsRegistry make_metrics(const std::string& driver);
 
 /// Per-category percentage cells of a breakdown table row — one cell per
-/// category except the trailing kOther (the paper Fig 7 convention). The one
-/// formatter behind every driver's breakdown table.
+/// paper Fig 7 category. The one formatter behind every driver's breakdown
+/// table.
 std::vector<std::string> pct_cells(const rt::CostTracker& t, int decimals = 1);
 
-/// One standardized breakdown line — total (simulated or measured) seconds
-/// followed by each nonzero category's share — replacing the drivers'
-/// hand-rolled stats printing.
+/// One standardized breakdown line — total simulated seconds followed by
+/// each nonzero category's share — replacing the drivers' hand-rolled stats
+/// printing.
 void print_metrics_summary(const std::string& title, const rt::CostTracker& t,
                            std::ostream& os = std::cout);
 
@@ -130,8 +130,7 @@ struct DistMeasurement {
   double flops = 0.0;          ///< charged flops of the measured step
   double wall_seconds = 0.0;   ///< real end-to-end time of the step
   index_t m_actual = 0;        ///< realized bond dimension at the middle bond
-  rt::CostTracker costs;       ///< measured tracker (kGemm/kComm/kImbalance)
-  rt::DistStats dist;          ///< per-rank detail of the step's exchanges
+  rt::DistStats dist;          ///< the step's measured exchanges, per rank
 };
 
 /// Execute one middle-bond optimization with the list engine routed through a
@@ -144,7 +143,8 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
 /// run measured distributed steps over `ms` instead of the replayed figure,
 /// print the measured table, emit `--csv` rows tagged source=measured (plus
 /// the BSP-replayed analogue rows for contrast), and return true — the
-/// driver exits. Returns false when "--ranks" is absent.
+/// driver exits. Returns false when "--ranks" is absent; throws tt::Error
+/// when N is not an integer of at least 2.
 bool distributed_mode(int argc, char** argv, const std::string& driver,
                       const Workload& w, const std::vector<index_t>& ms);
 

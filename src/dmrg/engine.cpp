@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "linalg/svd.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace tt::dmrg {
@@ -49,15 +48,7 @@ void charge(const OpRecord& r, const rt::Cluster& cluster, rt::CostTracker& t,
       rt::charge_contraction(cluster, t, r.cost, r.layout, params);
       break;
     case OpRecord::Type::kSvd:
-      if (r.layout == rt::Layout::kLocal) {
-        const double flops = linalg::svd_flops(r.rows, r.cols);
-        const double rate =
-            cluster.machine.node_gflops * 1e9 * cluster.machine.svd_efficiency;
-        t.add_flops(flops);
-        t.add_time(rt::Category::kSvd, flops / rate);
-      } else {
-        rt::charge_svd(cluster, t, r.rows, r.cols, params);
-      }
+      rt::charge_svd(cluster, t, r.rows, r.cols, r.layout, params);
       break;
     case OpRecord::Type::kRedistribution:
       rt::charge_redistribution(cluster, t, r.words);
@@ -223,18 +214,14 @@ EngineKind engine_from_name(const std::string& name) {
 symm::BlockTensor ContractionEngine::contract(const BlockTensor& a, Role role_a,
                                               const BlockTensor& b, Role role_b,
                                               const Pairs& pairs) {
-  // With a multi-rank scheduler the bins execute across its ranks and the
-  // tracker takes the *measured* exchange instead of the modelled charge.
-  // Results and ContractStats are bitwise identical either way — the
-  // scheduler's rank-parity invariant — so the op log stays the kind's
-  // cluster-invariant model, replayable on any virtual machine.
-  const bool distributed = scheduler_ != nullptr && scheduler_->num_ranks() > 1;
+  // With a multi-rank scheduler the bins execute across its ranks, whose
+  // measured exchange stays in Scheduler::last()/accumulated(). Results and
+  // ContractStats are bitwise identical either way — the scheduler's
+  // rank-parity invariant — so the modelled charge is too.
   symm::ContractStats stats;
   BlockTensor c;
-  if (distributed) {
+  if (scheduler_ != nullptr && scheduler_->num_ranks() > 1) {
     c = scheduler_->contract(a, b, pairs, &stats);
-    scheduler_->last().charge(tracker_);
-    if (!logging_) return c;
   } else {
     symm::ContractOptions opts;
     opts.num_threads = num_threads_;
@@ -242,7 +229,7 @@ symm::BlockTensor ContractionEngine::contract(const BlockTensor& a, Role role_a,
   }
   for (const OpRecord& r :
        price_contraction(kind(), a, role_a, b, role_b, pairs, c, stats))
-    record(r, !distributed);
+    record(r);
   return c;
 }
 
@@ -265,8 +252,8 @@ symm::BlockSvd ContractionEngine::svd(const BlockTensor& a,
   return f;
 }
 
-void ContractionEngine::record(const OpRecord& r, bool charge_tracker) {
-  if (charge_tracker) charge(r, cluster_, tracker_, params_);
+void ContractionEngine::record(const OpRecord& r) {
+  charge(r, cluster_, tracker_, params_);
   if (logging_) log_.push_back(r);
 }
 

@@ -132,14 +132,12 @@ class ContractionEngine {
   /// Attach a distributed block scheduler (non-owning; the caller keeps it
   /// alive for the engine's lifetime, e.g. the `--ranks N` bench drivers).
   /// With a scheduler of more than one rank attached, every contraction
-  /// executes across its ranks and the tracker is charged the *measured*
-  /// DistStats of each exchange — real bytes, real busy time, real idle
-  /// tails — instead of the simulated BSP cost model; the op log keeps the
-  /// kind's modelled records. Results stay bitwise identical to the local
-  /// path (the scheduler's rank-parity invariant). nullptr (the default)
-  /// restores the simulated charging.
+  /// executes across its ranks. The measured exchange — real bytes, busy
+  /// time, idle tails — is read from the scheduler (last()/accumulated());
+  /// the tracker and op log keep the kind's modelled cost, bitwise the same
+  /// as on the local path (the scheduler's rank-parity invariant). nullptr
+  /// (the default) executes locally.
   void set_scheduler(rt::Scheduler* s) { scheduler_ = s; }
-  rt::Scheduler* scheduler() const { return scheduler_; }
 
   /// Enable/disable op logging (off by default).
   void set_logging(bool on) { logging_ = on; }
@@ -147,9 +145,8 @@ class ContractionEngine {
   void clear_log() { log_.clear(); }
 
  private:
-  /// Charge `r` to the tracker (unless the tracker already holds a measured
-  /// record of the operation) and log it if logging is on.
-  void record(const OpRecord& r, bool charge_tracker = true);
+  /// Charge `r` to the tracker and log it if logging is on.
+  void record(const OpRecord& r);
 
   rt::Cluster cluster_;
   rt::CostModelParams params_;

@@ -179,16 +179,11 @@ void EnvGraph::join_pending() {
   pf_future_.get();
   node.t = std::move(pf_result_);
   node.state = NodeState::kValid;
-  // Fold the prefetch engine's charges into the main tracker: simulated time
-  // lands in the dedicated prefetch slot (overlap stays visible in the
-  // breakdown), raw BSP quantities add up exactly as if the extension had
-  // run on the main engine.
-  rt::CostTracker d = pf_engine_->tracker();
+  // Fold the prefetch engine's modelled charge into the main tracker, as if
+  // the extension had run on the main engine; the measured overlap stays in
+  // pf_stats_ and the trace spans.
+  eng_.tracker().merge(pf_engine_->tracker());
   pf_engine_->tracker().reset();
-  eng_.tracker().add_time(rt::Category::kPrefetch, d.total_time());
-  eng_.tracker().add_flops(d.flops());
-  eng_.tracker().add_words(d.words());
-  eng_.tracker().add_supersteps(d.supersteps());
 }
 
 void EnvGraph::sync() { join_pending(); }

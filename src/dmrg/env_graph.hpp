@@ -18,11 +18,12 @@
 // environment extension depends only on tensors the current Davidson
 // iteration will not touch, so it can be prefetched as a future on a
 // support::TaskQueue worker while Davidson iterates. Prefetched work runs on
-// a private engine of the same kind/cluster; its cost is folded into the
-// main tracker under rt::Category::kPrefetch at join time — overlap is
-// measurable, never hidden. At most one prefetch is in flight, and every
-// graph mutation joins it first, so demanded values are bitwise identical
-// with prefetch on or off.
+// a private engine of the same kind/cluster; its modelled cost is merged into
+// the main tracker at join time, exactly as if the main engine had run it.
+// The measured overlap — hits, misses, blocked wait — lives in PrefetchStats
+// and the trace spans. At most one prefetch is in flight, and every graph
+// mutation joins it first, so demanded values are bitwise identical with
+// prefetch on or off.
 #pragma once
 
 #include <chrono>
@@ -83,8 +84,8 @@ class EnvGraph {
   /// Launch asynchronous production of left(j) / right(j) on the prefetch
   /// worker. No-op if the node is already valid or its parent is not (demand
   /// would have to rebuild a chain; prefetch only ever computes one edge).
-  /// The next access joins the future; costs are folded into the main
-  /// engine's tracker under rt::Category::kPrefetch.
+  /// The next access joins the future; its modelled cost is merged into the
+  /// main engine's tracker.
   void prefetch_left(int j);
   void prefetch_right(int j);
 

@@ -94,10 +94,17 @@ void charge_contraction(const Cluster& cluster, CostTracker& t,
 }
 
 void charge_svd(const Cluster& cluster, CostTracker& t, index_t rows,
-                index_t cols, const CostModelParams& params) {
+                index_t cols, Layout layout, const CostModelParams& params) {
   const int p = cluster.total_procs();
   const double flops = linalg::svd_flops(rows, cols);
   t.add_flops(flops);
+  if (layout == Layout::kLocal) {
+    // Single-node baseline: serial SVD at the node's (reduced) SVD rate.
+    const double rate =
+        cluster.machine.node_gflops * 1e9 * cluster.machine.svd_efficiency;
+    t.add_time(Category::kSvd, flops / rate);
+    return;
+  }
   // ScaLAPACK-style SVD strong-scales only until the panel width saturates:
   // beyond roughly (n/64)^2 processes extra ranks contribute nothing. The
   // parallelism limit is judged at equivalent scale (params.svd_scale).

@@ -54,9 +54,10 @@ void charge_contraction(const Cluster& cluster, CostTracker& t,
                         const ContractionCost& cost, Layout layout,
                         const CostModelParams& params = {});
 
-/// Charge a distributed (pdgesvd-style) SVD of an m×n block.
+/// Charge the SVD of an m×n block: distributed (pdgesvd-style) for any
+/// distributed layout, serial at one node's SVD rate for Layout::kLocal.
 void charge_svd(const Cluster& cluster, CostTracker& t, index_t rows,
-                index_t cols, const CostModelParams& params = {});
+                index_t cols, Layout layout, const CostModelParams& params = {});
 
 /// Charge local index transposition of `words` tensor elements.
 void charge_transpose(const Cluster& cluster, CostTracker& t, double words,

@@ -104,15 +104,6 @@ void MetricsRegistry::add_dist(const std::string& sec, const DistStats& d) {
   add(sec, "total_flops", d.total_flops());
 }
 
-void MetricsRegistry::add_scheduler(const std::string& sec,
-                                    const SchedulerStats& s) {
-  add(sec, "faults_detected", static_cast<double>(s.faults_detected));
-  add(sec, "retries", static_cast<double>(s.retries));
-  add(sec, "respawns", static_cast<double>(s.respawns));
-  add(sec, "ranks_lost", static_cast<double>(s.ranks_lost));
-  add(sec, "degraded", s.degraded ? 1.0 : 0.0);
-}
-
 std::string MetricsRegistry::to_json() const {
   std::ostringstream os;
   auto entries = [&os](const std::vector<Entry>& es) {

@@ -31,7 +31,6 @@
 namespace tt::rt {
 
 struct DistStats;
-struct SchedulerStats;
 
 /// One named metrics document; see file header for the JSON schema.
 class MetricsRegistry {
@@ -55,9 +54,6 @@ class MetricsRegistry {
   /// Flatten measured distributed-run quantities (ranks, comm/imbalance/
   /// recovery seconds, bytes, critical-path busy time).
   void add_dist(const std::string& section, const DistStats& d);
-
-  /// Flatten scheduler self-healing counters.
-  void add_scheduler(const std::string& section, const SchedulerStats& s);
 
   bool empty() const { return sections_.empty() && context_.empty(); }
   const std::string& driver() const { return driver_; }

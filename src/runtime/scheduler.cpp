@@ -115,7 +115,7 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
             symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec,
-                              task.collect_ops, nullptr);
+                              task.collect_ops);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
@@ -207,16 +207,6 @@ double DistStats::total_flops() const {
   double sum = 0.0;
   for (const Rank& r : ranks) sum += r.flops;
   return sum;
-}
-
-void DistStats::charge(CostTracker& t) const {
-  t.add_time(Category::kGemm, critical_busy_seconds);
-  t.add_time(Category::kComm, comm_seconds);
-  t.add_time(Category::kImbalance, imbalance_seconds);
-  t.add_time(Category::kRecovery, recovery_seconds);
-  t.add_words(exchange_words);
-  for (const Rank& r : ranks) t.add_flops(r.flops);  // fixed rank order
-  t.add_supersteps(static_cast<double>(contractions));
 }
 
 void DistStats::merge(const DistStats& other) {
@@ -478,7 +468,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops, nullptr);
+          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -597,7 +587,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops, nullptr);
+            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();

@@ -21,19 +21,19 @@
 //      TT_THREADS executor guarantees for threads.
 //
 // Measured per-rank quantities (busy time, bytes each way, transport wall
-// time) land in DistStats and reduce into the existing rt::CostTracker in
-// fixed rank order: GEMM time = the critical (max) rank, imbalance = the idle
-// tail of the other ranks, comm = root transport wall, words = data words
-// actually moved. See docs/ARCHITECTURE.md "The distributed block scheduler".
+// time) land in DistStats, in fixed rank order: the critical (max) rank's busy
+// time, the idle tail of the other ranks, the root's transport wall and the
+// data words actually moved. They never enter an rt::CostTracker, which holds
+// the modelled cost only. See docs/ARCHITECTURE.md "The distributed block
+// scheduler".
 //
 // The scheduler is fault tolerant: a worker that dies, wedges, fails its
 // task, or corrupts its reply has its bin share re-executed on the root
 // (bitwise-identical — bins are deterministic and assembly order is global),
 // then gets respawned under a bounded-retry/backoff RetryPolicy, degrading
 // to serial execution when every worker is lost. Recovery cost is measured
-// (DistStats::recovery_seconds -> Category::kRecovery) and counted
-// (SchedulerStats). See docs/ARCHITECTURE.md "Fault tolerance and
-// checkpointing".
+// (DistStats::recovery_seconds) and counted (SchedulerStats). See
+// docs/ARCHITECTURE.md "Fault tolerance and checkpointing".
 #pragma once
 
 #include <memory>
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "runtime/partition.hpp"
-#include "runtime/tracker.hpp"
 #include "runtime/transport.hpp"
 #include "symm/block_ops.hpp"
 
@@ -128,14 +127,6 @@ struct DistStats {
   double total_bytes() const;
   double total_flops() const;
 
-  /// Reduce into a cost tracker in fixed rank order: kGemm += critical busy,
-  /// kComm += transport wall, kImbalance += idle tails, kRecovery += recovery
-  /// wall, words += exchanged words, flops += per-rank flops (rank order),
-  /// one superstep per contraction. Note kComm is measured at the root and
-  /// includes time blocked waiting on results — see docs/BENCHMARKS.md
-  /// "Measured vs replayed" for the decomposition caveat.
-  void charge(CostTracker& t) const;
-
   /// Rank-wise and scalar accumulation (for multi-contraction aggregates).
   void merge(const DistStats& other);
 };
@@ -180,10 +171,6 @@ class Scheduler {
   const DistStats& last() const { return last_; }
   const DistStats& accumulated() const { return accumulated_; }
   void reset_accumulated() { accumulated_ = DistStats{}; }
-
-  /// accumulated().charge(t) — the fixed-rank-order reduction into the
-  /// existing cost tracker.
-  void reduce_into(CostTracker& t) const { accumulated_.charge(t); }
 
   /// Fault injection (process mode): SIGKILL a worker. The next contract()
   /// observes the dead peer — and heals it or throws, per the retry policy.

@@ -48,7 +48,7 @@ enum class TraceCat : int {
   kScheduler = 6,  ///< rank scheduler phases (ship/gather/makeup)
   kRecovery = 7,   ///< fault healing: makeup execution, respawns
   kEnv = 8,        ///< eager environment production
-  kOther = 9,      ///< keep last (mirrors rt::Category::kOther convention)
+  kOther = 9,      ///< keep last: spans no other category fits
 };
 constexpr int kNumTraceCats = 10;
 

@@ -1,7 +1,5 @@
 #include "runtime/tracker.hpp"
 
-#include <sstream>
-
 #include "support/error.hpp"
 
 namespace tt::rt {
@@ -13,9 +11,6 @@ const char* category_name(Category c) {
     case Category::kTranspose: return "CTF transposition";
     case Category::kSvd: return "SVD";
     case Category::kImbalance: return "Load imbalance";
-    case Category::kPrefetch: return "Prefetch";
-    case Category::kRecovery: return "Recovery";
-    case Category::kOther: return "Other";
   }
   return "?";
 }
@@ -56,36 +51,5 @@ void CostTracker::merge(const CostTracker& other) {
 }
 
 void CostTracker::reset() { *this = CostTracker(); }
-
-CostTrackerShards::CostTrackerShards(int num_shards) {
-  TT_CHECK(num_shards >= 1, "need at least one tracker shard");
-  slots_.resize(static_cast<std::size_t>(num_shards));
-}
-
-CostTracker& CostTrackerShards::shard(int i) {
-  TT_CHECK(i >= 0 && i < num_shards(), "tracker shard " << i << " out of range");
-  return slots_[static_cast<std::size_t>(i)].tracker;
-}
-
-void CostTrackerShards::merge_into(CostTracker& target) const {
-  for (const Slot& s : slots_) target.merge(s.tracker);
-}
-
-CostTracker CostTrackerShards::merged() const {
-  CostTracker t;
-  merge_into(t);
-  return t;
-}
-
-void CostTrackerShards::reset() {
-  for (Slot& s : slots_) s.tracker.reset();
-}
-
-std::string CostTracker::summary() const {
-  std::ostringstream os;
-  os << "sim_time=" << total_time() << "s flops=" << flops_
-     << " words=" << words_ << " supersteps=" << supersteps_;
-  return os.str();
-}
 
 }  // namespace tt::rt

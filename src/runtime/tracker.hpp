@@ -1,14 +1,14 @@
 // BSP cost tracker: accumulates simulated time per profile category plus raw
 // BSP quantities (flops, communicated words, supersteps).
 //
-// The categories mirror paper Fig. 7: GEMM/MKL, communication, CTF
+// The categories are exactly paper Fig. 7: GEMM/MKL, communication, CTF
 // transposition (local data reordering + mapping), SVD, and load imbalance.
+// A tracker holds modelled cost only — it is charged by runtime/cost_model.cpp
+// and nothing else. Measured time lives in rt::DistStats, the prefetch
+// counters and the trace spans, never here.
 #pragma once
 
 #include <array>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "support/types.hpp"
 
@@ -20,11 +20,8 @@ enum class Category : int {
   kTranspose = 2,  // CTF transposition: local reordering, mapping, small serial ops
   kSvd = 3,        // ScaLAPACK pdgesvd-equivalent
   kImbalance = 4,  // idle time from blocks too small to fill the machine
-  kPrefetch = 5,   // async environment prefetch overlapped with Davidson
-  kRecovery = 6,   // fault recovery: makeup execution, respawns, backoff
-  kOther = 7,      // keep last: breakdown reports drop the trailing category
 };
-constexpr int kNumCategories = 8;
+constexpr int kNumCategories = 5;
 
 const char* category_name(Category c);
 
@@ -51,53 +48,16 @@ class CostTracker {
   /// this - other, category-wise (for measuring a sub-region).
   CostTracker diff(const CostTracker& start) const;
 
-  /// this += other, category-wise (shard reduction).
+  /// this += other, category-wise (folds a side engine's tracker in).
   void merge(const CostTracker& other);
 
   void reset();
-
-  /// One-line summary for logs.
-  std::string summary() const;
 
  private:
   std::array<double, kNumCategories> time_{};
   double flops_ = 0.0;
   double words_ = 0.0;
   double supersteps_ = 0.0;
-};
-
-/// Thread-safe CostTracker accumulation via per-thread shards: concurrent
-/// code charges shard(slot) without locks (one shard per executor slot, see
-/// support::execution_slot()), and merged()/merge_into() folds the shards in
-/// slot order on the coordinating thread once the parallel region finished.
-/// Shards are cache-line padded so concurrent charging does not false-share.
-class CostTrackerShards {
- public:
-  explicit CostTrackerShards(int num_shards);
-
-  int num_shards() const { return static_cast<int>(slots_.size()); }
-
-  /// The shard owned by executor slot i. Not synchronized: each slot must be
-  /// charged by at most one thread at a time. Slot indices are unique within
-  /// one parallel_for, so charging shard(support::execution_slot()) is safe
-  /// from inside a single parallel region — but two concurrent top-level
-  /// regions (different application threads) both hand out slots starting at
-  /// 0, so they must not share one CostTrackerShards instance.
-  CostTracker& shard(int i);
-
-  /// Fold every shard into `target` in slot order (deterministic reduction).
-  void merge_into(CostTracker& target) const;
-
-  /// All shards folded into a fresh tracker, in slot order.
-  CostTracker merged() const;
-
-  void reset();
-
- private:
-  struct alignas(64) Slot {
-    CostTracker tracker;
-  };
-  std::vector<Slot> slots_;
 };
 
 }  // namespace tt::rt

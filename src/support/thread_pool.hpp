@@ -53,7 +53,7 @@ void notify_fork_child();
 /// Slot index of the calling participant within the innermost active
 /// parallel_for, in [0, participants); 0 outside any parallel region. Stable
 /// for the duration of one body invocation — the natural shard index for
-/// per-thread accumulators (see rt::CostTrackerShards).
+/// per-thread accumulators.
 int execution_slot();
 
 /// A pool of background worker threads executing stealable index loops.

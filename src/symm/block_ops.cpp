@@ -118,8 +118,7 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
 }
 
 BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
-                         bool collect_ops,
-                         const std::function<void(const BlockOpCost&)>& hook) {
+                         bool collect_ops) {
   BinExecution out;
   bool first = true;
   for (const BinPair& pw : bin.pairs) {
@@ -140,7 +139,6 @@ BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
     out.flops += es.flops;
     out.permuted_words += es.permuted_words;
     if (collect_ops) out.ops.push_back(op);
-    if (hook) hook(op);
   }
   return out;
 }
@@ -160,9 +158,8 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
       static_cast<index_t>(bins.size()),
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
-        done[static_cast<std::size_t>(bi)] = execute_bin(
-            bins[static_cast<std::size_t>(bi)], plan.spec, collect_ops,
-            opts.block_hook);
+        done[static_cast<std::size_t>(bi)] =
+            execute_bin(bins[static_cast<std::size_t>(bi)], plan.spec, collect_ops);
       },
       opts.num_threads);
 

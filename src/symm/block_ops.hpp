@@ -14,7 +14,6 @@
 // count — including the serial path.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -43,13 +42,6 @@ struct ContractOptions {
   /// Executor threads for this contraction: 0 = the global TT_THREADS
   /// setting (support::num_threads()), 1 = serial. Never affects results.
   int num_threads = 0;
-
-  /// Optional per-block-pair hook, invoked as each pair finishes — possibly
-  /// concurrently from executor threads and in no deterministic order. Sinks
-  /// must be thread-safe (e.g. rt::CostTrackerShards keyed by
-  /// support::execution_slot()). Deterministic aggregates should be read from
-  /// ContractStats instead, which merges in fixed bin order.
-  std::function<void(const BlockOpCost&)> block_hook;
 };
 
 /// Validated structural plan of a block contraction.
@@ -105,11 +97,9 @@ struct BinExecution {
 
 /// Contract every pair of `bin` in pair order, accumulating into one output
 /// block. Deterministic: one thread, fixed order — callers parallelize
-/// *across* bins. `hook` (may be empty) fires per pair, as in
-/// ContractOptions::block_hook.
+/// *across* bins.
 BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
-                         bool collect_ops,
-                         const std::function<void(const BlockOpCost&)>& hook);
+                         bool collect_ops);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg
 /// pairs must be contractible (equal sector lists, opposite directions).

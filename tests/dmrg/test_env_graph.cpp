@@ -4,6 +4,8 @@
 // never had.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dmrg/env_graph.hpp"
 #include "dmrg/environment.hpp"
 #include "models/heisenberg.hpp"
@@ -48,6 +50,22 @@ struct Fixture {
     return e;
   }
 };
+
+// Prefetch only moves when work runs, never what the model charges for it:
+// flops exactly, the rest up to the rounding of merging a side tracker in.
+void expect_same_modelled_cost(const tt::rt::CostTracker& got,
+                               const tt::rt::CostTracker& want) {
+  auto near = [](double x, double y) { return std::abs(x - y) <= 1e-12 * std::abs(y); };
+  EXPECT_EQ(got.flops(), want.flops());
+  EXPECT_TRUE(near(got.words(), want.words())) << got.words() << " vs " << want.words();
+  EXPECT_TRUE(near(got.supersteps(), want.supersteps()));
+  for (int c = 0; c < tt::rt::kNumCategories; ++c) {
+    const auto cat = static_cast<tt::rt::Category>(c);
+    EXPECT_TRUE(near(got.time(cat), want.time(cat)))
+        << tt::rt::category_name(cat) << ": " << got.time(cat) << " vs "
+        << want.time(cat);
+  }
+}
 
 TEST(EnvGraph, InvalidationConesTrackSiteChanges) {
   Fixture f;
@@ -125,17 +143,13 @@ TEST(EnvGraph, PrefetchMatchesDemandBitwise) {
   EXPECT_EQ(tt::symm::max_abs_diff(got, want), 0.0);
   EXPECT_EQ(pre.left_state(4), EnvGraph::NodeState::kValid);
 
-  // Effectiveness counters and cost accounting: the charged flops match the
-  // eager demand exactly; the simulated time lands in the prefetch slot.
+  // Effectiveness counters are measured; the modelled cost is the eager
+  // demand's, as if the main engine had run the extension.
   const EnvGraph::PrefetchStats& st = pre.prefetch_stats();
   EXPECT_EQ(st.launched, 1);
   EXPECT_EQ(st.hits + st.misses, 1);
-  const tt::rt::CostTracker eager_cost = f.eng->tracker().diff(t0);
-  EXPECT_EQ(eng2->tracker().flops(), f.eng->tracker().flops());
-  // diff() re-sums per-category times, so allow last-bit rounding slack.
-  EXPECT_NEAR(eng2->tracker().time(tt::rt::Category::kPrefetch),
-              eager_cost.total_time(), 1e-12);
-  EXPECT_GT(eng2->tracker().time(tt::rt::Category::kPrefetch), 0.0);
+  EXPECT_GT(f.eng->tracker().diff(t0).total_time(), 0.0);
+  expect_same_modelled_cost(eng2->tracker(), f.eng->tracker());
 }
 
 TEST(EnvGraph, PrefetchSurvivesInvalidationRaces) {

@@ -5,6 +5,7 @@
 #include "models/lattice.hpp"
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace {
 
@@ -13,10 +14,9 @@ using tt::dmrg::EngineKind;
 using tt::symm::QN;
 
 // A logged run, replayed on the engine's own cluster, must reproduce the
-// tracker exactly — the invariant the scaling benches rely on.
-class ReplayParam : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(ReplayParam, ReplayOnSameClusterMatchesLiveTracker) {
+// tracker exactly — the invariant the scaling benches rely on. `sched`, when
+// given, executes every contraction across its ranks.
+void expect_replay_matches_live(EngineKind kind, tt::rt::Scheduler* sched) {
   auto lat = tt::models::chain(8);
   auto sites = tt::models::spin_half_sites(8);
   auto h = tt::models::heisenberg_mpo(sites, lat, 1.0);
@@ -24,7 +24,8 @@ TEST_P(ReplayParam, ReplayOnSameClusterMatchesLiveTracker) {
   auto psi = tt::mps::Mps::random(sites, QN(0), 12, rng);
 
   tt::rt::Cluster cl{tt::rt::blue_waters(), 4, 16};
-  auto engine = tt::dmrg::make_engine(GetParam(), cl);
+  auto engine = tt::dmrg::make_engine(kind, cl);
+  engine->set_scheduler(sched);
   auto* eng = engine.get();
   tt::dmrg::Dmrg solver(std::move(psi), h, std::move(engine));
 
@@ -47,6 +48,23 @@ TEST_P(ReplayParam, ReplayOnSameClusterMatchesLiveTracker) {
                 live.time(static_cast<tt::rt::Category>(c)),
                 1e-12 * (1.0 + live.total_time()))
         << tt::rt::category_name(static_cast<tt::rt::Category>(c));
+}
+
+class ReplayParam : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(ReplayParam, ReplayOnSameClusterMatchesLiveTracker) {
+  expect_replay_matches_live(GetParam(), nullptr);
+}
+
+TEST_P(ReplayParam, ReplayMatchesLiveTrackerWithSchedulerAttached) {
+  // The tracker holds the modelled cost only, so distributing the execution
+  // over real ranks leaves it exactly what the op log replays to.
+  tt::rt::SchedulerOptions opts;
+  opts.num_ranks = 2;
+  opts.mode = tt::rt::SpawnMode::kThread;
+  tt::rt::Scheduler sched(opts);
+  expect_replay_matches_live(GetParam(), &sched);
+  EXPECT_GT(sched.accumulated().contractions, 0);
 }
 
 TEST_P(ReplayParam, ReplayOnBiggerClusterIsFaster) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/svd.hpp"
 #include "runtime/cost_model.hpp"
 #include "support/error.hpp"
 
@@ -95,7 +96,7 @@ TEST(CostModel, FlopsRecordedVerbatim) {
 
 TEST(CostModel, SvdChargesSvdCategoryOnly) {
   CostTracker t;
-  charge_svd(cluster(4), t, 512, 512);
+  charge_svd(cluster(4), t, 512, 512, Layout::kBlockDense3D);
   EXPECT_GT(t.time(Category::kSvd), 0.0);
   EXPECT_DOUBLE_EQ(t.time(Category::kGemm), 0.0);
   EXPECT_DOUBLE_EQ(t.time(Category::kComm), 0.0);  // pdgesvd MPI booked to SVD
@@ -104,11 +105,26 @@ TEST(CostModel, SvdChargesSvdCategoryOnly) {
 TEST(CostModel, SvdScalesPoorlyBeyondPanelLimit) {
   // A tiny SVD cannot use many processes: time should saturate, not shrink.
   CostTracker t1, t256;
-  charge_svd(cluster(1), t1, 64, 64);
-  charge_svd(cluster(256), t256, 64, 64);
+  charge_svd(cluster(1), t1, 64, 64, Layout::kBlockDense3D);
+  charge_svd(cluster(256), t256, 64, 64, Layout::kBlockDense3D);
   EXPECT_GE(t256.time(Category::kSvd), 0.9 * t1.time(Category::kSvd) / 256.0);
   // And in fact the small problem gains almost nothing from 256 nodes.
   EXPECT_GT(t256.time(Category::kSvd), 0.1 * t1.time(Category::kSvd));
+}
+
+TEST(CostModel, LocalSvdIsSerialAtTheNodeSvdRate) {
+  // The reference baseline's SVD: one node, no network, whatever the cluster.
+  CostTracker t1, t8;
+  charge_svd(cluster(1), t1, 512, 256, Layout::kLocal);
+  charge_svd(cluster(8), t8, 512, 256, Layout::kLocal);
+  const tt::rt::MachineModel bw = tt::rt::blue_waters();
+  const double flops = tt::linalg::svd_flops(512, 256);
+  EXPECT_EQ(t1.flops(), flops);
+  EXPECT_EQ(t1.time(Category::kSvd), flops / (bw.node_gflops * 1e9 * bw.svd_efficiency));
+  EXPECT_EQ(t1.total_time(), t1.time(Category::kSvd));
+  EXPECT_EQ(t1.words(), 0.0);
+  EXPECT_EQ(t1.supersteps(), 0.0);
+  EXPECT_EQ(t8.time(Category::kSvd), t1.time(Category::kSvd));
 }
 
 TEST(CostModel, TransposeChargesMemoryBandwidth) {

@@ -5,7 +5,6 @@
 
 #include "runtime/tracker.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -68,7 +67,7 @@ TEST(Tracker, NegativeTimeRejected) {
 
 TEST(Tracker, ResetClearsEverything) {
   CostTracker t;
-  t.add_time(Category::kOther, 5.0);
+  t.add_time(Category::kImbalance, 5.0);
   t.add_flops(1.0);
   t.reset();
   EXPECT_DOUBLE_EQ(t.total_time(), 0.0);
@@ -91,53 +90,15 @@ TEST(Tracker, MergeAddsEverything) {
   EXPECT_DOUBLE_EQ(a.supersteps(), 2.0);
 }
 
-TEST(TrackerShards, MergedEqualsSerialAccumulation) {
-  tt::rt::CostTrackerShards shards(4);
-  // The same charges applied shard-wise and serially must agree.
-  CostTracker serial;
-  for (int i = 0; i < 100; ++i) {
-    const double t = 0.001 * i;
-    shards.shard(i % 4).add_time(Category::kGemm, t);
-    shards.shard(i % 4).add_flops(2.0 * i);
-    serial.add_time(Category::kGemm, t);
-    serial.add_flops(2.0 * i);
-  }
-  const CostTracker merged = shards.merged();
-  EXPECT_NEAR(merged.time(Category::kGemm), serial.time(Category::kGemm), 1e-12);
-  EXPECT_NEAR(merged.flops(), serial.flops(), 1e-9);
-
-  CostTracker target;
-  target.add_words(5.0);
-  shards.merge_into(target);
-  EXPECT_NEAR(target.flops(), serial.flops(), 1e-9);
-  EXPECT_DOUBLE_EQ(target.words(), 5.0);
-
-  shards.reset();
-  EXPECT_DOUBLE_EQ(shards.merged().total_time(), 0.0);
-}
-
-TEST(TrackerShards, ConcurrentChargingIsSafe) {
-  tt::rt::CostTrackerShards shards(8);
-  tt::support::parallel_for(
-      10000,
-      [&](tt::index_t) {
-        shards.shard(tt::support::execution_slot()).add_flops(1.0);
-      },
-      8);
-  EXPECT_DOUBLE_EQ(shards.merged().flops(), 10000.0);
-}
-
-TEST(TrackerShards, RejectsBadShardCounts) {
-  EXPECT_THROW(tt::rt::CostTrackerShards(0), tt::Error);
-  tt::rt::CostTrackerShards s(2);
-  EXPECT_THROW(s.shard(2), tt::Error);
-  EXPECT_THROW(s.shard(-1), tt::Error);
-}
-
-TEST(Tracker, CategoryNames) {
-  EXPECT_STREQ(tt::rt::category_name(Category::kGemm), "GEMM");
-  EXPECT_STREQ(tt::rt::category_name(Category::kSvd), "SVD");
-  EXPECT_STREQ(tt::rt::category_name(Category::kTranspose), "CTF transposition");
+TEST(Tracker, CategoriesAreExactlyFig7) {
+  // The tracker is the paper's Fig. 7 model and nothing else: five modelled
+  // categories, no slot for measured or side-channel seconds.
+  static_assert(tt::rt::kNumCategories == 5);
+  const char* want[] = {"GEMM", "Communication", "CTF transposition", "SVD",
+                        "Load imbalance"};
+  for (int c = 0; c < tt::rt::kNumCategories; ++c)
+    EXPECT_STREQ(tt::rt::category_name(static_cast<Category>(c)), want[c]);
+  EXPECT_EQ(static_cast<int>(Category::kImbalance), tt::rt::kNumCategories - 1);
 }
 
 TEST(Tracker, EveryCategoryHasAName) {

@@ -1,9 +1,8 @@
 // Determinism and correctness of the thread-parallel block-contraction
 // executor: bitwise-identical outputs and ContractStats at any thread count,
-// agreement with the fused dense oracle, and the concurrent per-block hook.
+// and agreement with the fused dense oracle.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -133,40 +132,6 @@ TEST(ParallelContract, MultiModeAndScalarOutputsStayDeterministic) {
   expect_bitwise_equal(
       tt::symm::contract(a, adag, {{0, 0}, {1, 1}, {2, 2}}, nullptr, serial),
       tt::symm::contract(a, adag, {{0, 0}, {1, 1}, {2, 2}}, nullptr, par));
-}
-
-TEST(ParallelContract, BlockHookFiresOncePerPairConcurrently) {
-  auto [a, b] = many_block_pair(35);
-  ContractStats st;
-  ContractOptions opts;
-  opts.num_threads = 8;
-  std::atomic<int> calls{0};
-  std::atomic<double> flops{0.0};
-  opts.block_hook = [&](const tt::symm::BlockOpCost& op) {
-    calls.fetch_add(1);
-    double cur = flops.load();
-    while (!flops.compare_exchange_weak(cur, cur + op.flops)) {
-    }
-  };
-  tt::symm::contract(a, b, {{2, 0}}, &st, opts);
-  EXPECT_EQ(calls.load(), static_cast<int>(st.block_ops.size()));
-  EXPECT_NEAR(flops.load(), st.total_flops, 1e-6 * (1.0 + st.total_flops));
-}
-
-TEST(ParallelContract, HookShardsMergeIntoTracker) {
-  // The documented pattern: charge per-block costs from the concurrent hook
-  // into per-slot tracker shards, merge deterministically afterwards.
-  auto [a, b] = many_block_pair(36);
-  tt::rt::CostTrackerShards shards(8);
-  ContractStats st;
-  ContractOptions opts;
-  opts.num_threads = 8;
-  opts.block_hook = [&](const tt::symm::BlockOpCost& op) {
-    shards.shard(tt::support::execution_slot()).add_flops(op.flops);
-  };
-  tt::symm::contract(a, b, {{2, 0}}, &st, opts);
-  EXPECT_NEAR(shards.merged().flops(), st.total_flops,
-              1e-6 * (1.0 + st.total_flops));
 }
 
 TEST(ParallelContract, EnginesProduceIdenticalResultsAtAnyThreadCount) {

@@ -5,6 +5,7 @@
 #include <random>
 #include <unordered_map>
 
+#include "runtime/tracker.hpp"
 #include "runtime/wire.hpp"
 #include "support/error.hpp"
 
@@ -28,6 +29,11 @@ double waived(const Interner& in, const std::uint64_t* bits) {
   // tt-lint: allow(check-macro) fixture demonstrating the waiver form
   TT_CHECK(d > 0.0);
   return d + static_cast<double>(unseeded());
+}
+
+void waived_charge(tt::rt::CostTracker& t) {
+  // tt-lint: allow(modelled-time) fixture demonstrating the waiver form
+  t.add_flops(1.0);
 }
 
 }  // namespace fixture

@@ -1,9 +1,11 @@
-// Scope fixture: ordered-iteration and no-wallclock-random are src/-only
-// contracts — tests may shuffle and sample freely, so nothing here flags for
-// those rules. check-macro still applies everywhere. Never compiled.
+// Scope fixture: ordered-iteration, no-wallclock-random and modelled-time are
+// src/-only contracts — tests may shuffle, sample and build trackers freely,
+// so nothing here flags for those rules. check-macro still applies
+// everywhere. Never compiled.
 #include <random>
 #include <unordered_map>
 
+#include "runtime/tracker.hpp"
 #include "support/error.hpp"
 
 namespace fixture {
@@ -14,6 +16,8 @@ double tests_may_do_this() {
   double total = static_cast<double>(rd());
   for (const auto& kv : m) total += kv.second;  // no finding: tests scope
   TT_CHECK(total >= 0.0);  // EXPECT(check-macro)
+  tt::rt::CostTracker t;
+  t.add_time(tt::rt::Category::kGemm, total);  // no finding: tests scope
   return total;
 }
 

@@ -35,6 +35,12 @@ Rules (each check is named; see ``--list-rules``):
                       ships home) and a side-effect-free condition
                       (``++``/``--``/assignment inside the condition changes
                       behaviour if the macro is ever compiled out).
+  modelled-time       ``rt::CostTracker`` holds the BSP model's cost and
+                      nothing else, so in ``src/`` only the cost model
+                      (``src/runtime/cost_model.cpp``) and the tracker itself
+                      (``src/runtime/tracker.cpp``) may call ``add_time`` /
+                      ``add_flops`` / ``add_words`` / ``add_supersteps``.
+                      Elsewhere, fold a whole tracker in with ``merge``.
 
 Waiver syntax — same line or the line directly above the flagged one:
 
@@ -68,12 +74,20 @@ RULES = {
     "raw-cast-audit": "reinterpret_cast only in the wire/io serialization layer",
     "check-macro": "TT_CHECK/TT_ASSERT messages non-empty, conditions free of "
     "side effects",
+    "modelled-time": "CostTracker is charged only by the cost model "
+    "(src/runtime/cost_model.cpp, src/runtime/tracker.cpp)",
 }
 
 # Files where reinterpret_cast is the point: byte-level serialization.
 RAW_CAST_ALLOWED = (
     os.path.join("src", "runtime", "wire.cpp"),
     os.path.join("src", "mps", "io.cpp"),
+)
+
+# The only src/ files that may charge a CostTracker directly.
+MODELLED_TIME_ALLOWED = (
+    os.path.join("src", "runtime", "cost_model.cpp"),
+    os.path.join("src", "runtime", "tracker.cpp"),
 )
 
 CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
@@ -438,6 +452,27 @@ def check_check_macro(sf: SourceFile, findings):
 
 
 # --------------------------------------------------------------------------
+# modelled-time
+# --------------------------------------------------------------------------
+
+TRACKER_CHARGE_RE = re.compile(
+    r"(?:\.|->)\s*(add_(?:time|flops|words|supersteps))\s*\(")
+
+
+def check_modelled_time(sf: SourceFile, findings):
+    rel = sf.rel.replace(os.sep, "/")
+    if not rel.startswith("src/") or any(
+            sf.rel.endswith(suffix) for suffix in MODELLED_TIME_ALLOWED):
+        return
+    for idx, line in enumerate(sf.code_lines, start=1):
+        for m in TRACKER_CHARGE_RE.finditer(line):
+            emit(findings, sf, "modelled-time", idx,
+                 f"{m.group(1)} outside the cost model; a CostTracker holds "
+                 "modelled cost only — price the operation in "
+                 "runtime/cost_model.cpp, or merge() a side engine's tracker")
+
+
+# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -470,6 +505,7 @@ def lint_paths(paths, repo_root, include_fixtures=False):
         check_no_wallclock_random(sf, findings)
         check_raw_cast(sf, findings)
         check_check_macro(sf, findings)
+        check_modelled_time(sf, findings)
         for w in sf.waivers:
             unknown = [r for r in w.rules if r not in RULES]
             if unknown or not w.rules:
