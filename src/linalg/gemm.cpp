@@ -12,8 +12,6 @@ namespace tt::linalg {
 
 namespace {
 
-using support::openmp_allowed;
-
 // Half-open range overlap on raw addresses (std::uintptr_t: comparing
 // unrelated pointers directly is unspecified).
 bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
@@ -37,14 +35,21 @@ bool ranges_overlap(const real_t* a, index_t na, const real_t* b, index_t nb) {
 // packing reads op(A)/op(B) through their physical layout, so transposed
 // operands cost nothing extra — no transpose is ever materialized.
 //
-// Threads split the ic panel loop (disjoint C rows) while the pc loop stays
-// sequential, so every C element accumulates its k contributions in one fixed
-// order: results are bitwise identical at any thread count.
+// Threads (support::parallel_for) split each block's packing and tile sweep
+// over disjoint writes while the pc loop stays sequential, so every C element
+// accumulates its k contributions in one fixed order: results are bitwise
+// identical at any thread count.
 constexpr index_t kMr = 4;     // register tile rows
 constexpr index_t kNr = 8;     // register tile cols (one or two vector widths)
 constexpr index_t kMc = 128;   // A panel rows   (A panel: kMc×kKc = 256 KB)
 constexpr index_t kKc = 256;   // shared k block
 constexpr index_t kNc = 2048;  // B panel cols   (B panel: kKc×kNc ≤ 4 MB)
+
+// Flops of one (jc, pc) block below which the whole GEMM runs serially. Each
+// block dispatches three pool loops at about 10 µs apiece (measured on a
+// 4-core x86-64 host), so a block threads only when its serial time (about
+// 600 µs at 7 GFlop/s) keeps that 30 µs under 5%.
+constexpr index_t kParallelBlockFlops = index_t{1} << 22;
 
 index_t round_up(index_t x, index_t q) { return (x + q - 1) / q * q; }
 
@@ -101,28 +106,31 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
   std::vector<real_t> apack(static_cast<std::size_t>(round_up(m, kMr) * kc_max));
   const index_t num_panels = (m + kMc - 1) / kMc;
   const index_t num_astrips = (m + kMr - 1) / kMr;
-  [[maybe_unused]] const bool parallel =
-      m * n * k > (index_t{1} << 16) && openmp_allowed();
+  // Small GEMMs loop inline and never touch the pool (nor build the
+  // std::function a pool loop takes); inside a region the pool runs inline.
+  const bool parallel = 2 * m * std::min(kNc, n) * kc_max >= kParallelBlockFlops;
+  auto for_each = [parallel](index_t count, const auto& body) {
+    if (parallel) return support::parallel_for(count, body);
+    for (index_t i = 0; i < count; ++i) body(i);
+  };
   for (index_t jc = 0; jc < n; jc += kNc) {
     const index_t nc = std::min(kNc, n - jc);
     const index_t num_bstrips = (nc + kNr - 1) / kNr;
     for (index_t pc = 0; pc < k; pc += kKc) {
       const index_t kc = std::min(kKc, k - pc);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_bstrips; ++s)
+      for_each(num_bstrips, [&](index_t s) {
         pack_b_strip(transb, b, k, n, pc, jc + s * kNr,
                      std::min(kNr, nc - s * kNr), kc,
                      bpack.data() + s * kc * kNr);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (index_t s = 0; s < num_astrips; ++s)
+      });
+      for_each(num_astrips, [&](index_t s) {
         pack_a_strip(transa, a, m, k, s * kMr, std::min(kMr, m - s * kMr), pc,
                      kc, alpha, apack.data() + s * kc * kMr);
+      });
       // One tile = one C row panel × one packed B strip, column-strip-minor:
       // consecutive tiles reuse the same A panel (the L2-resident object)
       // and stream the small B strips past it.
-      const index_t tiles = num_panels * num_bstrips;
-#pragma omp parallel for schedule(dynamic, 1) if (parallel)
-      for (index_t t = 0; t < tiles; ++t) {
+      for_each(num_panels * num_bstrips, [&](index_t t) {
         const index_t panel = t / num_bstrips;
         const index_t js = t % num_bstrips;
         const index_t ic = panel * kMc;
@@ -134,7 +142,7 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
           micro_kernel(kc, apack.data() + ((ic + ir) / kMr) * kc * kMr, bs,
                        c + (ic + ir) * n + jc + jr, n, std::min(kMr, mc - ir),
                        nb);
-      }
+      });
     }
   }
 }
@@ -145,7 +153,6 @@ void scale_inplace(real_t* c, index_t count, real_t beta) {
     std::memset(c, 0, static_cast<std::size_t>(count) * sizeof(real_t));
     return;
   }
-#pragma omp parallel for schedule(static) if (count > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < count; ++i) c[i] *= beta;
 }
 
@@ -163,7 +170,6 @@ void builtin_gemm(bool transa, bool transb, index_t m, index_t n, index_t k,
 
 void builtin_gemv(index_t m, index_t n, real_t alpha, const real_t* a,
                   const real_t* x, real_t beta, real_t* y) {
-#pragma omp parallel for schedule(static) if (m * n > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < m; ++i) {
     real_t s = 0.0;
     const real_t* ai = a + i * n;

@@ -267,7 +267,7 @@ void WorkerGroup::spawn_rank(int rank) {
       // Worker process. Drop every root-side descriptor inherited from the
       // parent (other ranks' channels and our own root end): leaked root
       // fds would keep dead peers looking alive. Then make the inherited
-      // pool/OpenMP state safe and serve.
+      // pool state safe and serve.
       for (Channel& c : root_channels_) c.close();
       root_end.close();
       support::notify_fork_child();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 #include "support/error.hpp"
@@ -12,20 +14,12 @@ namespace tt::support {
 namespace {
 
 thread_local bool tl_in_region = false;
-thread_local int tl_slot = 0;
 
 std::atomic<int> g_override{0};
-std::atomic<bool> g_omp_suppressed{false};
 
 }  // namespace
 
 bool in_parallel_region() { return tl_in_region; }
-
-bool openmp_allowed() {
-  return !tl_in_region && !g_omp_suppressed.load(std::memory_order_relaxed);
-}
-
-int execution_slot() { return tl_slot; }
 
 // One parallel_for in flight: per-participant iteration ranges with atomic
 // cursors (the steal targets), plus completion and error state.
@@ -91,7 +85,6 @@ void ThreadPool::worker_main() {
 
 void ThreadPool::run_participant(Loop& loop, int slot) {
   tl_in_region = true;
-  tl_slot = slot;
   const int nslots = static_cast<int>(loop.slots.size());
   try {
     int victim = slot;  // start with our own range, then steal
@@ -120,7 +113,6 @@ void ThreadPool::run_participant(Loop& loop, int slot) {
   } catch (...) {
     loop.record_error(std::current_exception());
   }
-  tl_slot = 0;
   tl_in_region = false;
   loop.finish_participant();
 }
@@ -169,9 +161,14 @@ int num_threads() {
   const int o = g_override.load(std::memory_order_relaxed);
   if (o > 0) return o;
   static const int base = [] {
-    if (const char* env = std::getenv("TT_THREADS")) {
-      const int v = std::atoi(env);
-      if (v >= 1) return v;
+    const char* env = std::getenv("TT_THREADS");
+    if (env != nullptr && *env != '\0') {
+      const char* end = env + std::strlen(env);
+      int v = 0;
+      const auto [ptr, ec] = std::from_chars(env, end, v);
+      TT_CHECK(ec == std::errc() && ptr == end && v >= 1,
+               "TT_THREADS must be a whole number >= 1, got '" << env << "'");
+      return v;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
@@ -210,20 +207,24 @@ void notify_fork_child() {
   // been captured mid-acquisition by a parent thread that no longer exists.
   for (auto& p : g_pools) (void)p.release();
   g_pools.clear();
-  g_omp_suppressed.store(true, std::memory_order_relaxed);
-  tl_in_region = false;
-  tl_slot = 0;
 }
 
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
                   int threads) {
   if (threads <= 0) threads = num_threads();
   if (n <= 0) return;
-  if (threads == 1 || n == 1 || in_parallel_region()) {
-    for (index_t i = 0; i < n; ++i) body(i);
+  if (threads > 1 && n > 1 && !in_parallel_region()) {
+    global_pool(threads - 1).parallel_for(n, threads, body);
     return;
   }
-  global_pool(threads - 1).parallel_for(n, threads, body);
+  // Inline. A loop capped at one thread runs as a region, so the kernels its
+  // body reaches stay serial too; the guard restores the flag on a throw.
+  struct RegionGuard {
+    bool saved = tl_in_region;
+    ~RegionGuard() { tl_in_region = saved; }
+  } guard;
+  if (threads == 1) tl_in_region = true;
+  for (index_t i = 0; i < n; ++i) body(i);
 }
 
 TaskQueue::TaskQueue() : thread_([this] { worker_main(); }) {}

@@ -7,14 +7,17 @@
 // with dynamic placement — callers must not depend on which thread runs which
 // index, only that disjoint indices may run concurrently.
 //
-// Thread count resolution (the TT_THREADS knob):
+// This pool is the library's only thread runtime: the block executors and
+// the dense kernels (GEMM, permute) all thread through parallel_for, so the
+// thread count below is the one knob. Thread count resolution (TT_THREADS):
 //   1. set_num_threads(n) override, when set (tests/benches),
-//   2. the TT_THREADS environment variable (>= 1), read once,
+//   2. the TT_THREADS environment variable, read once: a whole number >= 1
+//      (anything else throws tt::Error; empty counts as unset),
 //   3. std::thread::hardware_concurrency().
 //
-// Kernels that carry their own OpenMP pragmas consult in_parallel_region()
-// in their `if` clauses so that pool workers never spawn nested OpenMP teams
-// (which would oversubscribe the machine and break wall-time accounting).
+// Loops nest inline: a parallel_for reached from inside a region (or from a
+// loop capped at one thread) runs on the calling thread, so nested kernels
+// never oversubscribe the machine.
 #pragma once
 
 #include <condition_variable>
@@ -31,30 +34,16 @@
 namespace tt::support {
 
 /// True while the calling thread executes inside a pool parallel region
-/// (worker or participating caller). Used to suppress nested parallelism.
+/// (worker, participating caller, or a loop capped at one thread). Used to
+/// suppress nested parallelism.
 bool in_parallel_region();
-
-/// For OpenMP `if` clauses in kernels: true when the kernel may open its own
-/// OpenMP team, i.e. the caller is not inside a pool region and the process
-/// has not been marked OpenMP-unsafe (forked scheduler workers — see
-/// notify_fork_child()). One definition of the suppression policy for all
-/// kernel files.
-bool openmp_allowed();
 
 /// Must be the first tt call in a freshly fork()ed child process. The child
 /// inherits pool objects whose worker threads do not exist on its side of the
-/// fork (joining or scheduling onto them would hang), and a libgomp runtime
-/// whose team state is not fork-safe. This call abandons every inherited pool
-/// (deliberately leaked — their destructors would join ghost threads) and
-/// permanently suppresses OpenMP regions in this process; fresh pools are
-/// created on demand by the next parallel_for.
+/// fork (joining or scheduling onto them would hang). This call abandons every
+/// inherited pool (deliberately leaked — their destructors would join ghost
+/// threads); fresh pools are created on demand by the next parallel_for.
 void notify_fork_child();
-
-/// Slot index of the calling participant within the innermost active
-/// parallel_for, in [0, participants); 0 outside any parallel region. Stable
-/// for the duration of one body invocation — the natural shard index for
-/// per-thread accumulators.
-int execution_slot();
 
 /// A pool of background worker threads executing stealable index loops.
 /// One loop runs at a time per pool; concurrent callers are serialized.
@@ -92,6 +81,7 @@ class ThreadPool {
 };
 
 /// Executor thread count from the override / TT_THREADS / hardware (>= 1).
+/// Throws tt::Error when TT_THREADS is set to anything but a whole number >= 1.
 int num_threads();
 
 /// Override the thread count for this process (n >= 1); n <= 0 restores the
@@ -101,6 +91,9 @@ void set_num_threads(int n);
 /// Run body(i) for i in [0, n) on the shared global pool. `threads` caps the
 /// participant count; 0 means the num_threads() setting. Serial (inline) when
 /// the resolved count is 1, n <= 1, or the caller is already inside a region.
+/// A loop capped at one thread runs as a region, so every kernel it reaches
+/// stays serial too ("1 = serial" holds all the way down); a single iteration
+/// with more threads allowed does not, so its kernels may still thread.
 void parallel_for(index_t n, const std::function<void(index_t)>& body,
                   int threads = 0);
 
@@ -110,7 +103,7 @@ void parallel_for(index_t n, const std::function<void(index_t)>& body,
 /// with its caller, so tasks that must run *beside* the main thread live here.
 ///
 /// Tasks execute with in_parallel_region() set on the worker, so any
-/// parallel_for or OpenMP kernel a task reaches runs inline on the worker
+/// parallel_for or threaded kernel a task reaches runs inline on the worker
 /// thread: the submitting thread keeps the pool, the task costs one core, and
 /// neither side oversubscribes the machine.
 ///

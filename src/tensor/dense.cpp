@@ -8,7 +8,9 @@
 
 namespace tt::tensor {
 
-using support::openmp_allowed;
+// Element count above which permute_into splits its leading-mode slices over
+// the pool; below it one pool dispatch costs more than the copy.
+constexpr index_t kParallelPermuteElems = index_t{1} << 16;
 
 DenseTensor::DenseTensor(std::vector<index_t> shape, real_t fill)
     : shape_(std::move(shape)) {
@@ -87,15 +89,12 @@ void DenseTensor::scale(real_t s) {
 void DenseTensor::axpy(real_t alpha, const DenseTensor& other) {
   TT_CHECK(shape_ == other.shape_, "axpy shape mismatch");
   const std::size_t n = data_.size();
-#pragma omp parallel for schedule(static) if (n > (std::size_t{1} << 16) && openmp_allowed())
   for (std::size_t i = 0; i < n; ++i) data_[i] += alpha * other.data_[i];
 }
 
 real_t DenseTensor::norm2() const {
   real_t s = 0.0;
   const std::size_t n = data_.size();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (n > (std::size_t{1} << 16) && openmp_allowed())
   for (std::size_t i = 0; i < n; ++i) s += data_[i] * data_[i];
   return std::sqrt(s);
 }
@@ -110,8 +109,6 @@ real_t dot(const DenseTensor& a, const DenseTensor& b) {
   TT_CHECK(a.shape() == b.shape(), "dot shape mismatch");
   real_t s = 0.0;
   const index_t n = a.size();
-#pragma omp parallel for schedule(static) reduction(+ : s) \
-    if (n > (index_t{1} << 16) && openmp_allowed())
   for (index_t i = 0; i < n; ++i) s += a[i] * b[i];
   return s;
 }
@@ -174,8 +171,7 @@ void permute_into(const DenseTensor& in, std::span<const int> perm,
   const index_t last_stride = src_stride[static_cast<std::size_t>(r - 1)];
   const index_t last_dim = out_shape[static_cast<std::size_t>(r - 1)];
 
-#pragma omp parallel for schedule(static) if (in.size() > (index_t{1} << 16) && openmp_allowed())
-  for (index_t i0 = 0; i0 < d0; ++i0) {
+  auto slice = [&](index_t i0) {
     std::vector<index_t> odo(static_cast<std::size_t>(r), 0);
     odo[0] = i0;
     index_t src_off = i0 * s0;
@@ -201,7 +197,9 @@ void permute_into(const DenseTensor& in, std::span<const int> perm,
       }
       if (m < 1) break;  // finished this i0 slice
     }
-  }
+  };
+  if (in.size() > kParallelPermuteElems) return support::parallel_for(d0, slice);
+  for (index_t i0 = 0; i0 < d0; ++i0) slice(i0);
 }
 
 }  // namespace tt::tensor

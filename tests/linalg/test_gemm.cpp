@@ -6,13 +6,10 @@
 #include <tuple>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -193,35 +190,24 @@ TEST(Gemm, BuiltinPropagatesNanThroughZeroEntries) {
 }
 
 TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
-  // The PR-2 invariant, at the kernel level: the packed GEMM partitions only
-  // disjoint C row panels across threads and keeps every element's k-order
-  // fixed, so results are bitwise identical at any thread count. The kernel
-  // threads via OpenMP, so that is the knob varied here (no-op serial builds
-  // still check repeatability).
+  // Bitwise determinism at the kernel level: the packed GEMM splits only
+  // disjoint writes across pool threads and keeps every element's k-order
+  // fixed, so results are bitwise identical at any TT_THREADS. The shape has
+  // 3 row panels (kMc = 128) and 2 k blocks (kKc = 256), and each k block is
+  // far above the serial flop cutoff, so threads > 1 really split it.
   const std::string saved = tt::linalg::backend_name();
   tt::linalg::set_backend("builtin");
   Rng rng(77);
-  Matrix a = Matrix::random(300, 130, rng);  // 3 row panels at kMc = 128
-  Matrix b = Matrix::random(130, 90, rng);
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-#endif
+  Matrix a = Matrix::random(300, 300, rng);
+  Matrix b = Matrix::random(300, 90, rng);
   auto run_with_threads = [&](int threads) {
-#ifdef _OPENMP
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
+    tt::support::set_num_threads(threads);
     return tt::linalg::matmul(a, b);
   };
-  Matrix c1 = run_with_threads(1);
-  Matrix c2 = run_with_threads(2);
-  Matrix c8 = run_with_threads(8);
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
-  EXPECT_TRUE(c1 == c2);
-  EXPECT_TRUE(c1 == c8);
+  const Matrix c1 = run_with_threads(1);
+  for (int threads : {2, 3, 8})
+    EXPECT_TRUE(run_with_threads(threads) == c1) << threads << " threads";
+  tt::support::set_num_threads(0);
   tt::linalg::set_backend(saved);
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -28,15 +29,14 @@ TEST(ThreadPool, StealsWhenRangesAreImbalanced) {
   // Participant 0 stalls on its first iteration; the rest of its range must
   // be drained by stealing participants.
   tt::support::ThreadPool pool(3);
-  std::atomic<int> slots_seen{0};
-  std::vector<std::atomic<bool>> seen(8);
+  std::mutex mutex;
+  std::set<std::thread::id> threads_seen;
   pool.parallel_for(4000, 4, [&](index_t i) {
     if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const int s = tt::support::execution_slot();
-    if (!seen[static_cast<std::size_t>(s)].exchange(true))
-      slots_seen.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mutex);
+    threads_seen.insert(std::this_thread::get_id());
   });
-  EXPECT_GE(slots_seen.load(), 2);
+  EXPECT_GE(threads_seen.size(), 2u);
 }
 
 TEST(ThreadPool, CallerParticipatesWithZeroWorkers) {
@@ -81,8 +81,33 @@ TEST(ThreadPool, NestedCallsRunInline) {
 }
 
 TEST(ThreadPool, ExecutionSlotIsZeroOutsideRegions) {
-  EXPECT_EQ(tt::support::execution_slot(), 0);
   EXPECT_FALSE(tt::support::in_parallel_region());
+}
+
+TEST(ThreadPool, SerialCapIsARegion) {
+  // A loop capped at one thread is a region, so the kernels it reaches stay
+  // serial ("1 = serial" all the way down); the flag clears afterwards, also
+  // when the body throws.
+  int calls = 0;
+  tt::support::parallel_for(
+      3,
+      [&](index_t) {
+        EXPECT_TRUE(tt::support::in_parallel_region());
+        ++calls;
+      },
+      1);
+  EXPECT_EQ(calls, 3);
+  EXPECT_FALSE(tt::support::in_parallel_region());
+  const auto boom = [](index_t) { throw tt::Error("boom"); };
+  EXPECT_THROW(tt::support::parallel_for(2, boom, 1), tt::Error);
+  EXPECT_FALSE(tt::support::in_parallel_region());
+
+  // One iteration with more threads allowed is not a region: a single large
+  // bin may still thread its kernels.
+  bool region = true;
+  tt::support::parallel_for(
+      1, [&](index_t) { region = tt::support::in_parallel_region(); }, 4);
+  EXPECT_FALSE(region);
 }
 
 TEST(ThreadPool, SetNumThreadsOverridesAndRestores) {
@@ -96,10 +121,11 @@ TEST(ThreadPool, SetNumThreadsOverridesAndRestores) {
 
 TEST(ThreadPool, GlobalParallelForHonorsThreadCap) {
   // threads=1 must run strictly serially on the calling thread.
-  std::set<int> slots;
+  std::set<std::thread::id> threads;
   tt::support::parallel_for(
-      64, [&](index_t) { slots.insert(tt::support::execution_slot()); }, 1);
-  EXPECT_EQ(slots.size(), 1u);
+      64, [&](index_t) { threads.insert(std::this_thread::get_id()); }, 1);
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
 
   std::atomic<index_t> sum{0};
   tt::support::parallel_for(256, [&](index_t i) { sum += i; }, 8);

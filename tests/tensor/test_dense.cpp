@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/dense.hpp"
 
 namespace {
@@ -125,6 +127,50 @@ TEST(DenseTensor, AxpyDotNorm) {
   const double expect = a.norm2() * a.norm2() + 4.0 * ab + 4.0 * b.norm2() * b.norm2();
   EXPECT_NEAR(c.norm2() * c.norm2(), expect, 1e-9);
 }
+
+// The dense kernels thread only through support::parallel_for, so TT_THREADS
+// is their one thread knob; at every setting dot/norm2 sum in one fixed order
+// and axpy/permuted write the same bits. 2^17+ elements is above every
+// kernel's serial cutoff.
+bool bitwise_equal(const DenseTensor& x, const DenseTensor& y) {
+  const auto bytes = static_cast<std::size_t>(x.size()) * sizeof(double);
+  return x.shape() == y.shape() && std::memcmp(x.data(), y.data(), bytes) == 0;
+}
+
+class DenseThreadCounts : public ::testing::TestWithParam<int> {
+ protected:
+  void TearDown() override { tt::support::set_num_threads(0); }
+};
+
+TEST_P(DenseThreadCounts, KernelsAreBitwiseEqualToSerial) {
+  Rng rng(23);
+  const DenseTensor a = DenseTensor::random({64, 48, 48}, rng);  // 147456
+  const DenseTensor b = DenseTensor::random({64, 48, 48}, rng);
+  const std::vector<int> perm = {2, 0, 1};
+
+  tt::support::set_num_threads(1);
+  const double dot1 = tt::tensor::dot(a, b);
+  const double norm1 = a.norm2();
+  DenseTensor axpy1 = a;
+  axpy1.axpy(-0.75, b);
+  const DenseTensor perm1 = a.permuted(perm);
+
+  tt::support::set_num_threads(GetParam());
+  EXPECT_EQ(tt::tensor::dot(a, b), dot1);
+  EXPECT_EQ(a.norm2(), norm1);
+  DenseTensor axpy_n = a;
+  axpy_n.axpy(-0.75, b);
+  EXPECT_TRUE(bitwise_equal(axpy_n, axpy1));
+  EXPECT_TRUE(bitwise_equal(a.permuted(perm), perm1));
+
+  // The serial run is itself the plain index-order sum and the true permute.
+  double s = 0.0;
+  for (index_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  EXPECT_EQ(dot1, s);
+  EXPECT_DOUBLE_EQ(perm1.at({47, 63, 5}), a.at({63, 5, 47}));
+}
+
+INSTANTIATE_TEST_SUITE_P(TtThreads, DenseThreadCounts, ::testing::Values(1, 2, 3, 8));
 
 TEST(DenseTensor, FillAndScale) {
   DenseTensor t({2, 2});

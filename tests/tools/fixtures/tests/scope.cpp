@@ -1,7 +1,7 @@
 // Scope fixture: ordered-iteration, no-wallclock-random and modelled-time are
 // src/-only contracts — tests may shuffle, sample and build trackers freely,
-// so nothing here flags for those rules. check-macro still applies
-// everywhere. Never compiled.
+// so nothing here flags for those rules. check-macro and one-thread-runtime
+// still apply everywhere. Never compiled.
 #include <random>
 #include <unordered_map>
 
@@ -18,6 +18,7 @@ double tests_may_do_this() {
   TT_CHECK(total >= 0.0);  // EXPECT(check-macro)
   tt::rt::CostTracker t;
   t.add_time(tt::rt::Category::kGemm, total);  // no finding: tests scope
+  omp_set_num_threads(1);  // EXPECT(one-thread-runtime)
   return total;
 }
 

@@ -41,6 +41,11 @@ Rules (each check is named; see ``--list-rules``):
                       (``src/runtime/tracker.cpp``) may call ``add_time`` /
                       ``add_flops`` / ``add_words`` / ``add_supersteps``.
                       Elsewhere, fold a whole tracker in with ``merge``.
+  one-thread-runtime  ``support::parallel_for`` is the only thread runtime,
+                      so ``TT_THREADS`` is the only thread knob: a
+                      ``#pragma omp``, an ``omp_*`` call or an ``<omp.h>``
+                      include in ``src/`` or ``tests/`` starts threads the
+                      pool cannot see or cap.
 
 Waiver syntax — same line or the line directly above the flagged one:
 
@@ -76,6 +81,8 @@ RULES = {
     "side effects",
     "modelled-time": "CostTracker is charged only by the cost model "
     "(src/runtime/cost_model.cpp, src/runtime/tracker.cpp)",
+    "one-thread-runtime": "no OpenMP (#pragma omp, omp_* calls, <omp.h>): "
+    "threads come from support::parallel_for only",
 }
 
 # Files where reinterpret_cast is the point: byte-level serialization.
@@ -473,6 +480,26 @@ def check_modelled_time(sf: SourceFile, findings):
 
 
 # --------------------------------------------------------------------------
+# one-thread-runtime
+# --------------------------------------------------------------------------
+
+OPENMP_RES = (
+    re.compile(r"#\s*pragma\s+omp\b"),
+    re.compile(r"\bomp_\w+\s*\("),
+    re.compile(r"#\s*include\s*<omp\.h>"),
+)
+
+
+def check_one_thread_runtime(sf: SourceFile, findings):
+    for idx, line in enumerate(sf.code_lines, start=1):
+        if any(pat.search(line) for pat in OPENMP_RES):
+            emit(findings, sf, "one-thread-runtime", idx,
+                 "OpenMP starts threads that TT_THREADS does not cap; thread "
+                 "the loop through support::parallel_for (which nests inline "
+                 "inside a region) or leave it serial")
+
+
+# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -506,6 +533,7 @@ def lint_paths(paths, repo_root, include_fixtures=False):
         check_raw_cast(sf, findings)
         check_check_macro(sf, findings)
         check_modelled_time(sf, findings)
+        check_one_thread_runtime(sf, findings)
         for w in sf.waivers:
             unknown = [r for r in w.rules if r not in RULES]
             if unknown or not w.rules:
