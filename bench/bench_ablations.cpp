@@ -13,7 +13,9 @@
 
 #include "common.hpp"
 
-int main() {
+namespace {
+
+int run() {
   tt::bench::print_driver_header("bench_ablations");
   using namespace tt;
 
@@ -139,4 +141,15 @@ int main() {
                  "fused sparse format on many-small-block workloads.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -44,9 +44,7 @@ std::string default_dir() {
       .string();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::print_driver_header("bench_checkpoint_resume");
 
   const int n = bench::full_mode() ? 24 : 12;
@@ -159,4 +157,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -67,9 +67,7 @@ double fit_exponent(const std::vector<Point>& pts) {
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   tt::bench::print_driver_header("bench_fig2_block_structure");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -112,4 +110,15 @@ int main() {
               << "): " << (el.back().fill < sp.back().fill ? "yes" : "NO") << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

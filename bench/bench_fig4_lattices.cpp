@@ -5,7 +5,9 @@
 
 #include "common.hpp"
 
-int main() {
+namespace {
+
+int run() {
   tt::bench::print_driver_header("bench_fig4_lattices");
   using namespace tt;
 
@@ -32,4 +34,15 @@ int main() {
   std::cout << "  " << models::triangular_cylinder(6, 6).name << ": "
             << models::triangular_cylinder(6, 6).num_sites << " sites\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -88,9 +88,7 @@ void panel(const char* title, const tt::bench::Workload& w,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace tt;
   bench::print_driver_header("bench_fig5_peak_gflops");
   const std::string csv_file = bench::csv_path(argc, argv);
@@ -112,4 +110,15 @@ int main(int argc, char** argv) {
                "scaled with m — the shape (rate and optimal node count grow\n"
                "with m) is the reproduced claim.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

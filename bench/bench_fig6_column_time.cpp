@@ -8,7 +8,9 @@
 #include "common.hpp"
 #include "support/timer.hpp"
 
-int main() {
+namespace {
+
+int run() {
   tt::bench::print_driver_header("bench_fig6_column_time");
   using namespace tt;
   const int lx = 8, ly = bench::full_mode() ? 4 : 3;
@@ -56,4 +58,15 @@ int main() {
   std::cout << "\nbulk column mean / edge column mean = " << fmt(middle / edge, 2)
             << " (edges are cheaper; bulk columns are uniform)\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

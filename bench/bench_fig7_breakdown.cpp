@@ -12,7 +12,9 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_fig7_breakdown");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -69,4 +71,15 @@ int main(int argc, char** argv) {
                "shifts time into (sparse) GEMM.\n";
   mr.write(bench::metrics_path(argc, argv));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -120,13 +120,26 @@ BENCHMARK(BM_BlockContractElectron)->Arg(16)->Arg(32)->Arg(64)
 
 }  // namespace
 
+namespace {
+
 // Explicit main (instead of benchmark_main) so the driver banner names the
 // active linalg backend next to the numbers it produced.
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_kernels");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -54,9 +54,7 @@ bool bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
   return true;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   tt::bench::print_driver_header("bench_parallel_blocks");
   using namespace tt;
 
@@ -115,4 +113,15 @@ int main() {
             << " (speedup saturates at the physical core count; the "
                "determinism column must read 'yes' everywhere at any count)\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -9,7 +9,9 @@
 
 #include "common.hpp"
 
-int main() {
+namespace {
+
+int run() {
   tt::bench::print_driver_header("bench_table1_capability");
   using namespace tt;
 
@@ -47,4 +49,15 @@ int main() {
                "dimensions are scaled down (set TT_BENCH_FULL=1 for larger runs)\n"
                "and distributed execution is priced by the BSP cost model.\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

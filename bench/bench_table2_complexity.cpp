@@ -10,7 +10,9 @@
 
 #include "common.hpp"
 
-int main() {
+namespace {
+
+int run() {
   tt::bench::print_driver_header("bench_table2_complexity");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -69,4 +71,15 @@ int main() {
                "contractions and p^(-1/2) for fused 2D contractions; the\n"
                "sparse-dense format stores the full dense Davidson working set.\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -19,13 +19,10 @@
 
 namespace tt::bench {
 
-void print_driver_header(const std::string& driver, dmrg::SweepMode mode,
-                         int regions) {
+void print_driver_header(const std::string& driver) {
   std::cout << "[" << driver << "] linalg backend: " << linalg::backend_name()
             << " | threads: " << support::num_threads()
-            << " | scale factor: " << scale_factor()
-            << " | sweep: " << dmrg::sweep_mode_name(mode)
-            << " regions=" << regions << "\n\n";
+            << " | scale factor: " << scale_factor() << "\n\n";
 }
 
 std::string arg_value(int argc, char** argv, const char* flag,
@@ -76,8 +73,6 @@ void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
   mr.add(sec, "max_bond_dim", static_cast<double>(rec.max_bond_dim));
   mr.add(sec, "truncation_error", rec.truncation_error);
   mr.add(sec, "wall_s", rec.wall_seconds);
-  mr.add(sec, "mode", std::string(dmrg::sweep_mode_name(rec.mode)));
-  mr.add(sec, "regions", static_cast<double>(rec.regions));
   mr.add(sec, "prefetch_launched", static_cast<double>(rec.prefetch_launched));
   mr.add(sec, "prefetch_hits", static_cast<double>(rec.prefetch_hits));
   mr.add(sec, "prefetch_wait_s", rec.prefetch_wait_seconds);

@@ -26,15 +26,12 @@
 
 namespace tt::bench {
 
-/// Standard driver banner: driver name, active linalg backend, thread count,
-/// scale factor, and the sweep configuration (mode + region count). Every
-/// bench main prints this first so any recorded output identifies the kernel
-/// configuration that produced it (figure reproductions must note the
-/// backend — see docs/BENCHMARKS.md). Drivers that only run single-bond
-/// measured steps use the defaults (serial, 1 region).
-void print_driver_header(const std::string& driver,
-                         dmrg::SweepMode mode = dmrg::SweepMode::kSerial,
-                         int regions = 1);
+/// Standard driver banner: driver name, active linalg backend, thread count
+/// and scale factor. Every bench main prints this first so any recorded
+/// output identifies the kernel configuration that produced it (figure
+/// reproductions must note the backend — see docs/BENCHMARKS.md). Resolving
+/// the thread count here also makes a bad TT_THREADS fail before any work.
+void print_driver_header(const std::string& driver);
 
 /// Value of a "--flag <value>" argument, or `fallback` when absent.
 std::string arg_value(int argc, char** argv, const char* flag,

@@ -16,7 +16,9 @@
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
   const int n = static_cast<int>(cli.get_int("n", 32));
@@ -64,4 +66,15 @@ int main(int argc, char** argv) {
     std::cout << " " << fmt(mps::expect_local(solver.psi(), "Sz", j), 3);
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tt::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

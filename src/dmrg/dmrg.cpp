@@ -11,82 +11,6 @@ namespace tt::dmrg {
 
 using symm::BlockTensor;
 
-const char* sweep_mode_name(SweepMode m) {
-  switch (m) {
-    case SweepMode::kSerial: return "serial";
-    case SweepMode::kRealSpace: return "real-space";
-  }
-  return "?";
-}
-
-std::vector<std::pair<int, int>> partition_regions(int n_sites, int regions) {
-  TT_CHECK(n_sites >= 2, "need at least one bond to partition");
-  const int r = std::max(1, std::min(regions, n_sites / 2));
-  std::vector<std::pair<int, int>> out;
-  out.reserve(static_cast<std::size_t>(r));
-  const int base = n_sites / r;
-  const int extra = n_sites % r;
-  int first = 0;
-  for (int i = 0; i < r; ++i) {
-    const int len = base + (i < extra ? 1 : 0);
-    out.emplace_back(first, first + len - 1);
-    first += len;
-  }
-  return out;
-}
-
-namespace detail {
-
-BondUpdate solve_bond(ContractionEngine& eng, BlockTensor theta,
-                      const BlockTensor& left, const BlockTensor& w1,
-                      const BlockTensor& w2, const BlockTensor& right,
-                      const SweepParams& params, bool sweep_right, int bond) {
-  {
-    const real_t n = theta.norm2();
-    TT_CHECK(n > 0.0, "two-site tensor vanished at bond " << bond);
-    theta.scale(1.0 / n);
-  }
-
-  DavidsonOptions dopts;
-  dopts.max_iter = params.davidson_iter;
-  dopts.subspace = params.davidson_subspace;
-  auto apply = [&](const BlockTensor& x) {
-    return apply_two_site(eng, left, w1, w2, right, x);
-  };
-  DavidsonResult res = [&] {
-    TT_TRACE_SPAN("dmrg.davidson", rt::TraceCat::kDavidson);
-    return davidson(apply, std::move(theta), dopts);
-  }();
-
-  // Split and truncate (paper fig 1e); singular values move with the sweep.
-  symm::TruncParams trunc;
-  trunc.cutoff = params.cutoff;
-  trunc.max_dim = params.max_m;
-  symm::BlockSvd f = [&] {
-    TT_TRACE_SPAN("dmrg.svd", rt::TraceCat::kSvd);
-    return eng.svd(res.vector, {0, 1}, trunc);
-  }();
-
-  BondUpdate u;
-  u.energy = res.eigenvalue;
-  u.trunc_err = f.truncation_error;
-  if (sweep_right) {
-    u.a = std::move(f.u);
-    u.b = f.s_times_vt();
-    // Keep the state normalized after truncation.
-    const real_t n = u.b.norm2();
-    if (n > 0.0) u.b.scale(1.0 / n);
-  } else {
-    u.b = std::move(f.vt);
-    u.a = f.u_times_s();
-    const real_t n = u.a.norm2();
-    if (n > 0.0) u.a.scale(1.0 / n);
-  }
-  return u;
-}
-
-}  // namespace detail
-
 Dmrg::Dmrg(mps::Mps psi, mps::Mpo h, std::unique_ptr<ContractionEngine> engine)
     : psi_(std::move(psi)), h_(std::move(h)), engine_(std::move(engine)) {
   TT_CHECK(engine_ != nullptr, "DMRG needs an engine");
@@ -114,12 +38,46 @@ real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
   // overlapped with the in-flight extension.
   const BlockTensor& left = envs_->left(j);
   const BlockTensor& right = envs_->right(j + 2);
+  {
+    const real_t n = theta.norm2();
+    TT_CHECK(n > 0.0, "two-site tensor vanished at bond " << j);
+    theta.scale(1.0 / n);
+  }
 
-  detail::BondUpdate u =
-      detail::solve_bond(*engine_, std::move(theta), left, h_.site(j),
-                         h_.site(j + 1), right, params, sweep_right, j);
-  energy_ = u.energy;
-  trunc_err_ = u.trunc_err;
+  DavidsonOptions dopts;
+  dopts.max_iter = params.davidson_iter;
+  dopts.subspace = params.davidson_subspace;
+  auto apply = [&](const BlockTensor& x) {
+    return apply_two_site(*engine_, left, h_.site(j), h_.site(j + 1), right, x);
+  };
+  DavidsonResult res = [&] {
+    TT_TRACE_SPAN("dmrg.davidson", rt::TraceCat::kDavidson);
+    return davidson(apply, std::move(theta), dopts);
+  }();
+
+  // Split and truncate (paper fig 1e); singular values move with the sweep.
+  symm::TruncParams trunc;
+  trunc.cutoff = params.cutoff;
+  trunc.max_dim = params.max_m;
+  symm::BlockSvd f = [&] {
+    TT_TRACE_SPAN("dmrg.svd", rt::TraceCat::kSvd);
+    return engine_->svd(res.vector, {0, 1}, trunc);
+  }();
+  energy_ = res.eigenvalue;
+  trunc_err_ = f.truncation_error;
+  BlockTensor a, b;
+  if (sweep_right) {
+    a = std::move(f.u);
+    b = f.s_times_vt();
+    // Keep the state normalized after truncation.
+    const real_t n = b.norm2();
+    if (n > 0.0) b.scale(1.0 / n);
+  } else {
+    b = std::move(f.vt);
+    a = f.u_times_s();
+    const real_t n = a.norm2();
+    if (n > 0.0) a.scale(1.0 / n);
+  }
 
   // site_changed must precede the set_site calls: it joins any in-flight
   // prefetch, and at the sweep turn that future's worker is still reading
@@ -128,8 +86,8 @@ real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
   // invalidation cones depend only on the index, so the early flip is safe.
   envs_->site_changed(j);
   envs_->site_changed(j + 1);
-  psi_.set_site(j, std::move(u.a));
-  psi_.set_site(j + 1, std::move(u.b));
+  psi_.set_site(j, std::move(a));
+  psi_.set_site(j + 1, std::move(b));
   psi_.set_center(sweep_right ? j + 1 : j);
   // Refresh the environment the next bond in this direction consumes: async
   // as a future beside the next Davidson, or eagerly — exactly the old
@@ -145,7 +103,7 @@ real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
     else
       (void)envs_->right(j + 1);
   }
-  return u.energy;
+  return energy_;
 }
 
 void Dmrg::maybe_checkpoint(const SweepParams& params, int phase, int bond) {
@@ -183,13 +141,12 @@ void Dmrg::maybe_checkpoint(const SweepParams& params, int phase, int bond) {
                                                          << " bond " << bond);
 }
 
-SweepRecord Dmrg::sweep_serial(const SweepParams& params) {
-  return sweep_serial_from(params, /*phase=*/0, /*start_bond=*/0,
-                           /*max_trunc0=*/0.0);
+SweepRecord Dmrg::sweep(const SweepParams& params) {
+  return sweep_from(params, /*phase=*/0, /*start_bond=*/0, /*max_trunc0=*/0.0);
 }
 
-SweepRecord Dmrg::sweep_serial_from(const SweepParams& params, int phase,
-                                    int start_bond, real_t max_trunc0) {
+SweepRecord Dmrg::sweep_from(const SweepParams& params, int phase, int start_bond,
+                             real_t max_trunc0) {
   TT_TRACE_SPAN("dmrg.sweep", rt::TraceCat::kSweep);
   Timer timer;
   const rt::CostTracker start = engine_->tracker();
@@ -219,21 +176,12 @@ SweepRecord Dmrg::sweep_serial_from(const SweepParams& params, int phase,
   rec.truncation_error = max_trunc_partial_;
   rec.wall_seconds = timer.seconds();
   rec.costs = engine_->tracker().diff(start);
-  rec.mode = SweepMode::kSerial;
-  rec.regions = 1;
   const EnvGraph::PrefetchStats& pf = envs_->prefetch_stats();
   rec.prefetch_launched = pf.launched - pf0.launched;
   rec.prefetch_hits = pf.hits - pf0.hits;
   rec.prefetch_wait_seconds = pf.wait_seconds - pf0.wait_seconds;
   records_.push_back(rec);
   return rec;
-}
-
-SweepRecord Dmrg::sweep(const SweepParams& params) {
-  if (params.mode == SweepMode::kRealSpace &&
-      partition_regions(psi_.size(), params.regions).size() > 1)
-    return sweep_realspace(params);
-  return sweep_serial(params);
 }
 
 real_t Dmrg::run(const std::vector<SweepParams>& schedule) {
@@ -275,9 +223,8 @@ real_t Dmrg::resume(const std::vector<SweepParams>& schedule) {
   envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, builder.get());
 
   schedule_pos_ = data.pos.schedule_pos;
-  sweep_serial_from(schedule[static_cast<std::size_t>(schedule_pos_)],
-                    data.pos.phase, data.pos.next_bond,
-                    data.pos.max_trunc_partial);
+  sweep_from(schedule[static_cast<std::size_t>(schedule_pos_)], data.pos.phase,
+             data.pos.next_bond, data.pos.max_trunc_partial);
   for (std::size_t i = static_cast<std::size_t>(schedule_pos_) + 1;
        i < schedule.size(); ++i) {
     schedule_pos_ = static_cast<int>(i);

@@ -6,19 +6,12 @@
 // values along the sweep direction, extend the environments incrementally
 // through the dependency graph (env_graph.hpp).
 //
-// Two sweep modes (SweepMode):
-//   kSerial    — the classic strictly-ordered bond loop. With prefetch on,
-//                the next bond's environment extension runs as a future
-//                beside Davidson; results stay bitwise identical.
-//   kRealSpace — the chain splits into `regions` contiguous regions that
-//                optimize concurrently against frozen boundary environments
-//                (Stoudenmire–White real-space parallelism), then the
-//                boundary bonds are reconciled serially. regions=1 falls
-//                back to the serial sweep, bitwise.
+// A sweep is the strictly-ordered bond loop, left to right then right to
+// left. With prefetch on, the next bond's environment extension runs as a
+// future beside Davidson; results stay bitwise identical.
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dmrg/davidson.hpp"
@@ -32,25 +25,14 @@ namespace tt::dmrg {
 
 class CheckpointManager;  // dmrg/checkpoint.hpp
 
-/// How a sweep traverses the chain (see file comment).
-enum class SweepMode {
-  kSerial,     ///< strictly-ordered bond loop (optionally env-prefetched)
-  kRealSpace,  ///< R concurrent regions + serial boundary reconciliation
-};
-
-/// Stable display name ("serial", "real-space") for banners and CSV rows.
-const char* sweep_mode_name(SweepMode m);
-
 /// Parameters of one sweep (one left-to-right + right-to-left pass).
 struct SweepParams {
   index_t max_m = 64;        ///< bond-dimension cap
   real_t cutoff = 1e-12;     ///< singular values <= cutoff dropped (paper §II.C)
   int davidson_iter = 2;     ///< matvecs per two-site optimization (paper: 2)
   int davidson_subspace = 2; ///< Davidson restart size (paper: 2)
-  SweepMode mode = SweepMode::kSerial;
-  int regions = 1;           ///< real-space regions; 1 reproduces the serial sweep
-  bool prefetch = false;     ///< overlap env extensions with Davidson (serial mode)
-  int checkpoint_every = 0;  ///< bonds between snapshots (serial mode); 0 = off
+  bool prefetch = false;     ///< overlap env extensions with Davidson
+  int checkpoint_every = 0;  ///< bonds between snapshots; 0 = off
 };
 
 /// Record of a completed sweep.
@@ -61,38 +43,10 @@ struct SweepRecord {
   real_t truncation_error = 0.0;  ///< max over bonds of Σ discarded σ²
   double wall_seconds = 0.0;
   rt::CostTracker costs;          ///< simulated costs of this sweep only
-  SweepMode mode = SweepMode::kSerial;
-  int regions = 1;                ///< regions actually used (after clamping)
-  int boundary_bonds = 0;         ///< serially reconciled bonds (kRealSpace)
   long prefetch_launched = 0;     ///< env extensions started asynchronously
   long prefetch_hits = 0;         ///< joins that found the future finished
   double prefetch_wait_seconds = 0.0;  ///< real time blocked joining futures
 };
-
-/// Split `n_sites` into `regions` contiguous [first, last] site ranges, each
-/// at least two sites (a region must hold one bond); the request is clamped
-/// to [1, n_sites/2]. Earlier regions take the remainder sites.
-std::vector<std::pair<int, int>> partition_regions(int n_sites, int regions);
-
-namespace detail {
-
-/// Result of one two-site update executed out of line of any driver.
-struct BondUpdate {
-  symm::BlockTensor a, b;  ///< new site tensors (left, right of the bond)
-  real_t energy = 0.0;     ///< Davidson eigenvalue
-  real_t trunc_err = 0.0;  ///< Σ discarded σ² of the splitting SVD
-};
-
-/// Solve the effective two-site problem for `theta` between the given
-/// environments, split with a truncated SVD, absorb the singular values in
-/// the sweep direction. Shared by the serial driver and the region workers;
-/// `bond` only labels error messages.
-BondUpdate solve_bond(ContractionEngine& eng, symm::BlockTensor theta,
-                      const symm::BlockTensor& left, const symm::BlockTensor& w1,
-                      const symm::BlockTensor& w2, const symm::BlockTensor& right,
-                      const SweepParams& params, bool sweep_right, int bond);
-
-}  // namespace detail
 
 /// DMRG optimizer owning the state, Hamiltonian, engine, and environments.
 class Dmrg {
@@ -104,9 +58,9 @@ class Dmrg {
   /// Run the full schedule; returns the final energy.
   real_t run(const std::vector<SweepParams>& schedule);
 
-  /// Snapshot through `ckpt` every SweepParams::checkpoint_every bonds
-  /// (serial sweeps). nullptr turns checkpointing off. The manager is
-  /// borrowed, not owned, and must outlive the run.
+  /// Snapshot through `ckpt` every SweepParams::checkpoint_every bonds.
+  /// nullptr turns checkpointing off. The manager is borrowed, not owned,
+  /// and must outlive the run.
   void set_checkpointing(CheckpointManager* ckpt) { ckpt_ = ckpt; }
 
   /// Restart an interrupted run() of the same schedule from the latest
@@ -119,7 +73,6 @@ class Dmrg {
   real_t resume(const std::vector<SweepParams>& schedule);
 
   /// One full sweep (left-to-right then right-to-left); returns its record.
-  /// Dispatches on params.mode/regions; regions=1 is the serial sweep.
   SweepRecord sweep(const SweepParams& params);
 
   /// Optimize the two sites (j, j+1) once; sweep_right selects which side
@@ -139,16 +92,13 @@ class Dmrg {
   real_t energy_expectation();
 
  private:
-  SweepRecord sweep_serial(const SweepParams& params);
-  SweepRecord sweep_realspace(const SweepParams& params);  // sweep_realspace.cpp
-
-  /// The serial bond loop, entered mid-sweep: phase 0 starts the
-  /// left-to-right pass at start_bond, phase 1 skips it and starts the
-  /// right-to-left pass there. max_trunc0 seeds the running truncation
-  /// maximum with the interrupted sweep's partial value. sweep_serial
-  /// delegates here with (0, 0, 0.0).
-  SweepRecord sweep_serial_from(const SweepParams& params, int phase,
-                                int start_bond, real_t max_trunc0);
+  /// The bond loop, entered mid-sweep: phase 0 starts the left-to-right
+  /// pass at start_bond, phase 1 skips it and starts the right-to-left pass
+  /// there. max_trunc0 seeds the running truncation maximum with the
+  /// interrupted sweep's partial value. sweep() delegates here with
+  /// (0, 0, 0.0).
+  SweepRecord sweep_from(const SweepParams& params, int phase, int start_bond,
+                         real_t max_trunc0);
 
   /// After bond (j, phase) completed: snapshot if a manager is attached and
   /// the cadence says so, then evaluate the dmrg.kill_sweep fault point.

@@ -106,14 +106,6 @@ void EnvGraph::site_changed(int j) {
     right_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
 }
 
-void EnvGraph::invalidate_all() {
-  join_pending();
-  for (int k = 1; k <= n_; ++k)
-    left_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
-  for (int k = 0; k < n_; ++k)
-    right_[static_cast<std::size_t>(k)].state = NodeState::kInvalid;
-}
-
 void EnvGraph::prefetch_left(int j) { prefetch(true, j); }
 void EnvGraph::prefetch_right(int j) { prefetch(false, j); }
 

@@ -78,9 +78,6 @@ class EnvGraph {
   /// invalidated nodes).
   void site_changed(int j);
 
-  /// Invalidate every interior node (e.g. after re-canonicalizing psi).
-  void invalidate_all();
-
   /// Launch asynchronous production of left(j) / right(j) on the prefetch
   /// worker. No-op if the node is already valid or its parent is not (demand
   /// would have to rebuild a chain; prefetch only ever computes one edge).

@@ -200,16 +200,4 @@ Mps load_mps(const std::string& path, SiteSetPtr sites) {
   return read_mps(is, std::move(sites));
 }
 
-void save_mpo(const std::string& path, const Mpo& h) {
-  std::ofstream os(path);
-  TT_CHECK(os.good(), "cannot open '" << path << "' for writing");
-  write_mpo(os, h);
-}
-
-Mpo load_mpo(const std::string& path, SiteSetPtr sites) {
-  std::ifstream is(path);
-  TT_CHECK(is.good(), "cannot open '" << path << "' for reading");
-  return read_mpo(is, std::move(sites));
-}
-
 }  // namespace tt::mps

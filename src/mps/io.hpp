@@ -24,12 +24,11 @@ Mps read_mps(std::istream& is, SiteSetPtr sites);
 void write_mpo(std::ostream& os, const Mpo& h);
 Mpo read_mpo(std::istream& is, SiteSetPtr sites);
 
-/// File-path convenience wrappers. Loaders reject truncated files, wrong
-/// magic, and unsupported versions with tt::Error (never silent garbage).
+/// File-path convenience wrappers for an MPS. The loader rejects truncated
+/// files, wrong magic, and unsupported versions with tt::Error (never silent
+/// garbage).
 void save_mps(const std::string& path, const Mps& psi);
 Mps load_mps(const std::string& path, SiteSetPtr sites);
-void save_mpo(const std::string& path, const Mpo& h);
-Mpo load_mpo(const std::string& path, SiteSetPtr sites);
 
 /// Exact double<->text round trip via hexfloat ("%a"), the encoding every
 /// value in these streams uses. Shared with dmrg::CheckpointManager so

@@ -1,11 +1,15 @@
 // EnvGraph invalidation/property tests: the incremental environments must be
 // bitwise identical to a from-scratch rebuild after arbitrary site mutations
 // and mixed-direction demands — the regression test the old EnvironmentStack
-// never had.
+// never had. The sweep-level cases pin the same contract end to end: with
+// env prefetch on, and at any thread count, a sweep is bitwise the eager one.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <vector>
 
+#include "dmrg/dmrg.hpp"
 #include "dmrg/env_graph.hpp"
 #include "dmrg/environment.hpp"
 #include "models/heisenberg.hpp"
@@ -13,11 +17,15 @@
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
 using tt::Rng;
+using tt::dmrg::Dmrg;
 using tt::dmrg::EnvGraph;
+using tt::dmrg::SweepParams;
+using tt::dmrg::SweepRecord;
 using tt::symm::BlockTensor;
 using tt::symm::QN;
 
@@ -104,9 +112,6 @@ TEST(EnvGraph, IncrementalMatchesRebuildUnderRandomPerturbations) {
     site.axpy(0.25, noise);
     g.site_changed(j);
 
-    // Occasionally wipe everything, as the drivers do after re-gauging.
-    if (iter % 11 == 10) g.invalidate_all();
-
     // Mixed-direction demands at random cuts: bitwise vs from-scratch.
     const int kl = static_cast<int>(rng.integer(0, kN));
     const int kr = static_cast<int>(rng.integer(0, kN));
@@ -177,6 +182,106 @@ TEST(EnvGraph, PrefetchSurvivesInvalidationRaces) {
   g.sync();
   EXPECT_EQ(g.left_state(5), EnvGraph::NodeState::kValid);
   EXPECT_EQ(tt::symm::max_abs_diff(g.left(5), f.rebuild_left(5)), 0.0);
+}
+
+SweepParams params_for(tt::index_t m, bool prefetch = false) {
+  SweepParams p;
+  p.max_m = m;
+  p.davidson_iter = 3;
+  p.prefetch = prefetch;
+  return p;
+}
+
+Dmrg heisenberg_solver(int n) {
+  auto lat = tt::models::chain(n);
+  auto sites = tt::models::spin_half_sites(n);
+  auto h = tt::models::heisenberg_mpo(sites, lat, 1.0);
+  std::vector<int> neel;
+  for (int i = 0; i < n; ++i) neel.push_back(i % 2);
+  return Dmrg(tt::mps::Mps::product_state(sites, neel), h,
+              tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
+                                    {tt::rt::localhost(), 1, 1}));
+}
+
+std::vector<SweepRecord> run_sweeps(Dmrg& solver, const SweepParams& p, int sweeps) {
+  std::vector<SweepRecord> out;
+  for (int s = 0; s < sweeps; ++s) out.push_back(solver.sweep(p));
+  return out;
+}
+
+void expect_bitwise_equal(const std::vector<SweepRecord>& a,
+                          const std::vector<SweepRecord>& b, const Dmrg& sa,
+                          const Dmrg& sb, const char* label) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].energy, b[i].energy) << label << " sweep " << i;
+    EXPECT_EQ(a[i].truncation_error, b[i].truncation_error)
+        << label << " sweep " << i;
+    EXPECT_EQ(a[i].max_bond_dim, b[i].max_bond_dim) << label << " sweep " << i;
+    EXPECT_EQ(a[i].costs.flops(), b[i].costs.flops()) << label << " sweep " << i;
+    EXPECT_EQ(a[i].costs.words(), b[i].costs.words()) << label << " sweep " << i;
+  }
+  for (int j = 0; j < sa.psi().size(); ++j)
+    EXPECT_EQ(tt::symm::max_abs_diff(sa.psi().site(j), sb.psi().site(j)), 0.0)
+        << label << " site " << j;
+}
+
+TEST(SerialSweep, PrefetchIsBitwiseSerial) {
+  const int n = 8, sweeps = 3;
+  Dmrg eager = heisenberg_solver(n);
+  auto ra = run_sweeps(eager, params_for(16), sweeps);
+  Dmrg pre = heisenberg_solver(n);
+  auto rb = run_sweeps(pre, params_for(16, /*prefetch=*/true), sweeps);
+  expect_bitwise_equal(ra, rb, eager, pre, "prefetch");
+  // Overlap is measured in the prefetch counters; the modelled cost is the
+  // eager sweep's, up to the rounding of merging the prefetch tracker in.
+  auto near = [](double x, double y) { return std::abs(x - y) <= 1e-12 * std::abs(y); };
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_GT(rb[i].prefetch_launched, 0);
+    EXPECT_EQ(ra[i].prefetch_launched, 0);
+    EXPECT_GT(ra[i].costs.total_time(), 0.0);
+    EXPECT_TRUE(near(rb[i].costs.supersteps(), ra[i].costs.supersteps()));
+    for (int c = 0; c < tt::rt::kNumCategories; ++c) {
+      const auto cat = static_cast<tt::rt::Category>(c);
+      EXPECT_TRUE(near(rb[i].costs.time(cat), ra[i].costs.time(cat)))
+          << "sweep " << i << " " << tt::rt::category_name(cat) << ": "
+          << rb[i].costs.time(cat) << " vs " << ra[i].costs.time(cat);
+    }
+  }
+}
+
+TEST(SerialSweep, SlowPrefetchStaysInFlightAcrossTheTurn) {
+  // Regression for the sweep-turn race: the last L2R bond launches
+  // prefetch_left(N-1), whose worker reads site N-2, and the first R2L bond
+  // re-optimizes that same bond without ever demanding the pending node — so
+  // the join must come from site_changed *before* set_site replaces the
+  // tensor the worker is reading. The injected worker delay keeps the future
+  // in flight across the turn, so under TSan a regressed ordering is a
+  // deterministic report instead of scheduling luck.
+  const int n = 6, sweeps = 2;
+  Dmrg eager = heisenberg_solver(n);
+  auto ra = run_sweeps(eager, params_for(12), sweeps);
+  Dmrg slow = heisenberg_solver(n);
+  slow.environments().set_prefetch_delay_for_testing(
+      std::chrono::milliseconds(10));
+  auto rb = run_sweeps(slow, params_for(12, /*prefetch=*/true), sweeps);
+  expect_bitwise_equal(ra, rb, eager, slow, "slow prefetch");
+  long blocked = 0;
+  for (const auto& r : rb) blocked += r.prefetch_launched - r.prefetch_hits;
+  EXPECT_GT(blocked, 0);  // the delay really forced joins to block in flight
+}
+
+TEST(SerialSweep, SerialSweepInvariantUnderThreadCount) {
+  const int n = 8, sweeps = 2;
+  Dmrg base = heisenberg_solver(n);
+  auto ra = run_sweeps(base, params_for(16), sweeps);
+  for (int threads : {2, 8}) {
+    tt::support::set_num_threads(threads);
+    Dmrg other = heisenberg_solver(n);
+    auto rb = run_sweeps(other, params_for(16, /*prefetch=*/true), sweeps);
+    tt::support::set_num_threads(0);
+    expect_bitwise_equal(ra, rb, base, other, "threads");
+  }
 }
 
 }  // namespace
