@@ -44,15 +44,14 @@ std::string default_dir() {
       .string();
 }
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   bench::print_driver_header("bench_checkpoint_resume");
 
   const int n = bench::full_mode() ? 24 : 12;
   const index_t m = bench::full_mode() ? 48 : 24;
   const int sweeps = bench::full_mode() ? 6 : 4;
   const int every = 4;  // bonds between snapshots
-  const std::string dir = bench::arg_value(argc, argv, "--checkpoint-dir",
-                                           default_dir());
+  const std::string dir = cli.get("checkpoint-dir", default_dir());
   std::filesystem::remove_all(dir);
 
   std::vector<dmrg::SweepParams> schedule(static_cast<std::size_t>(sweeps));
@@ -122,7 +121,7 @@ int run(int argc, char** argv) {
             << fmt(100.0 * (wall_ckpt / wall_base - 1.0), 1)
             << "% of baseline wall time\n";
 
-  bench::Csv csv(bench::csv_path(argc, argv),
+  bench::Csv csv(cli.get("csv", ""),
                  "driver,workload,run,energy,wall_s,snapshots,bitwise");
   const std::string workload = "heisenberg-chain-" + std::to_string(n);
   csv.row({"bench_checkpoint_resume", workload, "baseline", fmt(e_base, 12),
@@ -150,7 +149,7 @@ int run(int argc, char** argv) {
   mr.add("kill_resume", "wall_s", wall_killed + wall_resume);
   mr.add("kill_resume", "snapshots", static_cast<double>(mgr2.sequence()));
   mr.add("kill_resume", "bitwise", e_resume == e_base ? 1.0 : 0.0);
-  mr.write(bench::metrics_path(argc, argv));
+  mr.write(cli.get("metrics", ""));
 
   if (e_ckpt != e_base || e_resume != e_base) {
     std::cerr << "bench_checkpoint_resume: BITWISE MISMATCH\n";
@@ -163,7 +162,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"checkpoint-dir", "csv", "metrics"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

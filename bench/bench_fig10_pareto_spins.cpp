@@ -92,13 +92,13 @@ void panel(const char* title, const tt::rt::MachineModel& machine,
             << other_pareto << "\n\n";
 }
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig10_pareto_spins");
-  if (tt::bench::distributed_mode(argc, argv, "bench_fig10_pareto_spins",
+  if (tt::bench::distributed_mode(cli, "bench_fig10_pareto_spins",
                                   tt::bench::Workload::spins(),
                                   tt::bench::spin_ms()))
     return 0;
-  tt::bench::Csv csv(tt::bench::csv_path(argc, argv),
+  tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,engine,m_equiv,nodes,ppn,"
                      "rel_time,rel_cost,rate_speedup,pareto");
   panel("Fig 10 (left) — spins relative time vs cost, Blue Waters",
@@ -115,7 +115,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv", "metrics", "ranks"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -67,13 +67,13 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   std::cout << "\n";
 }
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig11_weak_scaling_electrons");
-  if (tt::bench::distributed_mode(argc, argv, "bench_fig11_weak_scaling_electrons",
+  if (tt::bench::distributed_mode(cli, "bench_fig11_weak_scaling_electrons",
                                   tt::bench::Workload::electrons(),
                                   tt::bench::electron_ms()))
     return 0;
-  tt::bench::Csv csv(tt::bench::csv_path(argc, argv),
+  tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,series,engine,m_equiv,nodes,ppn,"
                      "gfs_per_node,rel_efficiency");
   panel("Fig 11 (left) — electrons weak scaling, Blue Waters (16/node)",
@@ -87,7 +87,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv", "metrics", "ranks"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

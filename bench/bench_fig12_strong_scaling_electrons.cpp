@@ -35,13 +35,13 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   std::cout << "\n";
 }
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig12_strong_scaling_electrons");
-  if (tt::bench::distributed_mode(argc, argv, "bench_fig12_strong_scaling_electrons",
+  if (tt::bench::distributed_mode(cli, "bench_fig12_strong_scaling_electrons",
                                   tt::bench::Workload::electrons(),
                                   tt::bench::electron_ms()))
     return 0;
-  tt::bench::Csv csv(tt::bench::csv_path(argc, argv),
+  tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,m_equiv,ppn,nodes,sim_s,speedup,"
                      "efficiency");
   panel("Fig 12 (left) — electrons sparse-sparse strong scaling at fixed m, Blue Waters",
@@ -55,7 +55,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv", "metrics", "ranks"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -88,10 +88,10 @@ void panel(const char* title, const tt::bench::Workload& w,
   std::cout << "\n";
 }
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   using namespace tt;
   bench::print_driver_header("bench_fig5_peak_gflops");
-  const std::string csv_file = bench::csv_path(argc, argv);
+  const std::string csv_file = cli.get("csv", "");
   bench::Csv csv = csv_file.empty() ? bench::Csv()
                                     : bench::Csv(csv_file, "backend,m,n,k,gflops");
   host_gemm_peak(csv);
@@ -116,7 +116,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -14,7 +14,7 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig7_breakdown");
   using namespace tt;
   auto spins = bench::Workload::spins();
@@ -69,7 +69,7 @@ int run(int argc, char** argv) {
                "(a); in (b) the list algorithm pays more communication on Blue\n"
                "Waters and more transposition on Stampede2, while sparse-sparse\n"
                "shifts time into (sparse) GEMM.\n";
-  mr.write(bench::metrics_path(argc, argv));
+  mr.write(cli.get("metrics", ""));
   return 0;
 }
 
@@ -77,7 +77,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"metrics"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

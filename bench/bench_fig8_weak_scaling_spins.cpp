@@ -11,16 +11,16 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig8_weak_scaling_spins");
   using namespace tt;
   auto spins = bench::Workload::spins();
   const auto ms = bench::spin_ms();
-  if (bench::distributed_mode(argc, argv, "bench_fig8_weak_scaling_spins",
+  if (bench::distributed_mode(cli, "bench_fig8_weak_scaling_spins",
                               spins, ms))
     return 0;
   const auto base = bench::baseline(spins, rt::blue_waters(), ms.front());
-  bench::Csv csv(bench::csv_path(argc, argv),
+  bench::Csv csv(cli.get("csv", ""),
                  "driver,workload,source,panel,m_equiv,nodes,ppn,gf_per_node,"
                  "rel_efficiency");
 
@@ -83,7 +83,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv", "metrics", "ranks"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -10,11 +10,11 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig9_strong_scaling_spins");
   using namespace tt;
   auto spins = bench::Workload::spins();
-  if (bench::distributed_mode(argc, argv, "bench_fig9_strong_scaling_spins",
+  if (bench::distributed_mode(cli, "bench_fig9_strong_scaling_spins",
                               spins, bench::spin_ms()))
     return 0;
   const index_t m = bench::spin_ms().back();  // paper: m = 8192 fixed
@@ -23,7 +23,7 @@ int run(int argc, char** argv) {
   mr.add_context("workload", spins.name);
   mr.add_context("m_equiv", static_cast<double>(bench::m_equiv(k.m_actual)));
 
-  bench::Csv csv(bench::csv_path(argc, argv),
+  bench::Csv csv(cli.get("csv", ""),
                  "driver,workload,source,m_equiv,ppn,nodes,sim_s,speedup,efficiency");
   Table t("Fig 9 — strong scaling, spins list at m(eq)=" + fmt_int(bench::m_equiv(k.m_actual)) +
           " (Blue Waters)");
@@ -48,7 +48,7 @@ int run(int argc, char** argv) {
     }
   }
   t.print();
-  mr.write(bench::metrics_path(argc, argv));
+  mr.write(cli.get("metrics", ""));
 
   std::cout << "\nShape to reproduce (paper Fig 9): speedup saturates after a\n"
                "few doublings; efficiency drops to roughly 60% and below as the\n"
@@ -60,7 +60,9 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    const tt::Cli cli(argc, argv);
+    cli.allow_only({"csv", "metrics", "ranks"});
+    return run(cli);
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -117,8 +117,9 @@ int run() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   try {
+    tt::Cli(argc, argv).allow_only({});
     return run();
   } catch (const tt::Error& e) {
     std::cerr << "error: " << e.what() << "\n";

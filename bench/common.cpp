@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -23,21 +22,6 @@ void print_driver_header(const std::string& driver) {
   std::cout << "[" << driver << "] linalg backend: " << linalg::backend_name()
             << " | threads: " << support::num_threads()
             << " | scale factor: " << scale_factor() << "\n\n";
-}
-
-std::string arg_value(int argc, char** argv, const char* flag,
-                      const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return fallback;
-}
-
-std::string csv_path(int argc, char** argv) {
-  return arg_value(argc, argv, "--csv");
-}
-
-std::string metrics_path(int argc, char** argv) {
-  return arg_value(argc, argv, "--metrics");
 }
 
 rt::MetricsRegistry make_metrics(const std::string& driver) {
@@ -311,16 +295,15 @@ dmrg::SweepRecord pipeline_smoke(const Workload& w, index_t m, int ranks,
 
 }  // namespace
 
-bool distributed_mode(int argc, char** argv, const std::string& driver,
-                      const Workload& w, const std::vector<index_t>& ms) {
-  Cli cli(argc, argv);
+bool distributed_mode(const Cli& cli, const std::string& driver, const Workload& w,
+                      const std::vector<index_t>& ms) {
   if (!cli.has("ranks")) return false;
   const long long ranks_arg = cli.get_int("ranks", 0);
   TT_CHECK(ranks_arg >= 2, "--ranks must be at least 2 (measured mode runs "
                            "real scheduler ranks), got " << ranks_arg);
   const int ranks = static_cast<int>(ranks_arg);
 
-  Csv csv(csv_path(argc, argv),
+  Csv csv(cli.get("csv", ""),
           "driver,workload,source,m_bench,m_equiv,ranks,mode,seconds,gemm_s,"
           "comm_s,imbalance_s,words_moved,bytes_moved,flops");
   rt::MetricsRegistry mr = make_metrics(driver);
@@ -394,7 +377,7 @@ bool distributed_mode(int argc, char** argv, const std::string& driver,
             << " execution on this host — bytes and idle tails are transport\n"
                "measurements, not cost-model output. Replayed rows (CSV) price\n"
                "the same numerics on a scaled virtual cluster instead.\n";
-  mr.write(metrics_path(argc, argv));
+  mr.write(cli.get("metrics", ""));
   return true;
 }
 

@@ -22,6 +22,7 @@
 #include "models/spin_half.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/scheduler.hpp"
+#include "support/cli.hpp"
 #include "support/table.hpp"
 
 namespace tt::bench {
@@ -32,19 +33,6 @@ namespace tt::bench {
 /// reproductions must note the backend — see docs/BENCHMARKS.md). Resolving
 /// the thread count here also makes a bad TT_THREADS fail before any work.
 void print_driver_header(const std::string& driver);
-
-/// Value of a "--flag <value>" argument, or `fallback` when absent.
-std::string arg_value(int argc, char** argv, const char* flag,
-                      const std::string& fallback = "");
-
-/// Value of a "--csv <path>" argument, or "" when absent.
-std::string csv_path(int argc, char** argv);
-
-/// Value of a "--metrics <path>" argument, or "" when absent. Drivers write a
-/// tt-metrics-v1 JSON document there (see runtime/metrics.hpp); passing the
-/// file to bench/trajectory_diff.py diffs its per-category breakdowns against
-/// the committed trajectory snapshot.
-std::string metrics_path(int argc, char** argv);
 
 /// MetricsRegistry pre-loaded with the context every driver shares: linalg
 /// backend, thread count, scale factor.
@@ -142,8 +130,8 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
 /// the BSP-replayed analogue rows for contrast), and return true — the
 /// driver exits. Returns false when "--ranks" is absent; throws tt::Error
 /// when N is not an integer of at least 2.
-bool distributed_mode(int argc, char** argv, const std::string& driver,
-                      const Workload& w, const std::vector<index_t>& ms);
+bool distributed_mode(const Cli& cli, const std::string& driver, const Workload& w,
+                      const std::vector<index_t>& ms);
 
 /// Single-node baseline ("ITensor" stand-in): reference engine on one node of
 /// `machine`. gflops_rate is used for the paper's extrapolated comparisons.

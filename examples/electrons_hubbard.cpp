@@ -28,6 +28,8 @@ tt::rt::MachineModel parse_machine(const std::string& s) {
 int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
+  cli.allow_only({"lx", "ly", "u", "m", "sweeps", "engine", "machine", "nodes", "ppn"},
+                 {"ed"});
   const int lx = static_cast<int>(cli.get_int("lx", 4));
   const int ly = static_cast<int>(cli.get_int("ly", 3));
   const double u = cli.get_double("u", 8.5);

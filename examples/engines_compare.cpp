@@ -19,6 +19,7 @@ namespace {
 int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
+  cli.allow_only({"system", "m", "nodes"});
   const std::string system = cli.get("system", "spins");
   const index_t m = cli.get_int("m", 48);
   const int nodes = static_cast<int>(cli.get_int("nodes", 4));

@@ -21,6 +21,7 @@ namespace {
 int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
+  cli.allow_only({"n", "m", "sweeps"});
   const int n = static_cast<int>(cli.get_int("n", 32));
   const index_t m = cli.get_int("m", 64);
   const int sweeps = static_cast<int>(cli.get_int("sweeps", 6));

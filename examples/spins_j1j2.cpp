@@ -29,6 +29,8 @@ tt::rt::MachineModel parse_machine(const std::string& s) {
 int run(int argc, char** argv) {
   using namespace tt;
   Cli cli(argc, argv);
+  cli.allow_only({"lx", "ly", "j2", "m", "sweeps", "engine", "machine", "nodes", "ppn"},
+                 {"ed"});
   const int lx = static_cast<int>(cli.get_int("lx", 6));
   const int ly = static_cast<int>(cli.get_int("ly", 4));
   const double j2 = cli.get_double("j2", 0.5);

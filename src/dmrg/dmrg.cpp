@@ -18,9 +18,10 @@ Dmrg::Dmrg(mps::Mps psi, mps::Mpo h, std::unique_ptr<ContractionEngine> engine)
   TT_CHECK(psi_.size() >= 2, "two-site DMRG needs at least two sites");
   psi_.canonicalize(0);
   psi_.normalize();
-  // The initial environment graph is amortized setup (every engine produces
-  // identical tensors): build it with the fast reference kernels; all
-  // in-sweep production still runs — and is charged — through the main engine.
+  // The initial environment graph is amortized setup (every engine runs the
+  // same block-wise kernels): a separate builder keeps it off the main
+  // engine's tracker, op log and scheduler; all in-sweep production still
+  // runs — and is charged — through the main engine.
   auto builder = make_engine(EngineKind::kReference, engine_->cluster());
   envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, builder.get());
 }

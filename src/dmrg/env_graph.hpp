@@ -57,9 +57,9 @@ class EnvGraph {
 
   /// Builds every interior node eagerly (the classic stack construction).
   /// When `builder` is non-null it executes this initial, amortized
-  /// construction while `eng` remains the engine for all later production —
-  /// the benches use a fast reference builder so a measured step reflects
-  /// only the target engine.
+  /// construction while `eng` remains the engine for all later production.
+  /// Every engine runs the same kernels; the builder only keeps setup off
+  /// `eng`'s tracker, op log and scheduler.
   EnvGraph(ContractionEngine& eng, const mps::Mps& psi, const mps::Mpo& h,
            ContractionEngine* builder = nullptr);
   ~EnvGraph();

@@ -42,13 +42,12 @@ constexpr double kWorkerIdleTimeout = 3600.0;
 struct WorkerTask {
   std::string spec;
   int threads = 1;
-  bool collect_ops = false;
   bool kill_before_result = false;
   bool fail_task = false;
   double timeout_seconds = kDefaultTimeoutSeconds;
   std::vector<tensor::DenseTensor> table_a, table_b;
   std::vector<std::uint64_t> bin_index;   // global bin ids, root's order
-  std::vector<symm::OutputBin> bins;      // keys unused (wire ships no keys)
+  std::vector<symm::OutputBin> bins;      // blocks only: no keys, no costs
 };
 
 WorkerTask parse_task(const std::vector<std::byte>& payload) {
@@ -56,7 +55,6 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
   WorkerTask task;
   task.spec = r.str();
   task.threads = static_cast<int>(r.u32());
-  task.collect_ops = r.u32() != 0;
   task.kill_before_result = r.u32() != 0;
   task.fail_task = r.u32() != 0;
   task.timeout_seconds = r.f64();
@@ -85,7 +83,7 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
     task.bin_index.push_back(r.u64());
     symm::OutputBin bin;
     const std::uint64_t npairs = r.u64();
-    TT_CHECK(npairs <= r.remaining() / 8,
+    TT_CHECK(npairs >= 1 && npairs <= r.remaining() / 8,
              "task bin claims " << npairs << " pairs in " << r.remaining() << " bytes");
     bin.pairs.reserve(static_cast<std::size_t>(npairs));
     for (std::uint64_t p = 0; p < npairs; ++p) {
@@ -94,10 +92,7 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
       TT_CHECK(ia < task.table_a.size() && ib < task.table_b.size(),
                "task bin references block (" << ia << "," << ib
                                              << ") outside the shipped tables");
-      symm::BinPair pw;  // keys are not shipped; execute_bin never reads them
-      pw.ablk = &task.table_a[ia];
-      pw.bblk = &task.table_b[ib];
-      bin.pairs.push_back(pw);
+      bin.pairs.push_back({&task.table_a[ia], &task.table_b[ib], {}});
     }
     task.bins.push_back(std::move(bin));
   }
@@ -108,34 +103,24 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
 // Executes one parsed task and serializes the reply payload.
 std::vector<std::byte> run_task(const WorkerTask& task) {
   TT_TRACE_SPAN("sched.worker_task", TraceCat::kContract);
-  std::vector<symm::BinExecution> done(task.bins.size());
+  std::vector<tensor::DenseTensor> done(task.bins.size());
   Timer busy;
   support::parallel_for(
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
-            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec,
-                              task.collect_ops);
+            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
 
+  // Results only: the root prices every bin from its own bin list.
   WireWriter w;
   w.f64(busy_seconds);
   w.u64(done.size());
   for (std::size_t i = 0; i < done.size(); ++i) {
-    const symm::BinExecution& bin = done[i];
     w.u64(task.bin_index[i]);
-    w.f64(bin.flops);
-    w.f64(bin.permuted_words);
-    w.u64(bin.ops.size());
-    for (const symm::BlockOpCost& op : bin.ops) {
-      w.f64(op.flops);
-      w.f64(op.words_a);
-      w.f64(op.words_b);
-      w.f64(op.words_c);
-    }
-    w.tensor(bin.result);
+    w.tensor(done[i]);
   }
   return w.take();
 }
@@ -181,13 +166,11 @@ void worker_loop(int rank, Channel& ch) {
         return;
       }
       ch.send_frame(kTagResult, reply, task.timeout_seconds);
-    } catch (const Error& e) {
-      // Keep the frame protocol aligned: the root gets an error frame where
-      // it expected a result, and throws on its side.
+    } catch (const Error&) {
+      // Keep the frame protocol aligned: the root gets an (empty) error frame
+      // where it expected a result, and re-executes this rank's bins itself.
       try {
-        WireWriter w;
-        w.str(e.what());
-        ch.send_frame(kTagError, w.take(), timeout);
+        ch.send_frame(kTagError, {}, timeout);
       } catch (const Error&) {
         return;  // cannot even report: root will see EOF on our exit
       }
@@ -224,7 +207,6 @@ void DistStats::merge(const DistStats& other) {
   critical_busy_seconds += other.critical_busy_seconds;
   imbalance_seconds += other.imbalance_seconds;
   recovery_seconds += other.recovery_seconds;
-  replicated_operand = other.replicated_operand;
 }
 
 Scheduler::Scheduler(const SchedulerOptions& opts) : opts_(opts) {
@@ -325,14 +307,10 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
                                       const symm::BlockTensor& b,
                                       const std::vector<std::pair<int, int>>& pairs,
                                       symm::ContractStats* stats) {
-  TT_CHECK(!broken_,
-           "scheduler is broken after a failed exchange; construct a new one");
   TT_TRACE_SPAN("sched.contract", TraceCat::kScheduler);
   const symm::ContractPlan plan = symm::make_contract_plan(a, b, pairs);
   symm::BlockTensor c(plan.out_indices, plan.out_flux);
   const std::vector<symm::OutputBin> bins = symm::enumerate_bins(a, b, pairs, plan);
-  const bool collect_ops = stats != nullptr;
-  const bool healing = opts_.retry.max_attempts > 0;
   FaultInjector& inj = FaultInjector::instance();
 
   // --- placement -------------------------------------------------------------
@@ -360,7 +338,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
   DistStats d;
   d.ranks.resize(static_cast<std::size_t>(opts_.num_ranks));
   d.contractions = 1;
-  d.replicated_operand = replicated;
 
   // Failure capture: a failed slot's bins are re-executed on the root; a
   // *dead* rank (EOF, timeout, desync, corrupt frame) is additionally healed
@@ -415,7 +392,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       WireWriter w;
       w.str(plan.spec);
       w.u32(static_cast<std::uint32_t>(opts_.worker_threads));
-      w.u32(collect_ops ? 1 : 0);
       // Root-decided worker faults travel inside the task frame (see
       // WorkerTask) so their counters are exact in both spawn modes.
       w.u32(inj.should_fire("worker.kill_before_result", r, FaultSide::kWorker) ? 1 : 0);
@@ -445,10 +421,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       try {
         ch.send_frame(kTagTask, w.bytes(), opts_.timeout_seconds);
       } catch (const Error&) {
-        if (!healing) {
-          broken_ = true;
-          throw;
-        }
         record_failure(s, r, /*dead=*/true);
         continue;
       }
@@ -459,7 +431,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
   }
 
   // --- execute the root's own share while the workers run theirs -------------
-  std::vector<symm::BinExecution> done(bins.size());
+  std::vector<tensor::DenseTensor> done(bins.size());
   {
     TT_TRACE_SPAN("sched.root_bins", TraceCat::kContract);
     const std::vector<std::size_t>& mine = slot_bins[0];
@@ -468,12 +440,12 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
+          done[g] = symm::execute_bin(bins[g], plan.spec);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
     d.ranks[0].bins = static_cast<int>(mine.size());
-    for (std::size_t g : mine) d.ranks[0].flops += done[g].flops;
+    for (std::size_t g : mine) d.ranks[0].flops += bins[g].est_flops;
   }
 
   // --- gather worker results in fixed slot order -----------------------------
@@ -491,10 +463,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       } catch (const Error&) {
         // EOF (dead), timeout (wedged), or checksum mismatch (corrupt): the
         // rank's protocol state is unknown — retire/respawn it in heal().
-        if (!healing) {
-          broken_ = true;
-          throw;
-        }
         record_failure(s, r, /*dead=*/true);
         continue;
       }
@@ -502,19 +470,8 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       d.comm_seconds += ch.recv_seconds() - rs0;
 
       if (f.tag == kTagError) {
-        // The report itself may be damaged (e.g. wire.truncate hitting the
-        // worker's error-frame build); an unreadable message must not escape
-        // the healing path.
-        std::string msg = "(unreadable error frame)";
-        try {
-          WireReader er(f.payload);
-          msg = er.str();
-        } catch (const Error&) {
-        }
-        if (!healing) {
-          broken_ = true;
-          TT_FAIL("scheduler rank " << r << " failed: " << msg);
-        }
+        // The worker failed its task but stays alive and frame-aligned; its
+        // message is not parsed, so a damaged report cannot escape healing.
         record_failure(s, r, /*dead=*/false);
         continue;
       }
@@ -534,34 +491,14 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           const std::uint64_t g = reader.u64();
           TT_CHECK(g == expect[i], "scheduler rank " << r << " returned bin " << g
                                                      << ", expected " << expect[i]);
-          symm::BinExecution& bin = done[static_cast<std::size_t>(g)];
-          bin.flops = reader.f64();
-          bin.permuted_words = reader.f64();
-          const std::uint64_t nops = reader.u64();
-          // 4 doubles per op on the wire; bound before the resize so a
-          // corrupt count heals instead of OOMing the root.
-          TT_CHECK(nops <= reader.remaining() / 32,
-                   "result bin claims " << nops << " ops in "
-                                        << reader.remaining() << " bytes");
-          bin.ops.resize(static_cast<std::size_t>(nops));
-          for (symm::BlockOpCost& op : bin.ops) {
-            op.flops = reader.f64();
-            op.words_a = reader.f64();
-            op.words_b = reader.f64();
-            op.words_c = reader.f64();
-          }
-          bin.result = reader.tensor();
-          rr.flops += bin.flops;
-          d.exchange_words += static_cast<double>(bin.result.size());
+          done[expect[i]] = reader.tensor();
+          rr.flops += bins[expect[i]].est_flops;
+          d.exchange_words += static_cast<double>(done[expect[i]].size());
         }
       } catch (const Error&) {
         // Unparseable or desynchronized reply. Any partially-parsed bins are
         // recomputed below (deterministically, so still bitwise identical);
         // the rank itself is in unknown protocol state — heal it.
-        if (!healing) {
-          broken_ = true;
-          throw;
-        }
         rr.bins = 0;
         rr.flops = 0.0;
         rr.busy_seconds = 0.0;
@@ -587,27 +524,19 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.spec, collect_ops);
+            done[g] = symm::execute_bin(bins[g], plan.spec);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();
       d.ranks[0].bins += static_cast<int>(makeup.size());
-      for (std::size_t g : makeup) d.ranks[0].flops += done[g].flops;
+      for (std::size_t g : makeup) d.ranks[0].flops += bins[g].est_flops;
     }
   }
 
   // --- deterministic assembly + reduction in global bin order ----------------
   for (std::size_t g = 0; g < bins.size(); ++g)
-    c.accumulate(bins[g].out_key, std::move(done[g].result));
-  if (stats) {
-    stats->num_bins += static_cast<int>(bins.size());
-    for (symm::BinExecution& bin : done) {
-      stats->total_flops += bin.flops;
-      stats->permuted_words += bin.permuted_words;
-      stats->block_ops.insert(stats->block_ops.end(), bin.ops.begin(),
-                              bin.ops.end());
-    }
-  }
+    c.accumulate(bins[g].out_key, std::move(done[g]));
+  if (stats) symm::add_bin_stats(bins, *stats);
 
   // --- measured cost bookkeeping ---------------------------------------------
   double max_busy = 0.0;

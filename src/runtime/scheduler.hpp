@@ -14,11 +14,13 @@
 //      Every byte is counted — communication volume is measured, not modeled.
 //   3. Workers execute their bins on the work-stealing pool (each bin serial
 //      in fixed pair order), concurrently with the root executing its own
-//      share, and send back per-bin results and per-bin stats.
-//   4. Root assembles output blocks and merges ContractStats in *global bin
-//      order* — the same reduction order as the serial run — so results and
-//      stats are bitwise identical at any rank count, the same invariant the
-//      TT_THREADS executor guarantees for threads.
+//      share, and send back only their busy time and the result block of
+//      each bin — no stats: the root prices every bin from its own bin list.
+//   4. Root assembles output blocks in *global bin order* — the same order as
+//      the serial run — and fills ContractStats from the bin list
+//      (symm::add_bin_stats), so results and stats are bitwise identical at
+//      any rank count, the same invariant the TT_THREADS executor guarantees
+//      for threads.
 //
 // Measured per-rank quantities (busy time, bytes each way, transport wall
 // time) land in DistStats, in fixed rank order: the critical (max) rank's busy
@@ -56,8 +58,7 @@ constexpr double kDefaultTimeoutSeconds = 120.0;
 struct RetryPolicy {
   /// Respawns allowed per rank over the scheduler's lifetime. A rank that
   /// exhausts them is retired (its bin share folds into the survivors).
-  /// 0 disables self-healing entirely: the first fault breaks the scheduler
-  /// and contract() throws — the pre-recovery fail-fast behaviour.
+  /// 0 = never respawn: a rank is retired at its first fault.
   int max_attempts = 2;
 
   /// Exponential backoff before respawn attempt k sleeps
@@ -109,7 +110,7 @@ struct SchedulerStats {
 struct DistStats {
   struct Rank {
     int bins = 0;                ///< output bins executed by this rank
-    double flops = 0.0;          ///< measured einsum flops of those bins
+    double flops = 0.0;          ///< Σ est_flops of those bins (from shapes)
     double busy_seconds = 0.0;   ///< wall time executing bins
     double bytes_sent = 0.0;     ///< root -> rank frame bytes (operands)
     double bytes_received = 0.0; ///< rank -> root frame bytes (results)
@@ -122,7 +123,6 @@ struct DistStats {
   double critical_busy_seconds = 0.0;  ///< Σ over contractions of max-rank busy
   double imbalance_seconds = 0.0;      ///< Σ over contractions, ranks of (max − busy)
   double recovery_seconds = 0.0;       ///< makeup execution + respawn/backoff wall
-  int replicated_operand = 0;    ///< most recent contraction: 0 = a, 1 = b
 
   double total_bytes() const;
   double total_flops() const;
@@ -150,19 +150,16 @@ class Scheduler {
   /// `stats` is given) ContractStats — bitwise, at any rank count. Measured
   /// communication/imbalance of this call lands in last() and accumulated().
   ///
-  /// Self-healing (opts.retry.max_attempts > 0, the default): a worker that
-  /// dies, wedges past the timeout, fails its task, or returns a corrupt or
-  /// unparseable frame does NOT fail the call — the root re-executes that
-  /// rank's bin share itself (results and ContractStats stay bitwise
+  /// Self-healing: a worker that dies, wedges past the timeout, fails its
+  /// task, or returns a corrupt or unparseable frame does NOT fail the call —
+  /// the root re-executes that rank's bin share itself (results stay bitwise
   /// identical to the fault-free run, since assembly order and per-bin
-  /// execution are deterministic), then respawns the rank with exponential
-  /// backoff, retiring it once its attempts are exhausted. When every worker
-  /// is gone the scheduler degrades to serial root execution. Recovery cost
-  /// is measured into DistStats::recovery_seconds and counted in stats().
-  ///
-  /// With retry.max_attempts == 0, any fault throws tt::Error and the
-  /// scheduler is broken (workers in unknown protocol state): every later
-  /// contract() throws until destruction — the pre-recovery behaviour.
+  /// execution are deterministic, and ContractStats come from the bin list
+  /// alone), then respawns the rank with exponential backoff, retiring it
+  /// once its retry.max_attempts are exhausted (at once when that is 0). When
+  /// every worker is gone the scheduler degrades to serial root execution.
+  /// Recovery cost is measured into DistStats::recovery_seconds and counted
+  /// in stats().
   symm::BlockTensor contract(const symm::BlockTensor& a, const symm::BlockTensor& b,
                              const std::vector<std::pair<int, int>>& pairs,
                              symm::ContractStats* stats = nullptr);
@@ -173,7 +170,7 @@ class Scheduler {
   void reset_accumulated() { accumulated_ = DistStats{}; }
 
   /// Fault injection (process mode): SIGKILL a worker. The next contract()
-  /// observes the dead peer — and heals it or throws, per the retry policy.
+  /// observes the dead peer and heals it per the retry policy.
   void kill_rank(int rank);
 
   /// Lifetime recovery counters (see SchedulerStats).
@@ -198,7 +195,6 @@ class Scheduler {
   SchedulerStats stats_;
   std::vector<char> live_;             // index = rank; rank 0 always live
   std::vector<int> respawn_attempts_;  // index = rank
-  bool broken_ = false;
 };
 
 }  // namespace tt::rt

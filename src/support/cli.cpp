@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -21,7 +22,7 @@ Cli::Cli(int argc, const char* const* argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[body] = argv[++i];
     } else {
-      flags_[body] = "true";  // boolean switch
+      flags_[body] = "";  // boolean switch
     }
   }
 }
@@ -38,7 +39,8 @@ long long Cli::get_int(const std::string& name, long long def) const {
   if (it == flags_.end()) return def;
   char* end = nullptr;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
-  TT_CHECK(end && *end == '\0', "flag --" << name << " is not an integer: " << it->second);
+  TT_CHECK(!it->second.empty() && *end == '\0',
+           "flag --" << name << " is not an integer: '" << it->second << "'");
   return v;
 }
 
@@ -47,7 +49,8 @@ double Cli::get_double(const std::string& name, double def) const {
   if (it == flags_.end()) return def;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  TT_CHECK(end && *end == '\0', "flag --" << name << " is not a number: " << it->second);
+  TT_CHECK(!it->second.empty() && *end == '\0',
+           "flag --" << name << " is not a number: '" << it->second << "'");
   return v;
 }
 
@@ -55,7 +58,7 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v.empty() || v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   TT_FAIL("flag --" << name << " is not a boolean: " << v);
 }
@@ -65,6 +68,25 @@ std::vector<std::string> Cli::flag_names() const {
   names.reserve(flags_.size());
   for (const auto& [k, _] : flags_) names.push_back(k);
   return names;
+}
+
+void Cli::allow_only(const std::vector<std::string>& value_flags,
+                     const std::vector<std::string>& switches) const {
+  TT_CHECK(positional_.empty(), "unexpected argument '" << positional_.front() << "'");
+  auto listed = [](const std::vector<std::string>& names, const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const std::string& name : flag_names()) {
+    if (listed(switches, name)) continue;
+    if (!listed(value_flags, name)) {
+      std::string known;
+      for (const auto& list : {value_flags, switches})
+        for (const std::string& k : list) known += " --" + k;
+      TT_FAIL("unknown flag --" << name << " (accepted:"
+                                << (known.empty() ? " none" : known) << ")");
+    }
+    TT_CHECK(!get(name, "").empty(), "flag --" << name << " needs a value");
+  }
 }
 
 }  // namespace tt

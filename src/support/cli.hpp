@@ -1,6 +1,7 @@
 // Tiny command-line flag parser for the example and benchmark executables.
 //
-// Supports "--name value" and "--name=value" forms plus boolean switches.
+// Supports "--name value" and "--name=value" forms plus boolean switches (a
+// bare "--name": get_bool reads it as true, get() as the empty string).
 #pragma once
 
 #include <map>
@@ -26,6 +27,11 @@ class Cli {
 
   /// Names of all flags seen; used to reject typos in strict tools.
   std::vector<std::string> flag_names() const;
+
+  /// Throw tt::Error unless every flag seen is one of `value_flags`, given
+  /// with a non-empty value, or one of `switches`, and nothing is positional.
+  void allow_only(const std::vector<std::string>& value_flags,
+                  const std::vector<std::string>& switches = {}) const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -94,6 +94,7 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
       (void)mb;
       k_dim *= static_cast<double>(akv.second.dim(ma));
     }
+    const auto words_a = static_cast<double>(akv.second.size());
 
     for (const auto* bkv : git->second) {
       BlockKey ckey;
@@ -106,40 +107,33 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
         bins.emplace_back();
         bins.back().out_key = it->first;
       }
-      OutputBin& bin = bins[it->second];
-      bin.pairs.push_back({&akey, &bkv->first, &akv.second, &bkv->second});
       double n_dim = 1.0;
       for (int m : plan.free_b)
         n_dim *= static_cast<double>(bkv->second.dim(m));
-      bin.est_flops += 2.0 * m_dim * n_dim * k_dim;
+      const BlockOpCost cost{2.0 * m_dim * n_dim * k_dim, words_a,
+                             static_cast<double>(bkv->second.size()), m_dim * n_dim};
+      OutputBin& bin = bins[it->second];
+      bin.pairs.push_back({&akv.second, &bkv->second, cost});
+      bin.est_flops += cost.flops;
     }
   }
   return bins;
 }
 
-BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
-                         bool collect_ops) {
-  BinExecution out;
-  bool first = true;
-  for (const BinPair& pw : bin.pairs) {
-    tensor::EinsumStats es;
-    tensor::DenseTensor cblk = tensor::einsum(spec, *pw.ablk, *pw.bblk, &es);
-    if (first) {
-      out.result = std::move(cblk);
-      first = false;
-    } else {
-      out.result.axpy(1.0, cblk);
+void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
+  stats.num_bins += static_cast<int>(bins.size());
+  for (const OutputBin& bin : bins)
+    for (const BinPair& pw : bin.pairs) {
+      stats.total_flops += pw.cost.flops;
+      stats.block_ops.push_back(pw.cost);
     }
+}
 
-    BlockOpCost op;
-    op.flops = es.flops;
-    op.words_a = static_cast<double>(pw.ablk->size());
-    op.words_b = static_cast<double>(pw.bblk->size());
-    op.words_c = static_cast<double>(es.m) * static_cast<double>(es.n);
-    out.flops += es.flops;
-    out.permuted_words += es.permuted_words;
-    if (collect_ops) out.ops.push_back(op);
-  }
+tensor::DenseTensor execute_bin(const OutputBin& bin, const std::string& spec) {
+  tensor::DenseTensor out = tensor::einsum(spec, *bin.pairs.front().ablk,
+                                           *bin.pairs.front().bblk);
+  for (std::size_t p = 1; p < bin.pairs.size(); ++p)
+    out.axpy(1.0, tensor::einsum(spec, *bin.pairs[p].ablk, *bin.pairs[p].bblk));
   return out;
 }
 
@@ -151,15 +145,14 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
   BlockTensor c(plan.out_indices, plan.out_flux);
 
   const std::vector<OutputBin> bins = enumerate_bins(a, b, pairs, plan);
-  std::vector<BinExecution> done(bins.size());
+  std::vector<tensor::DenseTensor> done(bins.size());
 
-  const bool collect_ops = stats != nullptr;
   support::parallel_for(
       static_cast<index_t>(bins.size()),
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
         done[static_cast<std::size_t>(bi)] =
-            execute_bin(bins[static_cast<std::size_t>(bi)], plan.spec, collect_ops);
+            execute_bin(bins[static_cast<std::size_t>(bi)], plan.spec);
       },
       opts.num_threads);
 
@@ -167,18 +160,8 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
   // is populated); accumulate() shape-checks each block against the output
   // structure.
   for (std::size_t bi = 0; bi < bins.size(); ++bi)
-    c.accumulate(bins[bi].out_key, std::move(done[bi].result));
-
-  // Deterministic cross-bin reduction: merge in bin order.
-  if (stats) {
-    stats->num_bins += static_cast<int>(bins.size());
-    for (BinExecution& bin : done) {
-      stats->total_flops += bin.flops;
-      stats->permuted_words += bin.permuted_words;
-      stats->block_ops.insert(stats->block_ops.end(), bin.ops.begin(),
-                              bin.ops.end());
-    }
-  }
+    c.accumulate(bins[bi].out_key, std::move(done[bi]));
+  if (stats) add_bin_stats(bins, *stats);
   return c;
 }
 

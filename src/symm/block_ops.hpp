@@ -2,16 +2,17 @@
 //
 // Enumerates pairs of blocks whose contracted sector labels match, contracts
 // each pair with the dense einsum kernel, and accumulates results into the
-// output block keyed by the remaining labels. Per-block-pair costs are
-// reported so the list engine can charge the Table II cost model block-wise.
+// output block keyed by the remaining labels. Per-block-pair costs are priced
+// from block shapes at enumeration, so the list engine can charge the Table II
+// cost model block-wise without observing execution.
 //
 // Execution is thread-parallel: the block-pair list is binned by output block
 // key, bins run concurrently on the shared work-stealing pool
 // (support/thread_pool.hpp, TT_THREADS knob), and each bin accumulates its
 // output block in the fixed pair-enumeration order. Because every output
-// block is owned by exactly one bin and all cross-bin reductions (stats)
-// merge in bin order, results and stats are bitwise identical at any thread
-// count — including the serial path.
+// block is owned by exactly one bin and stats come from the bin list alone,
+// results and stats are bitwise identical at any thread count — including the
+// serial path.
 #pragma once
 
 #include <utility>
@@ -29,10 +30,9 @@ struct BlockOpCost {
   double words_c = 0.0;
 };
 
-/// Aggregate execution record of one block-sparse contraction.
+/// Aggregate cost record of one block-sparse contraction (see add_bin_stats).
 struct ContractStats {
   double total_flops = 0.0;
-  double permuted_words = 0.0;
   std::vector<BlockOpCost> block_ops;  ///< one entry per block pair contracted
   int num_bins = 0;  ///< distinct output blocks touched (executor bin count)
 };
@@ -58,13 +58,11 @@ ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
                                 const std::vector<std::pair<int, int>>& pairs);
 
 /// One block pair of an output bin. Pointers refer into the operand tensors'
-/// block maps (stable for the operands' lifetime); keys identify the blocks
-/// independently of the map (the distributed scheduler ships blocks by key).
+/// block maps (stable for the operands' lifetime).
 struct BinPair {
-  const BlockKey* akey = nullptr;
-  const BlockKey* bkey = nullptr;
   const tensor::DenseTensor* ablk = nullptr;
   const tensor::DenseTensor* bblk = nullptr;
+  BlockOpCost cost;  ///< from block shapes: 2·m·n·k flops, words of a, b, c
 };
 
 /// All pairs contributing to one output block — the unit of parallel and of
@@ -72,9 +70,7 @@ struct BinPair {
 struct OutputBin {
   BlockKey out_key;
   std::vector<BinPair> pairs;
-  /// 2·m·n·k summed over pairs, from block shapes alone — the placement
-  /// weight used by the rank partitioner (never fed into ContractStats).
-  double est_flops = 0.0;
+  double est_flops = 0.0;  ///< Σ pairs' cost.flops (rank placement weight)
 };
 
 /// The Algorithm 2 block-pair list binned by output block key. Bin order and
@@ -87,19 +83,14 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
                                       const std::vector<std::pair<int, int>>& pairs,
                                       const ContractPlan& plan);
 
-/// Execution record of one bin (the per-bin slice of ContractStats).
-struct BinExecution {
-  tensor::DenseTensor result;
-  std::vector<BlockOpCost> ops;  ///< pair order; filled when collect_ops
-  double flops = 0.0;
-  double permuted_words = 0.0;
-};
+/// Append the bins' pair costs to `stats` in bin order. The bin list is the
+/// contraction's only cost record: stats never depend on who executed a bin.
+void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats);
 
 /// Contract every pair of `bin` in pair order, accumulating into one output
 /// block. Deterministic: one thread, fixed order — callers parallelize
 /// *across* bins.
-BinExecution execute_bin(const OutputBin& bin, const std::string& spec,
-                         bool collect_ops);
+tensor::DenseTensor execute_bin(const OutputBin& bin, const std::string& spec);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg
 /// pairs must be contractible (equal sector lists, opposite directions).

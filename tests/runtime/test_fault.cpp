@@ -340,14 +340,19 @@ TEST_P(FaultModes, DegradesToSerialWhenWorkersKeepDying) {
   sched.shutdown();
 }
 
-TEST_P(FaultModes, HealingDisabledReproducesFailFast) {
+TEST_P(FaultModes, ZeroAttemptsRetiresRankAtFirstFault) {
   auto [a, b] = many_block_pair(58);
+  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}});
   FaultInjector::instance().configure("worker.kill_before_result:nth=1;rank=1");
   SchedulerOptions opts = two_rank_opts(GetParam());
-  opts.retry.max_attempts = 0;  // legacy behaviour: first fault breaks it
+  opts.retry.max_attempts = 0;  // never respawn
   Scheduler sched(opts);
-  EXPECT_THROW((void)sched.contract(a, b, {{2, 0}}), tt::Error);
-  EXPECT_THROW((void)sched.contract(a, b, {{2, 0}}), tt::Error);
+  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_EQ(sched.stats().faults_detected, 1);
+  EXPECT_EQ(sched.stats().respawns, 0);
+  EXPECT_EQ(sched.stats().ranks_lost, 1);
+  EXPECT_TRUE(sched.stats().degraded);
+  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
   sched.shutdown();
 }
 

@@ -65,6 +65,26 @@ TEST(Cli, HasDetectsPresence) {
   EXPECT_FALSE(c.has("absent"));
 }
 
+TEST(Cli, AllowOnlyAcceptsDeclaredFlags) {
+  EXPECT_NO_THROW(make({"--m", "8", "--verbose"}).allow_only({"m", "csv"}, {"verbose"}));
+  EXPECT_NO_THROW(make({"--verbose", "off"}).allow_only({}, {"verbose"}));
+  EXPECT_NO_THROW(make({}).allow_only({}));
+}
+
+TEST(Cli, AllowOnlyRejectsUnknownFlagsMissingValuesAndPositionals) {
+  EXPECT_THROW(make({"--bogus"}).allow_only({"csv"}), tt::Error);
+  EXPECT_THROW(make({"--bogus", "1"}).allow_only({}), tt::Error);
+  EXPECT_THROW(make({"--metrics"}).allow_only({"metrics"}), tt::Error);
+  EXPECT_THROW(make({"--metrics", "--csv", "x"}).allow_only({"metrics", "csv"}), tt::Error);
+  EXPECT_THROW(make({"--metrics="}).allow_only({"metrics"}), tt::Error);
+  EXPECT_THROW(make({"stray"}).allow_only({}), tt::Error);
+}
+
+TEST(Cli, BareFlagIsNoNumber) {
+  EXPECT_THROW(make({"--m"}).get_int("m", 0), tt::Error);
+  EXPECT_THROW(make({"--cutoff"}).get_double("cutoff", 0.0), tt::Error);
+}
+
 TEST(Cli, NegativeNumberAsValue) {
   Cli c = make({"--shift", "-3"});
   EXPECT_EQ(c.get_int("shift", 0), -3);

@@ -92,6 +92,30 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
     sum += op.flops;
   }
   EXPECT_DOUBLE_EQ(sum, st.total_flops);
+
+  // The costs are priced from block shapes at enumeration; they must equal
+  // what executing each pair measures, bitwise, in bin order.
+  auto expect_priced_as_executed = [](const BlockTensor& x, const BlockTensor& y,
+                                      const std::vector<std::pair<int, int>>& pairs) {
+    ContractStats priced;
+    tt::symm::contract(x, y, pairs, &priced);
+    const tt::symm::ContractPlan plan = tt::symm::make_contract_plan(x, y, pairs);
+    std::size_t i = 0;
+    for (const auto& bin : tt::symm::enumerate_bins(x, y, pairs, plan))
+      for (const auto& pw : bin.pairs) {
+        ASSERT_LT(i, priced.block_ops.size());
+        tt::tensor::EinsumStats es;
+        (void)tt::tensor::einsum(plan.spec, *pw.ablk, *pw.bblk, &es);
+        const auto& op = priced.block_ops[i++];
+        EXPECT_EQ(op.flops, es.flops);
+        EXPECT_EQ(op.words_a, static_cast<double>(pw.ablk->size()));
+        EXPECT_EQ(op.words_b, static_cast<double>(pw.bblk->size()));
+        EXPECT_EQ(op.words_c, static_cast<double>(es.m) * static_cast<double>(es.n));
+      }
+    EXPECT_EQ(i, priced.block_ops.size());
+  };
+  expect_priced_as_executed(a, b, {{2, 0}});
+  expect_priced_as_executed(a, a.dagger(), {{1, 1}, {2, 2}});
 }
 
 TEST(BlockContract, RejectsNonContractibleLegs) {
