@@ -5,8 +5,11 @@
 // benches.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "common.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "symm/block_ops.hpp"
 #include "tensor/einsum.hpp"
@@ -78,16 +81,29 @@ void BM_EinsumDense(benchmark::State& state) {
 }
 BENCHMARK(BM_EinsumDense)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
 
+// range(1) == 0: a random 2n×n matrix. range(1) == 1: a square n×n one whose
+// singular values fall over twelve decades, like the near-square groups the
+// DMRG truncation factors (150 is about the largest at m = 256).
 void BM_Svd(benchmark::State& state) {
   const index_t n = state.range(0);
   Rng rng(5);
   auto a = tt::linalg::Matrix::random(2 * n, n, rng);
+  if (state.range(1) == 1) {
+    auto q = tt::linalg::qr(tt::linalg::Matrix::random(n, n, rng)).q;
+    const auto w = tt::linalg::qr(tt::linalg::Matrix::random(n, n, rng)).q;
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) q(i, j) *= std::pow(10.0, -12.0 * j / (n - 1));
+    a = tt::linalg::matmul(false, true, q, w);
+  }
   for (auto _ : state) {
     auto f = tt::linalg::svd(a);
     benchmark::DoNotOptimize(f.s.data());
   }
 }
-BENCHMARK(BM_Svd)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Svd)
+    ->ArgNames({"n", "graded"})
+    ->Args({32, 0})->Args({64, 0})->Args({128, 0})->Args({150, 1})->Args({512, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BlockContract(benchmark::State& state) {
   const index_t m = state.range(0);

@@ -5,7 +5,7 @@
 // Backend. Two implementations exist:
 //
 //   "builtin"  the self-contained kernels in this directory (packed
-//              micro-kernel GEMM, QR-preprocessed Jacobi SVD, Householder QR,
+//              micro-kernel GEMM, Golub–Kahan–Reinsch SVD, Householder QR,
 //              cyclic Jacobi eigensolver). Always available; bitwise
 //              deterministic at any TT_THREADS.
 //   "blas"     vendor BLAS/LAPACK (dgemm/dgemv/dgesdd/dgeqrf+dorgqr/dsyevd),

@@ -1,9 +1,9 @@
 // QR and LQ factorizations (dispatched through linalg::Backend).
 //
 // Used for MPS canonicalization (paper §II.C: the left/right environments are
-// kept orthogonal by QR-factoring each site) and as the preprocessing step of
-// the one-sided Jacobi SVD. qr() routes to the active backend: the builtin
-// Householder factorization below, or LAPACK dgeqrf+dorgqr under TT_WITH_BLAS.
+// kept orthogonal by QR-factoring each site). qr() routes to the active
+// backend: the builtin Householder factorization below, or LAPACK
+// dgeqrf+dorgqr under TT_WITH_BLAS.
 #pragma once
 
 #include "linalg/matrix.hpp"

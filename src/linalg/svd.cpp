@@ -2,145 +2,206 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/qr.hpp"
-#include "support/rng.hpp"
 
 namespace tt::linalg {
 
 namespace {
 
-constexpr int kMaxSweeps = 60;
-constexpr real_t kConvergence = 1.0e-14;
+// Bidiagonal QR steps allowed per singular value (n times this in all).
+constexpr int kMaxStepsPerValue = 75;
+constexpr real_t kEps = std::numeric_limits<real_t>::epsilon();
 
-// One-sided Jacobi on a square n×n matrix given as wt = Aᵀ (so "columns of A"
-// are contiguous rows of wt). Rotates row pairs of wt and of vr (whose row i
-// holds the i-th right singular vector) until all column pairs of A are
-// numerically orthogonal.
-void jacobi_orthogonalize(Matrix& wt, Matrix& vr) {
-  const index_t n = wt.rows();
-  const index_t m = wt.cols();
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    real_t off = 0.0;
-    for (index_t i = 0; i < n - 1; ++i) {
-      for (index_t j = i + 1; j < n; ++j) {
-        real_t* wi = wt.row(i);
-        real_t* wj = wt.row(j);
-        real_t aii = 0.0, ajj = 0.0, aij = 0.0;
-        for (index_t k = 0; k < m; ++k) {
-          aii += wi[k] * wi[k];
-          ajj += wj[k] * wj[k];
-          aij += wi[k] * wj[k];
-        }
-        if (aii == 0.0 || ajj == 0.0) continue;
-        // sqrt(aii)*sqrt(ajj), not sqrt(aii*ajj): the product underflows to
-        // zero for subnormal column norms, turning `rel` into a division by
-        // zero (NaN when aij == 0 too) that then poisons the rotation.
-        const real_t denom = std::sqrt(aii) * std::sqrt(ajj);
-        if (denom == 0.0) continue;
-        const real_t rel = std::abs(aij) / denom;
-        off = std::max(off, rel);
-        if (rel <= kConvergence) continue;
-        // Jacobi rotation zeroing the (i,j) Gram entry.
-        const real_t zeta = (ajj - aii) / (2.0 * aij);
-        const real_t t = ((zeta >= 0.0) ? 1.0 : -1.0) /
-                         (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
-        const real_t cs = 1.0 / std::sqrt(1.0 + t * t);
-        const real_t sn = cs * t;
-        for (index_t k = 0; k < m; ++k) {
-          const real_t a = wi[k], b = wj[k];
-          wi[k] = cs * a - sn * b;
-          wj[k] = sn * a + cs * b;
-        }
-        real_t* vi = vr.row(i);
-        real_t* vj = vr.row(j);
-        for (index_t k = 0; k < n; ++k) {
-          const real_t a = vi[k], b = vj[k];
-          vi[k] = cs * a - sn * b;
-          vj[k] = sn * a + cs * b;
-        }
-      }
-    }
-    if (off <= kConvergence) break;
+// x·y in four interleaved partial sums: a fixed order that still vectorizes.
+real_t dot(const real_t* x, const real_t* y, index_t len) {
+  real_t p[4] = {0.0, 0.0, 0.0, 0.0};
+  index_t i = 0;
+  for (; i + 4 <= len; i += 4)
+    for (index_t j = 0; j < 4; ++j) p[j] += x[i + j] * y[i + j];
+  for (; i < len; ++i) p[0] += x[i] * y[i];
+  return (p[0] + p[1]) + (p[2] + p[3]);
+}
+
+// Householder reflector H = I − 2·u·uᵀ with H·x = beta·e₀: overwrites x[0..len)
+// with the unit vector u (√(tau/2)·v for G&VL's v with v[0] = 1, or 0 when x is
+// already beta·e₀) and returns beta. Entries are pre-scaled: plain squares are safe.
+real_t make_reflector(real_t* x, index_t len) {
+  const real_t sigma = dot(x + 1, x + 1, len - 1), alpha = x[0];
+  x[0] = 0.0;
+  if (sigma == 0.0) return alpha;
+  const real_t beta = -std::copysign(std::sqrt(alpha * alpha + sigma), alpha);
+  x[0] = std::sqrt(0.5 * (beta - alpha) / beta);
+  const real_t scale = x[0] / (alpha - beta);
+  for (index_t i = 1; i < len; ++i) x[i] *= scale;
+  return beta;
+}
+
+// Applies H = I − 2·u·uᵀ to entries [c0, c0 + len) of rows [r0, x.rows()).
+void reflect_rows(Matrix& x, index_t r0, index_t c0, const real_t* u, index_t len) {
+  if (u[0] == 0.0) return;
+  for (index_t r = r0; r < x.rows(); ++r) {
+    real_t* xr = x.row(r) + c0;
+    const real_t w = 2.0 * dot(u, xr, len);
+    for (index_t i = 0; i < len; ++i) xr[i] -= w * u[i];
   }
 }
 
-// Gram–Schmidt completion of near-null U columns so the returned thin U is
-// orthonormal even for rank-deficient inputs.
-void complete_null_columns(Matrix& u, const std::vector<bool>& valid) {
-  const index_t m = u.rows();
-  const index_t r = u.cols();
-  Rng rng(0xc0111ecdULL);
-  for (index_t j = 0; j < r; ++j) {
-    if (valid[static_cast<std::size_t>(j)]) continue;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      std::vector<real_t> cand(static_cast<std::size_t>(m));
-      for (auto& v : cand) v = rng.normal();
-      // Orthogonalize twice against all other columns (Kahan's rule).
-      for (int pass = 0; pass < 2; ++pass) {
-        for (index_t c = 0; c < r; ++c) {
-          if (c == j || (!valid[static_cast<std::size_t>(c)] && c > j)) continue;
-          real_t dot = 0.0;
-          for (index_t i = 0; i < m; ++i) dot += u(i, c) * cand[static_cast<std::size_t>(i)];
-          for (index_t i = 0; i < m; ++i) cand[static_cast<std::size_t>(i)] -= dot * u(i, c);
-        }
-      }
-      real_t nrm = 0.0;
-      for (real_t v : cand) nrm += v * v;
-      nrm = std::sqrt(nrm);
-      if (nrm > 1e-8) {
-        for (index_t i = 0; i < m; ++i) u(i, j) = cand[static_cast<std::size_t>(i)] / nrm;
-        break;
-      }
-    }
+// Givens pair with c·f + s·g = r (returned) and c·g − s·f = 0.
+real_t givens(real_t f, real_t g, real_t& c, real_t& s) {
+  const real_t r = std::sqrt(f * f + g * g);
+  c = r == 0.0 ? 1.0 : f / r;
+  s = r == 0.0 ? 0.0 : g / r;
+  return r;
+}
+
+// x ← c·x + s·y and y ← c·y − s·x over len contiguous entries.
+void rotate(real_t* x, real_t* y, index_t len, real_t c, real_t s) {
+  for (index_t i = 0; i < len; ++i) {
+    const real_t a = x[i], b = y[i];
+    x[i] = c * a + s * b;
+    y[i] = c * b - s * a;
   }
 }
 
-// Jacobi SVD of a square matrix (m == n not required: requires rows >= cols).
-SvdResult svd_tall(const Matrix& a) {
+// Golub–Kahan–Reinsch SVD of an m×n matrix, m >= n (Golub & Van Loan §8.6):
+// Householder bidiagonalization A = U·B·Vᵀ, then implicit-shift QR on the upper
+// bidiagonal B (diagonal d, superdiagonal e). Aᵀ, Uᵀ and Vᵀ are held row-major,
+// so every reflector and every rotation updates contiguous rows.
+SvdResult gkr_svd(const Matrix& a) {
   const index_t m = a.rows();
   const index_t n = a.cols();
+  const auto un = static_cast<std::size_t>(n);
+  // Scale by a power of two, which is exact, so the largest entry is about 1.
+  int ex = 0;
+  std::frexp(a.max_abs(), &ex);
+  ex = std::clamp(ex, -1000, 1000);
+  Matrix wt = a.transposed();  // row j: column j of A, then its left reflector
+  wt *= std::ldexp(1.0, -ex);
 
-  Matrix wt = a.transposed();      // rows of wt = columns of A
-  Matrix vr = Matrix::identity(n); // rows = right singular vectors
-  jacobi_orthogonalize(wt, vr);
-
-  // Singular values = column norms; sort descending.
-  std::vector<real_t> snorm(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    real_t s = 0.0;
-    const real_t* wi = wt.row(i);
-    for (index_t k = 0; k < m; ++k) s += wi[k] * wi[k];
-    snorm[static_cast<std::size_t>(i)] = std::sqrt(s);
+  // d, then e between zeros e[-1] and e[n - 1], then m entries of scratch.
+  std::vector<real_t> store(2 * un + 1 + static_cast<std::size_t>(m), 0.0);
+  real_t* d = store.data();
+  real_t* e = d + n + 1;
+  real_t* acc = e + n;
+  Matrix zs(n, n);  // row k: the right reflector of step k, from entry k + 1
+  for (index_t k = 0; k < n; ++k) {
+    // Left reflector: zero column k of A below the diagonal.
+    d[k] = make_reflector(wt.row(k) + k, m - k);
+    reflect_rows(wt, k + 1, k, wt.row(k) + k, m - k);
+    if (k + 1 == n) break;
+    // Right reflector: zero row k of A right of the superdiagonal.
+    const index_t len = n - k - 1, rest = m - k - 1;
+    real_t* z = zs.row(k) + k + 1;
+    for (index_t j = 0; j < len; ++j) z[j] = wt(k + 1 + j, k);
+    e[k] = make_reflector(z, len);
+    std::fill(acc, acc + rest, 0.0);
+    for (index_t j = 0; j < len; ++j) {
+      const real_t* wj = wt.row(k + 1 + j) + k + 1;
+      for (index_t i = 0; i < rest; ++i) acc[i] += z[j] * wj[i];
+    }
+    for (index_t j = 0; j < len; ++j) {
+      const real_t f = 2.0 * z[j];
+      real_t* wj = wt.row(k + 1 + j) + k + 1;
+      for (index_t i = 0; i < rest; ++i) wj[i] -= f * acc[i];
+    }
   }
-  std::vector<index_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](index_t x, index_t y) {
-    return snorm[static_cast<std::size_t>(x)] > snorm[static_cast<std::size_t>(y)];
-  });
 
-  SvdResult out;
-  out.s.resize(static_cast<std::size_t>(n));
-  out.u = Matrix(m, n);
-  out.vt = Matrix(n, n);
-  const real_t smax = snorm.empty() ? 0.0 : snorm[static_cast<std::size_t>(order[0])];
-  const real_t tiny = std::max(smax, real_t{1.0}) * 1e-300;
-  std::vector<bool> valid(static_cast<std::size_t>(n), true);
+  // Accumulate Uᵀ (n×m) and Vᵀ (n×n) from the reflectors, last one first.
+  Matrix ut(n, m), vt(n, n);
+  for (index_t k = n - 1; k >= 0; --k) {
+    ut(k, k) = vt(k, k) = 1.0;
+    reflect_rows(ut, k, k, wt.row(k) + k, m - k);
+    if (k + 1 < n) reflect_rows(vt, k + 1, k + 1, zs.row(k) + k + 1, n - k - 1);
+  }
+
+  // Implicit-shift QR, deflating from the bottom. A diagonal entry below tol
+  // is set to zero and cancelled by rotations, which splits B there.
+  real_t tol = 0.0;
+  for (index_t k = 0; k < n; ++k) tol = std::max({tol, std::abs(d[k]), std::abs(e[k])});
+  tol *= kEps;
+  long steps = 0;
+  for (index_t hi = n - 1; hi > 0;) {
+    // [lo, hi]: the unreduced block ending at hi (e[hi] is always zero), and
+    // its first negligible diagonal entry, if any.
+    index_t lo = hi;
+    while (lo > 0 &&
+           std::abs(e[lo - 1]) > kEps * (std::abs(d[lo - 1]) + std::abs(d[lo])))
+      --lo;
+    if (lo > 0) e[lo - 1] = 0.0;
+    index_t zero = lo;
+    while (zero <= hi && std::abs(d[zero]) > tol) ++zero;
+    real_t c, s;
+    if (lo == hi) {
+      --hi;
+    } else if (zero < hi) {
+      // Rotate row `zero` against the rows below it to cancel its e.
+      real_t x = e[zero];
+      d[zero] = e[zero] = 0.0;
+      for (index_t j = zero + 1; j <= hi && x != 0.0; ++j) {
+        d[j] = givens(d[j], x, c, s);
+        x = -s * e[j];
+        e[j] *= c;
+        rotate(ut.row(j), ut.row(zero), m, c, s);
+      }
+    } else if (zero == hi) {
+      // Rotate column hi against the columns left of it to cancel e[hi - 1].
+      real_t x = e[hi - 1];
+      d[hi] = e[hi - 1] = 0.0;
+      for (index_t j = hi - 1; j >= lo && x != 0.0; --j) {
+        d[j] = givens(d[j], x, c, s);
+        x = -s * e[j - 1];  // zero at j == lo: e[lo - 1] is a split or e[-1]
+        e[j - 1] *= c;
+        rotate(vt.row(j), vt.row(hi), n, c, s);
+      }
+    } else {
+      ++steps;
+      TT_CHECK(steps <= static_cast<long>(kMaxStepsPerValue) * n,
+               "svd: bidiagonal QR did not converge on a " << m << "x" << n << " matrix");
+      // Wilkinson shift: the eigenvalue of the trailing 2×2 of BᵀB nearer to
+      // its last diagonal entry. Then chase the bulge from lo down to hi.
+      const real_t em = hi - 1 > lo ? e[hi - 2] : 0.0;
+      const real_t t22 = d[hi] * d[hi] + e[hi - 1] * e[hi - 1];
+      const real_t t12 = d[hi - 1] * e[hi - 1];
+      const real_t delta = 0.5 * (d[hi - 1] * d[hi - 1] + em * em - t22);
+      const real_t mu =
+          t22 - t12 * t12 / (delta + std::copysign(std::hypot(delta, t12), delta));
+      real_t y = d[lo] * d[lo] - mu, w = d[lo] * e[lo];
+      for (index_t k = lo; k < hi; ++k) {
+        const real_t r = givens(y, w, c, s);  // columns k, k + 1
+        if (k > lo) e[k - 1] = r;
+        y = c * d[k] + s * e[k];
+        e[k] = c * e[k] - s * d[k];
+        w = s * d[k + 1];
+        d[k + 1] *= c;
+        rotate(vt.row(k), vt.row(k + 1), n, c, s);
+        d[k] = givens(y, w, c, s);  // rows k, k + 1
+        y = c * e[k] + s * d[k + 1];
+        d[k + 1] = c * d[k + 1] - s * e[k];
+        e[k] = y;
+        w = s * e[k + 1];
+        e[k + 1] *= c;
+        rotate(ut.row(k), ut.row(k + 1), m, c, s);
+      }
+    }
+  }
+
+  // |d| sorted descending and scaled back exactly; a negative d flips its v.
+  std::vector<index_t> order(un);
+  std::iota(order.begin(), order.end(), index_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](index_t x, index_t y) { return std::abs(d[x]) > std::abs(d[y]); });
+  SvdResult out{Matrix(m, n), std::vector<real_t>(un), Matrix(n, n)};
   for (index_t c = 0; c < n; ++c) {
     const index_t src = order[static_cast<std::size_t>(c)];
-    const real_t s = snorm[static_cast<std::size_t>(src)];
-    out.s[static_cast<std::size_t>(c)] = s;
-    if (s > tiny) {
-      for (index_t i = 0; i < m; ++i) out.u(i, c) = wt(src, i) / s;
-    } else {
-      valid[static_cast<std::size_t>(c)] = false;
-    }
-    for (index_t k = 0; k < n; ++k) out.vt(c, k) = vr(src, k);
+    out.s[static_cast<std::size_t>(c)] = std::ldexp(std::abs(d[src]), ex);
+    for (index_t i = 0; i < m; ++i) out.u(i, c) = ut(src, i);
+    const real_t sign = d[src] < 0.0 ? -1.0 : 1.0;
+    for (index_t i = 0; i < n; ++i) out.vt(c, i) = sign * vt(src, i);
   }
-  complete_null_columns(out.u, valid);
   return out;
 }
 
@@ -154,6 +215,9 @@ Matrix SvdResult::reconstruct() const {
 }
 
 SvdResult svd(const Matrix& a) {
+  for (index_t i = 0; i < a.size(); ++i)
+    TT_CHECK(std::isfinite(a.data()[i]), "svd: entry (" << i / a.cols() << ", "
+                                             << i % a.cols() << ") is " << a.data()[i]);
   if (a.rows() == 0 || a.cols() == 0) {
     SvdResult out;
     out.u = Matrix(a.rows(), std::min(a.rows(), a.cols()));
@@ -166,28 +230,10 @@ SvdResult svd(const Matrix& a) {
 namespace detail {
 
 SvdResult builtin_svd(const Matrix& a) {
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  if (m < n) {
-    // SVD of the transpose, then swap factors: A = (V')·S·(U')ᵀ.
-    SvdResult t = builtin_svd(a.transposed());
-    SvdResult out;
-    out.s = std::move(t.s);
-    out.u = t.vt.transposed();
-    out.vt = t.u.transposed();
-    return out;
-  }
-  if (m > n) {
-    // QR preprocessing: Jacobi on the small n×n R factor only.
-    QrResult f = builtin_qr(a);
-    SvdResult inner = svd_tall(f.r);
-    SvdResult out;
-    out.s = std::move(inner.s);
-    out.u = matmul(f.q, inner.u);
-    out.vt = std::move(inner.vt);
-    return out;
-  }
-  return svd_tall(a);
+  if (a.rows() >= a.cols()) return gkr_svd(a);
+  // SVD of the transpose, then swap factors: A = (V')·S·(U')ᵀ.
+  SvdResult t = gkr_svd(a.transposed());
+  return {t.vt.transposed(), std::move(t.s), t.u.transposed()};
 }
 
 }  // namespace detail

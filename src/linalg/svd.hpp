@@ -1,10 +1,11 @@
 // Singular value decomposition (dispatched through linalg::Backend).
 //
 // Stands in for the ScaLAPACK pdgesvd the paper calls through Cyclops: every
-// block-wise SVD in the DMRG truncation step lands here. svd() routes to the
-// active backend: the builtin QR-preprocessed one-sided Jacobi below (chosen
-// for its unconditional robustness and high relative accuracy on the
-// small-to-medium blocks quantum-number symmetry produces), or LAPACK dgesdd
+// block-wise SVD in the DMRG truncation step lands here. svd() rejects a
+// non-finite entry with tt::Error, then routes to the active backend: the
+// builtin Golub–Kahan–Reinsch SVD below (Householder bidiagonalization, then
+// implicit-shift bidiagonal QR, the route pdgesvd/dgesvd take; serial per
+// matrix, so its bits do not depend on TT_THREADS), or LAPACK dgesdd
 // (falling back to dgesvd on non-convergence) under TT_WITH_BLAS.
 #pragma once
 
@@ -15,8 +16,8 @@
 namespace tt::linalg {
 
 /// Thin SVD: A (m×n) = U (m×r) · diag(s) · Vᵀ (r×n), r = min(m,n),
-/// singular values sorted descending, U/V orthonormal columns (including the
-/// null-space completion for rank-deficient inputs).
+/// singular values sorted descending, U/V orthonormal columns (on
+/// rank-deficient inputs too).
 struct SvdResult {
   Matrix u;
   std::vector<real_t> s;
@@ -39,7 +40,8 @@ index_t svd_rank(const std::vector<real_t>& s, real_t cutoff, index_t max_keep);
 
 namespace detail {
 
-/// The self-contained QR-preprocessed Jacobi SVD behind the "builtin" backend.
+/// The self-contained Golub–Kahan–Reinsch SVD behind the "builtin" backend;
+/// throws tt::Error naming the shape if the bidiagonal QR exceeds its step cap.
 /// Requires a non-empty input; call svd() unless comparing backends directly.
 SvdResult builtin_svd(const Matrix& a);
 

@@ -171,7 +171,7 @@ TEST_F(BackendParity, SvdAgrees) {
 TEST_F(BackendParity, SvdRankDeficientKeepsOrthonormalU) {
   Rng rng(24);
   // Rank-2 12×8 matrix: trailing singular values are ~0, U must still have
-  // orthonormal columns (the builtin backend's null-space completion rule).
+  // orthonormal columns (the SvdResult contract every backend keeps).
   Matrix u = Matrix::random(12, 2, rng);
   Matrix v = Matrix::random(8, 2, rng);
   Matrix a = tt::linalg::matmul(false, true, u, v);

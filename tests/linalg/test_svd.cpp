@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -82,7 +85,7 @@ TEST(Svd, ExactRankDeficiency) {
   Matrix a = tt::linalg::matmul(x, y);  // rank 3
   auto f = tt::linalg::svd(a);
   for (std::size_t i = 3; i < f.s.size(); ++i) EXPECT_LT(f.s[i], 1e-9);
-  // U must stay orthonormal even in the null space (completion path).
+  // U must stay orthonormal even in the null space.
   Matrix utu = tt::linalg::matmul(true, false, f.u, f.u);
   EXPECT_LT(tt::linalg::max_abs_diff(utu, Matrix::identity(15)), 1e-8);
   EXPECT_LT(tt::linalg::max_abs_diff(f.reconstruct(), a), 1e-9);
@@ -116,7 +119,7 @@ TEST(Svd, EmptyMatrix) {
 }
 
 TEST(Svd, HugeDynamicRange) {
-  // Singular values spanning 12 orders of magnitude survive one-sided Jacobi.
+  // Singular values spanning 12 orders of magnitude keep their relative accuracy.
   Matrix a(3, 3);
   a(0, 0) = 1e6;
   a(1, 1) = 1.0;
@@ -162,6 +165,90 @@ TEST(Svd, TinyOrthogonalDiagonalStaysExact) {
   auto f = tt::linalg::svd(a);
   EXPECT_DOUBLE_EQ(f.s[0], 2e-100);
   EXPECT_DOUBLE_EQ(f.s[1], 1e-100);
+}
+
+// Q · diag(s) · Wᵀ for random orthogonal Q (m×r) and W (n×r), r = s.size().
+Matrix with_spectrum(index_t m, index_t n, const std::vector<double>& s, Rng& rng) {
+  const index_t r = static_cast<index_t>(s.size());
+  Matrix q = tt::linalg::qr(Matrix::random(m, r, rng)).q;
+  const Matrix w = tt::linalg::qr(Matrix::random(n, r, rng)).q;
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j < r; ++j) q(i, j) *= s[static_cast<std::size_t>(j)];
+  return tt::linalg::matmul(false, true, q, w);
+}
+
+// Reconstruction and orthonormality to 1e-12 (relative to the largest
+// singular value), and σᵢ² against the eigenvalues of AᵀA.
+void expect_accurate_svd(const Matrix& a, const tt::linalg::SvdResult& f) {
+  const index_t n = a.cols();
+  ASSERT_FALSE(f.s.empty());
+  const double smax = f.s[0];
+  EXPECT_LT(tt::linalg::max_abs_diff(f.reconstruct(), a), 1e-12 * smax);
+  const Matrix utu = tt::linalg::matmul(true, false, f.u, f.u);
+  const Matrix vvt = tt::linalg::matmul(false, true, f.vt, f.vt);
+  EXPECT_LT(tt::linalg::max_abs_diff(utu, Matrix::identity(utu.rows())), 1e-12);
+  EXPECT_LT(tt::linalg::max_abs_diff(vvt, Matrix::identity(vvt.rows())), 1e-12);
+  const auto e = tt::linalg::eigh(tt::linalg::matmul(true, false, a, a));
+  for (std::size_t i = 0; i < f.s.size(); ++i)
+    EXPECT_NEAR(f.s[i] * f.s[i], e.values[static_cast<std::size_t>(n) - 1 - i],
+                1e-12 * smax * smax);
+}
+
+TEST(Svd, GradedSpectrumLikeDmrg) {
+  // Twelve decades, exponentially graded: the spectrum of a DMRG two-site
+  // wavefunction just before truncation.
+  Rng rng(11);
+  std::vector<double> s(150);
+  for (std::size_t i = 0; i < s.size(); ++i) s[i] = std::pow(10.0, -12.0 * i / 149.0);
+  const Matrix a = with_spectrum(150, 150, s, rng);
+  const auto f = tt::linalg::svd(a);
+  expect_accurate_svd(a, f);
+  for (std::size_t i = 0; i < s.size(); ++i) EXPECT_NEAR(f.s[i], s[i], 1e-12);
+}
+
+TEST(Svd, ExactlyDegenerateMultiplets) {
+  // Repeated values, as SU(2)-symmetric spin states give: multiplets of
+  // sizes 1, 3, 5, 3, 1, ... with exactly equal singular values.
+  Rng rng(12);
+  std::vector<double> s;
+  const int sizes[] = {1, 3, 5, 3, 1, 7, 5, 3, 9, 3};
+  double v = 1.0;
+  for (int size : sizes) {
+    s.insert(s.end(), static_cast<std::size_t>(size), v);
+    v *= 0.5;
+  }
+  const index_t r = static_cast<index_t>(s.size());
+  const Matrix a = with_spectrum(r + 10, r, s, rng);
+  const auto f = tt::linalg::svd(a);
+  expect_accurate_svd(a, f);
+  for (std::size_t i = 0; i < s.size(); ++i) EXPECT_NEAR(f.s[i], s[i], 1e-12);
+}
+
+TEST(Svd, RankSevenTallInput) {
+  Rng rng(13);
+  const Matrix x = Matrix::random(300, 7, rng);
+  const Matrix y = Matrix::random(7, 40, rng);
+  const Matrix a = tt::linalg::matmul(x, y);
+  const auto f = tt::linalg::svd(a);
+  // U stays orthonormal across the 33-dimensional null space: the
+  // accumulated Householder reflectors give that without any completion.
+  expect_accurate_svd(a, f);
+  for (std::size_t i = 7; i < f.s.size(); ++i) EXPECT_LT(f.s[i], 1e-12 * f.s[0]);
+}
+
+TEST(Svd, RejectsNonFiniteInput) {
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix a(4, 3, 1.0);
+    a(2, 1) = bad;
+    a(3, 2) = bad;
+    try {
+      tt::linalg::svd(a);
+      ADD_FAILURE() << "svd accepted " << bad;
+    } catch (const tt::Error& err) {
+      // The message names the first bad entry.
+      EXPECT_NE(std::string(err.what()).find("(2, 1)"), std::string::npos) << err.what();
+    }
+  }
 }
 
 TEST(SvdRank, CutoffAndCap) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "symm/block_factor.hpp"
 #include "symm/block_ops.hpp"
@@ -222,6 +224,35 @@ TEST(BlockSvd, ShapesReportedForCostModel) {
   for (const auto& s : f.shapes) {
     EXPECT_GT(s.rows, 0);
     EXPECT_GT(s.cols, 0);
+  }
+}
+
+TEST(BlockSvd, BitwiseAcrossThreadCounts) {
+  // Two U(1) charges (particle number, 2·Sz) as in the electron models; the
+  // (2, 0) group is 128×120, wide enough for a real bidiagonal QR.
+  auto bond = [](Dir d) {
+    return Index({{QN(0, 0), 64}, {QN(1, 1), 40}, {QN(1, -1), 40}, {QN(2, 0), 48}}, d);
+  };
+  const Index s({{QN(0, 0), 1}, {QN(1, 1), 1}, {QN(1, -1), 1}, {QN(2, 0), 1}}, Dir::In);
+  const Index r({{QN(1, 1), 100}, {QN(1, -1), 100}, {QN(2, 0), 120}}, Dir::Out);
+  Rng rng(47);
+  const BlockTensor t = BlockTensor::random({bond(Dir::In), s, r}, QN::zero(2), rng);
+  auto values = [](const tt::tensor::DenseTensor& b) {
+    return std::vector<double>(b.data(), b.data() + b.size());
+  };
+  const auto ref = tt::symm::block_svd(t, {0, 1}, {}, 1);
+  index_t widest = 0;
+  for (const auto& sh : ref.shapes) widest = std::max(widest, std::min(sh.rows, sh.cols));
+  ASSERT_GE(widest, 96);
+  for (int threads : {2, 3, 8}) {
+    const auto f = tt::symm::block_svd(t, {0, 1}, {}, threads);
+    EXPECT_EQ(f.singular_values, ref.singular_values) << threads << " threads";
+    ASSERT_EQ(f.u.num_blocks(), ref.u.num_blocks());
+    ASSERT_EQ(f.vt.num_blocks(), ref.vt.num_blocks());
+    for (const auto& [key, blk] : ref.u.blocks())
+      EXPECT_EQ(values(f.u.blocks().at(key)), values(blk)) << threads << " threads";
+    for (const auto& [key, blk] : ref.vt.blocks())
+      EXPECT_EQ(values(f.vt.blocks().at(key)), values(blk)) << threads << " threads";
   }
 }
 
