@@ -1,11 +1,12 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
 // tensor permutation (HPTT stand-in), dense einsum contraction,
-// SVD, and block-sparse contraction (Alg. 2). These measure real host
-// throughput — the numbers behind the wall-clock columns of the figure
-// benches.
+// SVD, block-sparse contraction (Alg. 2) and the transport frame checksum.
+// These measure real host throughput — the numbers behind the wall-clock
+// columns of the figure benches.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common.hpp"
 #include "linalg/gemm.hpp"
@@ -16,6 +17,7 @@
 #include "mps/mps.hpp"
 #include "models/spin_half.hpp"
 #include "models/electron.hpp"
+#include "runtime/wire.hpp"
 
 namespace {
 
@@ -132,6 +134,20 @@ void BM_BlockContractElectron(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockContractElectron)->Arg(16)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+// The transport frame checksum, which both ends run over every payload byte.
+// 64 MiB is well past the last-level cache, so it reads from memory.
+void BM_WireChecksum(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  std::vector<std::byte> buf(n);
+  for (auto& b : buf)
+    b = static_cast<std::byte>(static_cast<unsigned char>(rng.integer(0, 255)));
+  for (auto _ : state) benchmark::DoNotOptimize(tt::rt::wire_checksum(buf.data(), n));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireChecksum)->Arg(4 << 10)->Arg(1 << 20)->Arg(64 << 20)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -14,7 +14,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr int kSnapshotVersion = 1;
-constexpr int kManifestVersion = 1;
+// Version 2: the manifest's checksum is the word-parallel rt::wire_checksum.
+// A version-1 manifest holds a byte-serial FNV-1a value, so it is refused by
+// version rather than reported as a checksum mismatch.
+constexpr int kManifestVersion = 2;
 
 std::uint64_t checksum_of(const std::string& blob) {
   // tt-lint: allow(raw-cast-audit) read-only byte view of an already-serialized blob for checksumming; no object is reinterpreted

@@ -3,7 +3,7 @@
 // A CheckpointManager owns a directory holding numbered snapshots plus one
 // MANIFEST naming the latest complete snapshot:
 //
-//   MANIFEST            "TTCKPT-MANIFEST 1\n<seq> <file> <checksum> <bytes>\n"
+//   MANIFEST            "TTCKPT-MANIFEST 2\n<seq> <file> <checksum> <bytes>\n"
 //   ckpt_<seq>.tt       "TTCKPT 1" header, sweep position, energy history,
 //                       then the full MPS as an embedded TTMPS-v1 stream
 //                       (hexfloat doubles — bitwise-exact round trip)
@@ -13,8 +13,10 @@
 // a stale temp file, never a torn snapshot or a manifest naming one. The
 // manifest is updated only after its snapshot is durable, and carries the
 // snapshot's byte count and rt::wire_checksum so load() rejects truncation
-// and corruption explicitly. The two most recent snapshots are kept (the
-// previous one survives until the next save), older ones are pruned.
+// and corruption explicitly. A manifest of another version (version 1 held a
+// different checksum) is refused by its version, never read as corrupt. The
+// two most recent snapshots are kept (the previous one survives until the
+// next save), older ones are pruned.
 //
 // Restart contract: Dmrg::resume() loads the latest snapshot, restores the
 // MPS (bitwise), rebuilds every environment through EnvGraph, and continues

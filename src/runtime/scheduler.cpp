@@ -126,7 +126,9 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
 }
 
 // Worker service loop: one task in, one result (or error) out, until the
-// shutdown frame or the root disappears.
+// shutdown frame or the root disappears. Every return ends the worker, and
+// WorkerGroup closes its channel end in both spawn modes, so the root sees
+// EOF instead of waiting for a frame that will never come.
 void worker_loop(int rank, Channel& ch) {
   for (;;) {
     Frame f;
@@ -160,9 +162,7 @@ void worker_loop(int rank, Channel& ch) {
       if (task.kill_before_result) {
         // Die after the work, before the result — the root observes EOF where
         // it expected a result frame, exactly like a real mid-contraction
-        // crash. In process mode the child then _exit()s; in thread mode the
-        // closed channel is the same root-side observable.
-        ch.close();
+        // crash.
         return;
       }
       ch.send_frame(kTagResult, reply, task.timeout_seconds);

@@ -112,7 +112,8 @@ class Channel {
 };
 
 /// N-1 worker ranks (1..num_ranks-1), each running `fn(rank, channel)` and
-/// connected to the creating process (rank 0) by one Channel.
+/// connected to the creating process (rank 0) by one Channel. In both spawn
+/// modes the worker's end is closed as soon as `fn` returns or throws.
 class WorkerGroup {
  public:
   using WorkerFn = std::function<void(int rank, Channel& to_root)>;

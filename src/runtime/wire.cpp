@@ -15,11 +15,34 @@ constexpr std::uint64_t kMaxFieldBytes = std::uint64_t{1} << 30;
 }  // namespace
 
 std::uint64_t wire_checksum(const std::byte* p, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(std::to_integer<unsigned char>(p[i]));
-    h *= 0x100000001b3ull;  // FNV prime
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;  // FNV offset basis
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;       // FNV prime
+  // Each step is a bijection of h for a fixed w and of w for a fixed h, so a
+  // change confined to one 8-byte word always changes the result.
+  auto step = [](std::uint64_t h, std::uint64_t w) { return (h ^ w) * kPrime; };
+  auto word = [p](std::size_t at) {
+    std::uint64_t w;
+    std::memcpy(&w, p + at, sizeof w);  // any alignment, no aliasing UB
+    return w;
+  };
+  // Four independent lanes over 32-byte blocks keep four multiplies in
+  // flight; a single chain would be latency-bound on the multiplier.
+  std::uint64_t h0 = kBasis, h1 = kBasis + 1, h2 = kBasis + 2, h3 = kBasis + 3;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    h0 = step(h0, word(i));
+    h1 = step(h1, word(i + 8));
+    h2 = step(h2, word(i + 16));
+    h3 = step(h3, word(i + 24));
   }
+  std::uint64_t h = step(step(step(step(kBasis, h0), h1), h2), h3);
+  for (; i < n; ++i) h = step(h, std::to_integer<unsigned char>(p[i]));
+  h = step(h, n);
+  // Bijective finalizer: the multiply only carries upward, so fold the high
+  // bits back down before the value is compared or stored.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
   return h;
 }
 

@@ -19,10 +19,17 @@
 
 namespace tt::rt {
 
-/// 64-bit FNV-1a over a byte range. Used as the frame payload checksum (a
-/// corrupt frame must surface as a clean error, not garbage tensors) and as
-/// the snapshot checksum in dmrg::CheckpointManager. Not cryptographic —
-/// it detects accidental corruption, not an adversary.
+/// Word-parallel 64-bit checksum over a byte range: four FNV-style lanes,
+/// each step h = (h ^ w) * 0x100000001b3 over successive 8-byte words of a
+/// 32-byte block, then the lanes, the byte-wise tail (< 32 bytes) and the
+/// length folded into one value. Words are loaded with memcpy, so the value
+/// depends only on the bytes, not on their alignment; it assumes the
+/// little-endian hosts the wire format already assumes. Every step is a
+/// bijection, so any change confined to one 8-byte word is always detected.
+/// Used as the frame payload checksum (a corrupt frame must surface as a
+/// clean error, not garbage tensors) and as the snapshot checksum in
+/// dmrg::CheckpointManager. Not cryptographic — it detects accidental
+/// corruption, not an adversary.
 std::uint64_t wire_checksum(const std::byte* p, std::size_t n);
 
 /// Append-only message builder.

@@ -198,6 +198,29 @@ TEST(Checkpoint, RejectsMissingTruncatedAndCorruptSnapshots) {
   }
 }
 
+TEST(Checkpoint, VersionOneManifestIsRejectedByVersion) {
+  // Version-1 manifests carry the old byte-serial FNV-1a checksum. They must
+  // fail with a version error, not a misleading checksum mismatch.
+  Problem p = heisenberg(4);
+  const std::string dir = fresh_dir("ckpt_v1manifest");
+  {
+    CheckpointManager mgr(dir);
+    mgr.save(Mps::product_state(p.sites, p.neel), SweepPosition{}, {});
+  }
+  const fs::path snap = fs::path(dir) / "ckpt_1.tt";
+  std::ofstream(fs::path(dir) / "MANIFEST")
+      << "TTCKPT-MANIFEST 1\n1 ckpt_1.tt cbf29ce484222325 "
+      << fs::file_size(snap) << "\n";
+  try {
+    CheckpointManager mgr(dir);
+    FAIL() << "version-1 manifest was not rejected";
+  } catch (const tt::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported TTCKPT-MANIFEST version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Checkpoint, ResumeWithoutManagerOrSnapshotThrows) {
   Problem p = heisenberg(4);
   SweepParams sp;

@@ -19,6 +19,7 @@
 #include "runtime/tracker.hpp"
 #include "spawn_modes.hpp"
 #include "support/rng.hpp"
+#include "support/timer.hpp"
 #include "symm/block_ops.hpp"
 
 namespace {
@@ -257,6 +258,28 @@ TEST_P(FaultModes, CorruptResultPayloadIsDetectedAndHealed) {
   // results and monotone counters only.
   expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
   EXPECT_GE(sched.stats().faults_detected, 1);
+  sched.shutdown();
+}
+
+TEST_P(FaultModes, CorruptTaskPayloadIsDetectedAndHealed) {
+  auto [a, b] = many_block_pair(60);
+  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}});
+
+  // The root's task frame is corrupted: the worker's checksum check fails and
+  // it stops serving. Its channel end must close at once in both spawn modes,
+  // so the root heals the rank in milliseconds, not after its 120 s deadline.
+  FaultInjector::instance().configure("payload.corrupt:nth=1;rank=1;side=root");
+  Scheduler sched(two_rank_opts(GetParam()));
+  tt::Timer wall;
+  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_LT(wall.seconds(), 5.0);
+  // Root-evaluated side: the counter is the root's own, exact in both modes.
+  EXPECT_EQ(sched.stats().faults_detected, 1);
+  EXPECT_EQ(sched.stats().retries, 1);
+  EXPECT_EQ(sched.stats().respawns, 1);
+
+  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_EQ(sched.stats().faults_detected, 1);
   sched.shutdown();
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "runtime/wire.hpp"
 #include "support/rng.hpp"
@@ -78,35 +79,48 @@ TEST(Wire, ScalarTensorRoundTrips) {
   EXPECT_EQ(back[0], -2.5);
 }
 
-TEST(Wire, ChecksumIsBytewiseFnv1aAtAnyAlignment) {
-  // The frame checksum must be a pure function of the byte sequence — never
-  // of the buffer's alignment or a word-at-a-time read width. Pin FNV-1a
-  // against an independent byte-wise reference, including a deliberately
-  // misaligned view one byte into the buffer (the ubsan leg would flag a
-  // future vectorized rewrite that loads words through the unaligned
-  // pointer).
+TEST(Wire, ChecksumIsPureAtAnyAlignment) {
+  // The frame checksum must be a pure function of the byte sequence, never of
+  // the buffer's alignment: words are loaded through memcpy, so a view at any
+  // offset must equal an aligned copy of the same bytes. Lengths 0-100 cross
+  // the 32-byte block and the byte-wise tail boundaries.
+  using tt::rt::wire_checksum;
   Rng rng(41);
-  std::vector<std::byte> buf(129);
+  std::vector<std::byte> buf(4096);
   for (auto& b : buf)
     b = static_cast<std::byte>(static_cast<unsigned char>(rng.integer(0, 255)));
 
-  auto reference = [](const std::byte* p, std::size_t n) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<std::uint64_t>(std::to_integer<unsigned char>(p[i]));
-      h *= 0x100000001b3ull;
+  for (std::size_t off = 1; off <= 7; ++off)
+    for (std::size_t n = 0; n <= 100; ++n) {
+      const std::vector<std::byte> aligned(buf.begin() + off, buf.begin() + off + n);
+      ASSERT_EQ(wire_checksum(buf.data() + off, n),
+                wire_checksum(aligned.data(), aligned.size()))
+          << "offset " << off << ", length " << n;
     }
-    return h;
-  };
 
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data(), buf.size()),
-            reference(buf.data(), buf.size()));
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data() + 1, buf.size() - 1),
-            reference(buf.data() + 1, buf.size() - 1));
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data() + 7, 64),
-            reference(buf.data() + 7, 64));
-  // Golden value: the empty checksum is the FNV offset basis.
-  EXPECT_EQ(tt::rt::wire_checksum(buf.data(), 0), 0xcbf29ce484222325ull);
+  // Every single-bit flip of the 4 KiB buffer is detected: each step of the
+  // checksum is a bijection, so no corruption confined to one word cancels.
+  const std::uint64_t clean = wire_checksum(buf.data(), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[i] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+      ASSERT_NE(wire_checksum(buf.data(), buf.size()), clean)
+          << "flip of bit " << bit << " in byte " << i;
+      buf[i] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+    }
+
+  // The length is part of the value: a trailing zero byte is not invisible.
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::byte> longer(buf.begin(), buf.begin() + n);
+    const std::uint64_t before = wire_checksum(longer.data(), longer.size());
+    longer.push_back(std::byte{0});
+    EXPECT_NE(wire_checksum(longer.data(), longer.size()), before) << "length " << n;
+  }
+
+  // Golden values (little-endian word loads): a change to the function shows
+  // here, and must come with a checkpoint manifest version bump.
+  EXPECT_EQ(wire_checksum(nullptr, 0), 0x77f24f0ee867f9eaull);
+  EXPECT_EQ(clean, 0x18ca377aef9977c9ull);
 }
 
 TEST(Wire, TruncatedMessageThrowsOnEveryFieldType) {
