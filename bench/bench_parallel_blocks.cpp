@@ -24,7 +24,6 @@ namespace {
 using tt::Rng;
 using tt::index_t;
 using tt::symm::BlockTensor;
-using tt::symm::ContractOptions;
 using tt::symm::ContractStats;
 using tt::symm::Dir;
 using tt::symm::Index;
@@ -69,9 +68,7 @@ int run() {
       rng);
 
   ContractStats probe;
-  ContractOptions serial;
-  serial.num_threads = 1;
-  const BlockTensor ref = symm::contract(a, b, {{2, 0}}, &probe, serial);
+  const BlockTensor ref = symm::contract(a, b, {{2, 0}}, &probe, /*num_threads=*/1);
   std::cout << "workload: " << a.num_blocks() << " x " << b.num_blocks()
             << " operand blocks, " << probe.block_ops.size()
             << " block pairs into " << probe.num_bins << " output bins, "
@@ -93,13 +90,11 @@ int run() {
   table.header({"threads", "best of 5 (ms)", "speedup vs 1", "GFlop/s",
                 "bitwise == serial"});
   for (int threads : thread_counts) {
-    ContractOptions opts;
-    opts.num_threads = threads;
     BlockTensor c;
     double best = 1e300;
     for (int r = 0; r < reps; ++r) {
       Timer timer;
-      c = symm::contract(a, b, {{2, 0}}, nullptr, opts);
+      c = symm::contract(a, b, {{2, 0}}, nullptr, threads);
       best = std::min(best, timer.seconds());
     }
     if (threads == 1) t1 = best;

@@ -1,9 +1,11 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,9 +21,13 @@
 namespace tt::bench {
 
 void print_driver_header(const std::string& driver) {
+  // Resolve every environment knob before printing: a bad value fails the
+  // driver before any work.
+  const double sf = scale_factor();
+  (void)full_mode();
+  const int threads = support::num_threads();
   std::cout << "[" << driver << "] linalg backend: " << linalg::backend_name()
-            << " | threads: " << support::num_threads()
-            << " | scale factor: " << scale_factor() << "\n\n";
+            << " | threads: " << threads << " | scale factor: " << sf << "\n\n";
 }
 
 rt::MetricsRegistry make_metrics(const std::string& driver) {
@@ -64,12 +70,9 @@ void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
 }
 
 Csv::Csv(const std::string& path, const std::string& header) {
-  if (path.empty()) return;  // no --csv flag: stay inactive, don't warn
+  if (path.empty()) return;  // no --csv flag: stay inactive
   auto out = std::make_shared<std::ofstream>(path);
-  if (!*out) {
-    std::cerr << "warning: cannot open --csv path '" << path << "'\n";
-    return;
-  }
+  TT_CHECK(*out, "cannot open --csv path '" << path << "' for writing");
   *out << header << "\n";
   out_ = std::move(out);
 }
@@ -401,15 +404,21 @@ Baseline baseline(const Workload& w, const rt::MachineModel& machine, index_t m,
 
 bool full_mode() {
   const char* env = std::getenv("TT_BENCH_FULL");
-  return env && std::string(env) == "1";
+  if (env == nullptr || *env == '\0') return false;
+  const std::string v(env);
+  TT_CHECK(v == "0" || v == "1", "TT_BENCH_FULL must be 0 or 1, got '" << v << "'");
+  return v == "1";
 }
 
 double scale_factor() {
-  if (const char* env = std::getenv("TT_BENCH_SCALE")) {
-    const double sf = std::atof(env);
-    if (sf >= 1.0) return sf;
-  }
-  return 64.0;
+  const char* env = std::getenv("TT_BENCH_SCALE");
+  if (env == nullptr || *env == '\0') return 64.0;
+  const char* end = env + std::strlen(env);
+  double sf = 0.0;
+  const auto [ptr, ec] = std::from_chars(env, end, sf);
+  TT_CHECK(ec == std::errc() && ptr == end && std::isfinite(sf) && sf >= 1.0,
+           "TT_BENCH_SCALE must be a finite number >= 1, got '" << env << "'");
+  return sf;
 }
 
 rt::CostModelParams scaled_params() {

@@ -31,7 +31,8 @@ namespace tt::bench {
 /// and scale factor. Every bench main prints this first so any recorded
 /// output identifies the kernel configuration that produced it (figure
 /// reproductions must note the backend — see docs/BENCHMARKS.md). Resolving
-/// the thread count here also makes a bad TT_THREADS fail before any work.
+/// TT_BENCH_SCALE, TT_BENCH_FULL and the thread count here also makes a bad
+/// value of any of them fail before any work.
 void print_driver_header(const std::string& driver);
 
 /// MetricsRegistry pre-loaded with the context every driver shares: linalg
@@ -56,7 +57,8 @@ void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
                        const dmrg::SweepRecord& rec);
 
 /// Append-only CSV emitter for the artifact pipeline. Inactive (row() is a
-/// no-op) when constructed without a path; writes the header line on open.
+/// no-op) when constructed without a path; writes the header line on open and
+/// throws tt::Error when the path cannot be opened.
 class Csv {
  public:
   Csv() = default;
@@ -143,11 +145,13 @@ struct Baseline {
 Baseline baseline(const Workload& w, const rt::MachineModel& machine, index_t m,
                   unsigned seed = 1);
 
-/// True when TT_BENCH_FULL=1 (larger sweeps, closer to paper scale).
+/// True when TT_BENCH_FULL=1 (larger sweeps, closer to paper scale). The
+/// value must be 0 or 1 (empty counts as unset); anything else is a tt::Error.
 bool full_mode();
 
 /// Scale factor sf between bench and paper bond dimensions (default 64, env
-/// TT_BENCH_SCALE): bench m=128 stands for paper m=8192. The simulated
+/// TT_BENCH_SCALE, a finite number >= 1; empty counts as unset, anything else
+/// is a tt::Error): bench m=128 stands for paper m=8192. The simulated
 /// machine is rescaled accordingly — node rate by 1/sf³, bandwidths by 1/sf²,
 /// per-event costs (latency, block launch) unchanged — so one bench flop
 /// prices like sf³ paper flops and every reported *ratio* (efficiency,

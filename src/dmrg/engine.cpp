@@ -223,9 +223,7 @@ symm::BlockTensor ContractionEngine::contract(const BlockTensor& a, Role role_a,
   if (scheduler_ != nullptr && scheduler_->num_ranks() > 1) {
     c = scheduler_->contract(a, b, pairs, &stats);
   } else {
-    symm::ContractOptions opts;
-    opts.num_threads = num_threads_;
-    c = symm::contract(a, b, pairs, &stats, opts);
+    c = symm::contract(a, b, pairs, &stats, num_threads_);
   }
   for (const OpRecord& r :
        price_contraction(kind(), a, role_a, b, role_b, pairs, c, stats))

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "runtime/scheduler.hpp"
+#include "support/error.hpp"
 
 namespace tt::rt {
 
@@ -140,11 +141,10 @@ std::string MetricsRegistry::to_json() const {
 void MetricsRegistry::write(const std::string& path) const {
   if (path.empty()) return;
   std::ofstream out(path);
-  if (!out) {
-    std::cerr << "tt metrics: cannot open '" << path << "' for writing\n";
-    return;
-  }
+  TT_CHECK(out, "cannot open --metrics path '" << path << "' for writing");
   out << to_json();
+  out.flush();
+  TT_CHECK(out, "cannot write --metrics path '" << path << "'");
   std::cout << "wrote metrics: " << path << "\n";
 }
 

@@ -1,7 +1,7 @@
 // Structured metrics snapshots: one JSON document per bench-driver run.
 //
 // Every stats struct in the system (CostTracker categories, DistStats,
-// SchedulerStats, einsum/contraction counters, sweep records) tells part of
+// SchedulerStats, contraction counters, sweep records) tells part of
 // the story in its own ad-hoc text format. MetricsRegistry collects them into
 // one machine-readable document
 //
@@ -60,8 +60,8 @@ class MetricsRegistry {
 
   std::string to_json() const;
 
-  /// Write to_json() to `path`; prints a one-line confirmation like the
-  /// drivers' --csv handling. No-op when `path` is empty.
+  /// Write to_json() to `path`; prints a one-line confirmation. No-op when
+  /// `path` is empty; throws tt::Error when the file cannot be written.
   void write(const std::string& path) const;
 
  private:

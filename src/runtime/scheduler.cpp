@@ -40,7 +40,7 @@ constexpr double kWorkerIdleTimeout = 3600.0;
 // their nth/count counters are exact in both spawn modes — a fork()ed
 // worker's own injector copy would count per-process.
 struct WorkerTask {
-  std::string spec;
+  std::vector<std::pair<int, int>> pairs;  // contracted (mode of a, mode of b)
   int threads = 1;
   bool kill_before_result = false;
   bool fail_task = false;
@@ -53,16 +53,23 @@ struct WorkerTask {
 WorkerTask parse_task(const std::vector<std::byte>& payload) {
   WireReader r(payload);
   WorkerTask task;
-  task.spec = r.str();
   task.threads = static_cast<int>(r.u32());
   task.kill_before_result = r.u32() != 0;
   task.fail_task = r.u32() != 0;
   task.timeout_seconds = r.f64();
 
   // Every element count below sizes an allocation, so bound it by what the
-  // frame could possibly hold (each table entry / bin / pair costs at least
-  // 8 bytes on the wire) before trusting it — a torn length prefix must
-  // surface as a clean Error, not a gigabyte reserve.
+  // frame could possibly hold (each mode pair / table entry / bin / pair
+  // costs at least 8 bytes on the wire) before trusting it — a torn length
+  // prefix must surface as a clean Error, not a gigabyte reserve.
+  const std::uint64_t nmodes = r.u64();
+  TT_CHECK(nmodes <= r.remaining() / 8, "task frame claims " << nmodes << " mode pairs in "
+                                                             << r.remaining() << " bytes");
+  task.pairs.resize(static_cast<std::size_t>(nmodes));
+  for (auto& [ma, mb] : task.pairs) {  // tensor::contract rejects a bad mode
+    ma = static_cast<int>(r.u32());     // (a u32 above INT_MAX reads negative)
+    mb = static_cast<int>(r.u32());
+  }
   const std::uint64_t na = r.u64();
   TT_CHECK(na <= r.remaining() / 8,
            "task frame claims " << na << " A blocks in " << r.remaining() << " bytes");
@@ -109,7 +116,7 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
-            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.spec);
+            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.pairs);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
@@ -390,13 +397,17 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       }
 
       WireWriter w;
-      w.str(plan.spec);
       w.u32(static_cast<std::uint32_t>(opts_.worker_threads));
       // Root-decided worker faults travel inside the task frame (see
       // WorkerTask) so their counters are exact in both spawn modes.
       w.u32(inj.should_fire("worker.kill_before_result", r, FaultSide::kWorker) ? 1 : 0);
       w.u32(inj.should_fire("worker.fail_task", r, FaultSide::kWorker) ? 1 : 0);
       w.f64(opts_.timeout_seconds);
+      w.u64(pairs.size());
+      for (auto [ma, mb] : pairs) {
+        w.u32(static_cast<std::uint32_t>(ma));
+        w.u32(static_cast<std::uint32_t>(mb));
+      }
       w.u64(table_a.size());
       double operand_words = 0.0;
       for (const tensor::DenseTensor* t : table_a) {
@@ -440,7 +451,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.spec);
+          done[g] = symm::execute_bin(bins[g], pairs);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -524,7 +535,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.spec);
+            done[g] = symm::execute_bin(bins[g], pairs);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();

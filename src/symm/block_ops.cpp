@@ -5,7 +5,7 @@
 
 #include "runtime/trace.hpp"
 #include "support/thread_pool.hpp"
-#include "tensor/einsum.hpp"
+#include "tensor/contract.hpp"
 
 namespace tt::symm {
 
@@ -37,24 +37,6 @@ ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
   for (int m : plan.free_a) plan.out_indices.push_back(a.index(m));
   for (int m : plan.free_b) plan.out_indices.push_back(b.index(m));
   plan.out_flux = a.flux() + b.flux();
-
-  // Einsum labels: one letter per mode of A, fresh letters for B's free
-  // modes; contracted B modes reuse the matching A letter.
-  std::string la(static_cast<std::size_t>(a.order()), '?');
-  for (int m = 0; m < a.order(); ++m)
-    la[static_cast<std::size_t>(m)] = static_cast<char>('a' + m);
-  std::string lb(static_cast<std::size_t>(b.order()), '?');
-  char next = static_cast<char>('a' + a.order());
-  for (auto [ma, mb] : pairs) lb[static_cast<std::size_t>(mb)] = la[static_cast<std::size_t>(ma)];
-  for (int m : plan.free_b) {
-    lb[static_cast<std::size_t>(m)] = next;
-    ++next;
-  }
-  std::string lc;
-  lc.reserve(plan.free_a.size() + plan.free_b.size());
-  for (int m : plan.free_a) lc.push_back(la[static_cast<std::size_t>(m)]);
-  for (int m : plan.free_b) lc.push_back(lb[static_cast<std::size_t>(m)]);
-  plan.spec = la + "," + lb + "->" + lc;
   return plan;
 }
 
@@ -129,17 +111,18 @@ void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
     }
 }
 
-tensor::DenseTensor execute_bin(const OutputBin& bin, const std::string& spec) {
-  tensor::DenseTensor out = tensor::einsum(spec, *bin.pairs.front().ablk,
-                                           *bin.pairs.front().bblk);
+tensor::DenseTensor execute_bin(const OutputBin& bin,
+                                const std::vector<std::pair<int, int>>& pairs) {
+  tensor::DenseTensor out =
+      tensor::contract(*bin.pairs.front().ablk, *bin.pairs.front().bblk, pairs);
   for (std::size_t p = 1; p < bin.pairs.size(); ++p)
-    out.axpy(1.0, tensor::einsum(spec, *bin.pairs[p].ablk, *bin.pairs[p].bblk));
+    out.axpy(1.0, tensor::contract(*bin.pairs[p].ablk, *bin.pairs[p].bblk, pairs));
   return out;
 }
 
 BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
                      const std::vector<std::pair<int, int>>& pairs,
-                     ContractStats* stats, const ContractOptions& opts) {
+                     ContractStats* stats, int num_threads) {
   TT_TRACE_SPAN("symm.contract", rt::TraceCat::kContract);
   const ContractPlan plan = make_contract_plan(a, b, pairs);
   BlockTensor c(plan.out_indices, plan.out_flux);
@@ -152,9 +135,9 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
         done[static_cast<std::size_t>(bi)] =
-            execute_bin(bins[static_cast<std::size_t>(bi)], plan.spec);
+            execute_bin(bins[static_cast<std::size_t>(bi)], pairs);
       },
-      opts.num_threads);
+      num_threads);
 
   // Serial insertion in bin order (every bin has >= 1 pair, so every result
   // is populated); accumulate() shape-checks each block against the output

@@ -1,10 +1,11 @@
 // Block-sparse tensor contraction — paper Algorithm 2.
 //
 // Enumerates pairs of blocks whose contracted sector labels match, contracts
-// each pair with the dense einsum kernel, and accumulates results into the
-// output block keyed by the remaining labels. Per-block-pair costs are priced
-// from block shapes at enumeration, so the list engine can charge the Table II
-// cost model block-wise without observing execution.
+// each pair with the dense kernel tensor::contract over the same mode pairs,
+// and accumulates results into the output block keyed by the remaining
+// labels. Per-block-pair costs are priced from block shapes at enumeration,
+// so the list engine can charge the Table II cost model block-wise without
+// observing execution.
 //
 // Execution is thread-parallel: the block-pair list is binned by output block
 // key, bins run concurrently on the shared work-stealing pool
@@ -37,19 +38,11 @@ struct ContractStats {
   int num_bins = 0;  ///< distinct output blocks touched (executor bin count)
 };
 
-/// Execution knobs of the parallel block-contraction executor.
-struct ContractOptions {
-  /// Executor threads for this contraction: 0 = the global TT_THREADS
-  /// setting (support::num_threads()), 1 = serial. Never affects results.
-  int num_threads = 0;
-};
-
 /// Validated structural plan of a block contraction.
 struct ContractPlan {
   std::vector<int> free_a, free_b;      ///< uncontracted mode positions
   std::vector<Index> out_indices;       ///< free(a) then free(b)
   QN out_flux;                          ///< flux(a) + flux(b)
-  std::string spec;                     ///< einsum spec of every block pair
 };
 
 /// Validate the contraction pattern and derive the output structure.
@@ -87,20 +80,21 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
 /// contraction's only cost record: stats never depend on who executed a bin.
 void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats);
 
-/// Contract every pair of `bin` in pair order, accumulating into one output
-/// block. Deterministic: one thread, fixed order — callers parallelize
-/// *across* bins.
-tensor::DenseTensor execute_bin(const OutputBin& bin, const std::string& spec);
+/// Contract every pair of `bin` over `pairs` in pair order, accumulating into
+/// one output block. Deterministic: one thread, fixed order — callers
+/// parallelize *across* bins.
+tensor::DenseTensor execute_bin(const OutputBin& bin,
+                                const std::vector<std::pair<int, int>>& pairs);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg
 /// pairs must be contractible (equal sector lists, opposite directions).
 /// Output indices: free modes of `a` in order, then free modes of `b`;
 /// output flux = flux(a) + flux(b). Bins of block pairs sharing an output
-/// block execute concurrently per `opts`; results are bitwise identical at
-/// any thread count.
+/// block execute concurrently on `num_threads` executor threads (0 = the
+/// global TT_THREADS setting, support::num_threads(); 1 = serial); results
+/// are bitwise identical at any thread count.
 BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
                      const std::vector<std::pair<int, int>>& pairs,
-                     ContractStats* stats = nullptr,
-                     const ContractOptions& opts = {});
+                     ContractStats* stats = nullptr, int num_threads = 0);
 
 }  // namespace tt::symm

@@ -11,7 +11,9 @@
 namespace tt::testing {
 
 /// Contract two dense tensors by brute-force enumeration of all label values.
-/// Supports exactly the spec subset the production einsum accepts.
+/// Specs name each mode with one letter ("akb,bsc->aksc"); labels shared by
+/// both inputs and absent from the output are summed. No traces, no batch
+/// labels.
 inline tensor::DenseTensor naive_einsum(const std::string& spec,
                                         const tensor::DenseTensor& a,
                                         const tensor::DenseTensor& b) {

@@ -1,4 +1,4 @@
-// The whole suite validates the production einsum and block contraction
+// The whole suite validates the production dense and block contractions
 // against tests/common/naive_einsum.hpp — so the oracle itself is checked
 // here against contractions small enough to compute by hand.
 #include <gtest/gtest.h>

@@ -16,7 +16,7 @@
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
 #include "symm/fuse.hpp"
-#include "tensor/einsum.hpp"
+#include "tensor/contract.hpp"
 
 namespace {
 
@@ -303,28 +303,21 @@ FusedCounts fused_counts(const BlockTensor& a, const BlockTensor& b, const Pairs
   o.size_a = static_cast<double>(fa.size());
   o.size_b = static_cast<double>(fb.size());
 
-  // Einsum labels: contracted legs share a's label; output = free a, free b.
-  std::string la, lb(static_cast<std::size_t>(b.order()), ' '), lc;
+  // Output = free a, free b (the order tensor::contract puts out).
   std::vector<bool> con_a(static_cast<std::size_t>(a.order()), false);
   std::vector<bool> con_b(static_cast<std::size_t>(b.order()), false);
   for (const auto& [ma, mb] : pairs) {
     con_a[static_cast<std::size_t>(ma)] = con_b[static_cast<std::size_t>(mb)] = true;
     o.k *= static_cast<double>(a.index(ma).dim());
   }
-  for (int i = 0; i < a.order(); ++i) la.push_back(static_cast<char>('a' + i));
-  for (const auto& [ma, mb] : pairs)
-    lb[static_cast<std::size_t>(mb)] = la[static_cast<std::size_t>(ma)];
   std::vector<Index> out_indices;
   for (int i = 0; i < a.order(); ++i)
     if (!con_a[static_cast<std::size_t>(i)]) {
-      lc.push_back(la[static_cast<std::size_t>(i)]);
       out_indices.push_back(a.index(i));
       o.m *= static_cast<double>(a.index(i).dim());
     }
   for (int j = 0; j < b.order(); ++j)
     if (!con_b[static_cast<std::size_t>(j)]) {
-      lb[static_cast<std::size_t>(j)] = static_cast<char>('n' + j);
-      lc.push_back(lb[static_cast<std::size_t>(j)]);
       out_indices.push_back(b.index(j));
       o.n *= static_cast<double>(b.index(j).dim());
     }
@@ -353,7 +346,8 @@ FusedCounts fused_counts(const BlockTensor& a, const BlockTensor& b, const Pairs
   for (std::size_t p = 0; p < pa.size(); ++p) matched += pa[p] * pb[p];
   o.matched_pairs = static_cast<double>(matched);
 
-  const DenseTensor fc = tt::tensor::einsum(la + "," + lb + "->" + lc, fa, fb);
+  // The GEMM path, so the zero pattern is exactly the executed one.
+  const DenseTensor fc = tt::tensor::contract(fa, fb, pairs);
   for (index_t i = 0; i < fc.size(); ++i)
     if (fc[i] != 0.0) o.nnz_c += 1;
   const BlockTensor probe(out_indices, a.flux() + b.flux());

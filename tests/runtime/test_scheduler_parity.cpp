@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/naive_einsum.hpp"
 #include "dmrg/dmrg.hpp"
 #include "dmrg/engine.hpp"
 #include "models/heisenberg.hpp"
@@ -20,7 +21,6 @@
 #include "support/rng.hpp"
 #include "symm/block_ops.hpp"
 #include "symm/fuse.hpp"
-#include "tensor/einsum.hpp"
 
 namespace {
 
@@ -90,9 +90,7 @@ TEST_P(SchedulerModes, ResultsAndStatsBitwiseIdenticalAt1_2_4Ranks) {
 
   // Serial reference: the existing thread executor at one thread.
   ContractStats ref_stats;
-  tt::symm::ContractOptions serial;
-  serial.num_threads = 1;
-  const BlockTensor ref = tt::symm::contract(a, b, pairs, &ref_stats, serial);
+  const BlockTensor ref = tt::symm::contract(a, b, pairs, &ref_stats, /*num_threads=*/1);
   ASSERT_GT(ref.num_blocks(), 8);
   ASSERT_GT(ref_stats.block_ops.size(), 30u);
 
@@ -180,8 +178,8 @@ TEST_P(SchedulerModes, AgreesWithTheFusedDenseOracle) {
   opts.mode = GetParam();
   Scheduler sched(opts);
   const BlockTensor c = sched.contract(a, b, {{2, 0}});
-  auto want = tt::tensor::einsum("lsr,rtm->lstm", tt::symm::fuse_dense(a),
-                                 tt::symm::fuse_dense(b));
+  auto want = tt::testing::naive_einsum("lsr,rtm->lstm", tt::symm::fuse_dense(a),
+                                        tt::symm::fuse_dense(b));
   EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(c), want),
             1e-10 * (1.0 + want.max_abs()));
 }

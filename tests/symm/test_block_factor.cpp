@@ -7,7 +7,6 @@
 #include "symm/block_factor.hpp"
 #include "symm/block_ops.hpp"
 #include "symm/fuse.hpp"
-#include "tensor/einsum.hpp"
 
 namespace {
 

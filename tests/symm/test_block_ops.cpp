@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/naive_einsum.hpp"
 #include "symm/block_ops.hpp"
 #include "symm/fuse.hpp"
-#include "tensor/einsum.hpp"
+#include "tensor/contract.hpp"
 
 namespace {
 
@@ -32,10 +33,10 @@ TEST(BlockContract, MatchesFusedDenseEinsum) {
   BlockTensor b = site_b(rng);
   // Contract a's right bond with b's left bond: theta(l,s1,s2,r).
   BlockTensor c = tt::symm::contract(a, b, {{2, 0}});
-  // Reference: fused dense einsum.
+  // Reference: loop-based contraction of the fused dense operands.
   auto da = tt::symm::fuse_dense(a);
   auto db = tt::symm::fuse_dense(b);
-  auto want = tt::tensor::einsum("lsr,rtm->lstm", da, db);
+  auto want = tt::testing::naive_einsum("lsr,rtm->lstm", da, db);
   auto got = tt::symm::fuse_dense(c);
   EXPECT_LT(tt::tensor::max_abs_diff(got, want), 1e-10 * (1.0 + want.max_abs()));
 }
@@ -61,8 +62,8 @@ TEST(BlockContract, MultiModeContraction) {
   // the dagger of an identically-structured tensor.
   BlockTensor b = site_a(rng).dagger();
   BlockTensor c = tt::symm::contract(a, b, {{1, 1}, {2, 2}});
-  auto want = tt::tensor::einsum("lsr,msr->lm", tt::symm::fuse_dense(a),
-                                 tt::symm::fuse_dense(b));
+  auto want = tt::testing::naive_einsum("lsr,msr->lm", tt::symm::fuse_dense(a),
+                                       tt::symm::fuse_dense(b));
   EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(c), want),
             1e-10 * (1.0 + want.max_abs()));
 }
@@ -93,8 +94,10 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
   }
   EXPECT_DOUBLE_EQ(sum, st.total_flops);
 
-  // The costs are priced from block shapes at enumeration; they must equal
-  // what executing each pair measures, bitwise, in bin order.
+  // The costs are priced from block shapes at enumeration, in bin order:
+  // 2·m·n·k flops and m·n result words, with m the free(a), n the free(b) and
+  // k the contracted extent of the pair's blocks — the extents of the GEMM
+  // that executes the pair, whose result holds m·n words.
   auto expect_priced_as_executed = [](const BlockTensor& x, const BlockTensor& y,
                                       const std::vector<std::pair<int, int>>& pairs) {
     ContractStats priced;
@@ -104,13 +107,17 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
     for (const auto& bin : tt::symm::enumerate_bins(x, y, pairs, plan))
       for (const auto& pw : bin.pairs) {
         ASSERT_LT(i, priced.block_ops.size());
-        tt::tensor::EinsumStats es;
-        (void)tt::tensor::einsum(plan.spec, *pw.ablk, *pw.bblk, &es);
+        double m = 1.0, n = 1.0, k = 1.0;
+        for (int mode : plan.free_a) m *= static_cast<double>(pw.ablk->dim(mode));
+        for (int mode : plan.free_b) n *= static_cast<double>(pw.bblk->dim(mode));
+        for (auto [ma, mb] : pairs) k *= static_cast<double>(pw.ablk->dim(ma));
         const auto& op = priced.block_ops[i++];
-        EXPECT_EQ(op.flops, es.flops);
+        EXPECT_EQ(op.flops, 2.0 * m * n * k);
         EXPECT_EQ(op.words_a, static_cast<double>(pw.ablk->size()));
         EXPECT_EQ(op.words_b, static_cast<double>(pw.bblk->size()));
-        EXPECT_EQ(op.words_c, static_cast<double>(es.m) * static_cast<double>(es.n));
+        EXPECT_EQ(op.words_c, m * n);
+        const auto executed = tt::tensor::contract(*pw.ablk, *pw.bblk, pairs);
+        EXPECT_EQ(op.words_c, static_cast<double>(executed.size()));
       }
     EXPECT_EQ(i, priced.block_ops.size());
   };
@@ -147,8 +154,8 @@ TEST(BlockContract, FluxAddsThroughContraction) {
   BlockTensor c = tt::symm::contract(a, b, {{1, 0}});
   EXPECT_EQ(c.flux(), QN(0));
   // And the contraction matches the fused reference.
-  auto want = tt::tensor::einsum("ls,sr->lr", tt::symm::fuse_dense(a),
-                                 tt::symm::fuse_dense(b));
+  auto want = tt::testing::naive_einsum("ls,sr->lr", tt::symm::fuse_dense(a),
+                                       tt::symm::fuse_dense(b));
   EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(c), want), 1e-10);
 }
 

@@ -9,17 +9,16 @@
 #include "dmrg/engine.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/tracker.hpp"
+#include "common/naive_einsum.hpp"
 #include "support/thread_pool.hpp"
 #include "symm/block_ops.hpp"
 #include "symm/fuse.hpp"
-#include "tensor/einsum.hpp"
 
 namespace {
 
 using tt::Rng;
 using tt::index_t;
 using tt::symm::BlockTensor;
-using tt::symm::ContractOptions;
 using tt::symm::ContractStats;
 using tt::symm::Dir;
 using tt::symm::Index;
@@ -77,18 +76,14 @@ void expect_identical_stats(const ContractStats& x, const ContractStats& y) {
 
 TEST(ParallelContract, BitwiseIdenticalAcrossThreadCounts) {
   auto [a, b] = many_block_pair(31);
-  ContractOptions serial;
-  serial.num_threads = 1;
   ContractStats st1;
-  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}}, &st1, serial);
+  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}}, &st1, /*num_threads=*/1);
   ASSERT_GT(ref.num_blocks(), 8);  // the workload must actually have many bins
   EXPECT_GT(st1.block_ops.size(), 30u);
 
   for (int threads : {2, 8}) {
-    ContractOptions opts;
-    opts.num_threads = threads;
     ContractStats st;
-    const BlockTensor c = tt::symm::contract(a, b, {{2, 0}}, &st, opts);
+    const BlockTensor c = tt::symm::contract(a, b, {{2, 0}}, &st, threads);
     expect_bitwise_equal(ref, c);
     expect_identical_stats(st1, st);
   }
@@ -108,11 +103,9 @@ TEST(ParallelContract, TtThreadsGlobalKnobIsUsedByDefault) {
 
 TEST(ParallelContract, MatchesFusedDenseOracle) {
   auto [a, b] = many_block_pair(33);
-  ContractOptions opts;
-  opts.num_threads = 4;
-  const BlockTensor c = tt::symm::contract(a, b, {{2, 0}}, nullptr, opts);
-  auto want = tt::tensor::einsum("lsr,rtm->lstm", tt::symm::fuse_dense(a),
-                                 tt::symm::fuse_dense(b));
+  const BlockTensor c = tt::symm::contract(a, b, {{2, 0}}, nullptr, /*num_threads=*/4);
+  auto want = tt::testing::naive_einsum("lsr,rtm->lstm", tt::symm::fuse_dense(a),
+                                        tt::symm::fuse_dense(b));
   auto got = tt::symm::fuse_dense(c);
   EXPECT_LT(tt::tensor::max_abs_diff(got, want), 1e-10 * (1.0 + want.max_abs()));
 }
@@ -121,9 +114,7 @@ TEST(ParallelContract, MultiModeAndScalarOutputsStayDeterministic) {
   auto [a, b] = many_block_pair(34);
   (void)b;
   const BlockTensor adag = a.dagger();
-  ContractOptions serial, par;
-  serial.num_threads = 1;
-  par.num_threads = 8;
+  const int serial = 1, par = 8;
   // Overlap-style double contraction (order-2 output).
   expect_bitwise_equal(tt::symm::contract(a, adag, {{1, 1}, {2, 2}}, nullptr, serial),
                        tt::symm::contract(a, adag, {{1, 1}, {2, 2}}, nullptr, par));
