@@ -12,12 +12,15 @@
 #include "linalg/gemm.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "dmrg/environment.hpp"
+#include "models/electron.hpp"
+#include "models/hubbard.hpp"
+#include "models/lattice.hpp"
+#include "models/spin_half.hpp"
+#include "mps/mps.hpp"
+#include "runtime/wire.hpp"
 #include "symm/block_ops.hpp"
 #include "tensor/contract.hpp"
-#include "mps/mps.hpp"
-#include "models/spin_half.hpp"
-#include "models/electron.hpp"
-#include "runtime/wire.hpp"
 
 namespace {
 
@@ -107,13 +110,15 @@ BENCHMARK(BM_Svd)
     ->Args({32, 0})->Args({64, 0})->Args({128, 0})->Args({150, 1})->Args({512, 1})
     ->Unit(benchmark::kMillisecond);
 
+// The middle bond of a 16-site chain, so every argument contracts at its
+// own bond dimension (2^8 = 256 states on each side of the bond).
 void BM_BlockContract(benchmark::State& state) {
   const index_t m = state.range(0);
   Rng rng(6);
-  auto sites = tt::models::spin_half_sites(12);
+  auto sites = tt::models::spin_half_sites(16);
   auto psi = tt::mps::Mps::random(sites, tt::symm::QN(0), m, rng);
-  const auto& a = psi.site(5);
-  const auto& b = psi.site(6);
+  const auto& a = psi.site(7);
+  const auto& b = psi.site(8);
   for (auto _ : state) {
     auto c = tt::symm::contract(a, b, {{2, 0}});
     benchmark::DoNotOptimize(c.num_blocks());
@@ -134,6 +139,31 @@ void BM_BlockContractElectron(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockContractElectron)->Arg(16)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+// The two-site matvec's t1 × W step, t1(bra, mpo, s1, s2, r) · W(k, s, s', k')
+// over (mpo, k), (s1, s'), at the middle bond of the 4×3 triangular Hubbard
+// cylinder. Both operands need a permuted copy in every block pair, and the
+// two U(1) charges make the blocks small: the per-pair overhead regime.
+void BM_BlockContractPermuted(benchmark::State& state) {
+  const index_t m = state.range(0);
+  Rng rng(9);
+  const auto lat = tt::models::triangular_cylinder(4, 3);
+  auto sites = tt::models::electron_sites(lat.num_sites);
+  const auto h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
+  auto psi = tt::mps::Mps::random(sites, tt::symm::QN(lat.num_sites, 0), m, rng);
+  auto eng = tt::dmrg::make_engine(tt::dmrg::EngineKind::kList, {tt::rt::localhost(), 1, 1});
+  const int j = lat.num_sites / 2 - 1;
+  auto left = tt::dmrg::left_boundary(2);
+  for (int i = 0; i < j; ++i) left = tt::dmrg::extend_left(*eng, left, psi.site(i), h.site(i));
+  const auto x = tt::symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
+  const auto t1 = tt::symm::contract(left, x, {{2, 0}});
+  for (auto _ : state) {
+    auto c = tt::symm::contract(t1, h.site(j), {{1, 0}, {2, 2}});
+    benchmark::DoNotOptimize(c.num_blocks());
+  }
+}
+BENCHMARK(BM_BlockContractPermuted)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 // The transport frame checksum, which both ends run over every payload byte.

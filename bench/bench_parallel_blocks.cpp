@@ -5,8 +5,11 @@
 // from concurrency across bins while results stay bitwise identical; the
 // table verifies that and reports the speedup over the serial path.
 //
-// Thread counts default to {1, 2, 4, 8} capped by TT_BENCH_MAX_THREADS.
+// Thread counts default to {1, 2, 4, 8} capped by TT_BENCH_MAX_THREADS (a
+// whole number >= 1; anything else is an error). The driver exits 1 when any
+// row's result is not bitwise equal to the serial one.
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -53,9 +57,22 @@ bool bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
   return true;
 }
 
+// The TT_BENCH_MAX_THREADS cap, parsed as strictly as TT_THREADS; 0 = unset.
+int max_threads_cap() {
+  const char* env = std::getenv("TT_BENCH_MAX_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  const char* end = env + std::strlen(env);
+  int cap = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, cap);
+  TT_CHECK(ec == std::errc() && ptr == end && cap >= 1,
+           "TT_BENCH_MAX_THREADS must be a whole number >= 1, got '" << env << "'");
+  return cap;
+}
+
 int run() {
   tt::bench::print_driver_header("bench_parallel_blocks");
   using namespace tt;
+  const int cap = max_threads_cap();
 
   const int nsec = 13;
   const index_t dim = 48;
@@ -75,17 +92,14 @@ int run() {
             << probe.total_flops / 1e9 << " GFlop\n\n";
 
   std::vector<int> thread_counts{1, 2, 4, 8};
-  if (const char* env = std::getenv("TT_BENCH_MAX_THREADS")) {
-    const int cap = std::atoi(env);
-    if (cap >= 1)
-      thread_counts.erase(
-          std::remove_if(thread_counts.begin(), thread_counts.end(),
-                         [cap](int t) { return t > cap; }),
-          thread_counts.end());
-  }
+  if (cap > 0)
+    thread_counts.erase(std::remove_if(thread_counts.begin(), thread_counts.end(),
+                                       [cap](int t) { return t > cap; }),
+                        thread_counts.end());
 
   const int reps = 5;
   double t1 = 0.0;
+  bool all_equal = true;
   Table table("Parallel block-contraction executor — symm::contract wall time");
   table.header({"threads", "best of 5 (ms)", "speedup vs 1", "GFlop/s",
                 "bitwise == serial"});
@@ -98,15 +112,20 @@ int run() {
       best = std::min(best, timer.seconds());
     }
     if (threads == 1) t1 = best;
+    const bool equal = bitwise_equal(ref, c);
+    all_equal &= equal;
     table.row({std::to_string(threads), fmt(best * 1e3, 3), fmt(t1 / best, 2),
-               fmt(probe.total_flops / best / 1e9, 2),
-               bitwise_equal(ref, c) ? "yes" : "NO"});
+               fmt(probe.total_flops / best / 1e9, 2), equal ? "yes" : "NO"});
   }
   table.print();
 
   std::cout << "\nHardware concurrency: " << std::thread::hardware_concurrency()
             << " (speedup saturates at the physical core count; the "
                "determinism column must read 'yes' everywhere at any count)\n";
+  if (!all_equal) {
+    std::cerr << "bench_parallel_blocks: a threaded result differs from the serial one\n";
+    return 1;
+  }
   return 0;
 }
 

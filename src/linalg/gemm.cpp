@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "linalg/backend.hpp"
+#include "support/scratch.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tt::linalg {
@@ -101,9 +101,14 @@ void micro_kernel(index_t kc, const real_t* __restrict ap,
 void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
                  real_t alpha, const real_t* a, const real_t* b, real_t* c) {
   const index_t kc_max = std::min(kKc, k);
-  std::vector<real_t> bpack(
+  // The calling thread's pack buffers: pool threads fill disjoint strips of
+  // them, and every strip is packed (padding included) before it is read, so
+  // they need no zero fill and a warm call allocates nothing.
+  thread_local support::ScratchBuffer bpack_buf, apack_buf;
+  real_t* const bpack = bpack_buf.get(
       static_cast<std::size_t>(round_up(std::min(kNc, n), kNr) * kc_max));
-  std::vector<real_t> apack(static_cast<std::size_t>(round_up(m, kMr) * kc_max));
+  real_t* const apack =
+      apack_buf.get(static_cast<std::size_t>(round_up(m, kMr) * kc_max));
   const index_t num_panels = (m + kMc - 1) / kMc;
   const index_t num_astrips = (m + kMr - 1) / kMr;
   // Small GEMMs loop inline and never touch the pool (nor build the
@@ -121,11 +126,11 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
       for_each(num_bstrips, [&](index_t s) {
         pack_b_strip(transb, b, k, n, pc, jc + s * kNr,
                      std::min(kNr, nc - s * kNr), kc,
-                     bpack.data() + s * kc * kNr);
+                     bpack + s * kc * kNr);
       });
       for_each(num_astrips, [&](index_t s) {
         pack_a_strip(transa, a, m, k, s * kMr, std::min(kMr, m - s * kMr), pc,
-                     kc, alpha, apack.data() + s * kc * kMr);
+                     kc, alpha, apack + s * kc * kMr);
       });
       // One tile = one C row panel × one packed B strip, column-strip-minor:
       // consecutive tiles reuse the same A panel (the L2-resident object)
@@ -137,9 +142,9 @@ void gemm_packed(bool transa, bool transb, index_t m, index_t n, index_t k,
         const index_t mc = std::min(kMc, m - ic);
         const index_t jr = js * kNr;
         const index_t nb = std::min(kNr, nc - jr);
-        const real_t* bs = bpack.data() + js * kc * kNr;
+        const real_t* bs = bpack + js * kc * kNr;
         for (index_t ir = 0; ir < mc; ir += kMr)
-          micro_kernel(kc, apack.data() + ((ic + ir) / kMr) * kc * kMr, bs,
+          micro_kernel(kc, apack + ((ic + ir) / kMr) * kc * kMr, bs,
                        c + (ic + ir) * n + jc + jr, n, std::min(kMr, mc - ir),
                        nb);
       });

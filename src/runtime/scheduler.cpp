@@ -10,7 +10,7 @@
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
-#include "tensor/dense.hpp"
+#include "tensor/contract.hpp"
 
 namespace tt::rt {
 
@@ -66,7 +66,7 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
   TT_CHECK(nmodes <= r.remaining() / 8, "task frame claims " << nmodes << " mode pairs in "
                                                              << r.remaining() << " bytes");
   task.pairs.resize(static_cast<std::size_t>(nmodes));
-  for (auto& [ma, mb] : task.pairs) {  // tensor::contract rejects a bad mode
+  for (auto& [ma, mb] : task.pairs) {  // contract_layout rejects a bad mode
     ma = static_cast<int>(r.u32());     // (a u32 above INT_MAX reads negative)
     mb = static_cast<int>(r.u32());
   }
@@ -112,11 +112,18 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
   TT_TRACE_SPAN("sched.worker_task", TraceCat::kContract);
   std::vector<tensor::DenseTensor> done(task.bins.size());
   Timer busy;
+  // One layout per task, as on the root; execute_bin checks every shipped
+  // block against it.
+  tensor::ContractLayout layout;
+  if (!task.bins.empty()) {
+    const symm::BinPair& first = task.bins.front().pairs.front();
+    layout = tensor::contract_layout(first.ablk->order(), first.bblk->order(), task.pairs);
+  }
   support::parallel_for(
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
         done[static_cast<std::size_t>(i)] =
-            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], task.pairs);
+            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], layout);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
@@ -317,7 +324,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
   TT_TRACE_SPAN("sched.contract", TraceCat::kScheduler);
   const symm::ContractPlan plan = symm::make_contract_plan(a, b, pairs);
   symm::BlockTensor c(plan.out_indices, plan.out_flux);
-  const std::vector<symm::OutputBin> bins = symm::enumerate_bins(a, b, pairs, plan);
+  const std::vector<symm::OutputBin> bins = symm::enumerate_bins(a, b, plan);
   FaultInjector& inj = FaultInjector::instance();
 
   // --- placement -------------------------------------------------------------
@@ -451,7 +458,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], pairs);
+          done[g] = symm::execute_bin(bins[g], plan.layout);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -535,7 +542,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], pairs);
+            done[g] = symm::execute_bin(bins[g], plan.layout);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();

@@ -1,7 +1,9 @@
 #include "symm/block_ops.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <limits>
+#include <unordered_map>
 
 #include "runtime/trace.hpp"
 #include "support/thread_pool.hpp"
@@ -9,93 +11,125 @@
 
 namespace tt::symm {
 
+namespace {
+
+// Mixed-radix sector codes, the block numbering of a blocked tensor: digit i
+// of a code is the sector id on modes[i], with the sector count of that mode
+// as its radix. Equal codes over the same modes mean equal sector ids, so a
+// code stands in for a key part without building one.
+struct SectorCode {
+  std::vector<int> modes;
+  std::vector<std::uint64_t> weights;  // last digit fastest
+
+  std::uint64_t of(const BlockKey& key) const {
+    std::uint64_t code = 0;
+    for (std::size_t i = 0; i < modes.size(); ++i)
+      code += weights[i] * static_cast<std::uint64_t>(key[static_cast<std::size_t>(modes[i])]);
+    return code;
+  }
+};
+
+// Codes over `modes` of `t`, whose digits continue a code already spanning
+// `span` values (the first call starts at 1): the weights of `modes` are
+// scaled past it, and `span` grows to the joint code space.
+SectorCode sector_code(const BlockTensor& t, const std::vector<int>& modes,
+                       std::uint64_t& span) {
+  SectorCode c{modes, std::vector<std::uint64_t>(modes.size())};
+  for (std::size_t i = modes.size(); i-- > 0;) {
+    c.weights[i] = span;
+    const auto radix =
+        static_cast<std::uint64_t>(t.index(modes[i]).num_sectors());
+    TT_CHECK(span <= std::numeric_limits<std::uint64_t>::max() / radix,
+             "block contraction: more than 2^64 sector combinations to number");
+    span *= radix;
+  }
+  return c;
+}
+
+// One block of b within the contracted-sector groups.
+struct BEntry {
+  std::uint64_t con_code;  // over b's contracted modes
+  std::uint64_t out_code;  // b's free modes' share of the output code
+  const BlockKey* key;
+  const tensor::DenseTensor* blk;
+  double n_dim;
+};
+
+}  // namespace
+
 ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
                                 const std::vector<std::pair<int, int>>& pairs) {
-  std::vector<bool> con_a(static_cast<std::size_t>(a.order()), false);
-  std::vector<bool> con_b(static_cast<std::size_t>(b.order()), false);
-  for (auto [ma, mb] : pairs) {
-    TT_CHECK(ma >= 0 && ma < a.order() && mb >= 0 && mb < b.order(),
-             "contraction mode out of range (" << ma << "," << mb << ")");
-    TT_CHECK(!con_a[static_cast<std::size_t>(ma)] && !con_b[static_cast<std::size_t>(mb)],
-             "mode contracted twice");
+  ContractPlan plan;
+  plan.layout = tensor::contract_layout(a.order(), b.order(), pairs);
+  for (auto [ma, mb] : pairs)
     TT_CHECK(a.index(ma).contractible_with(b.index(mb)),
              "legs not contractible on pair (" << ma << "," << mb
                                                << "): sector/direction mismatch");
-    con_a[static_cast<std::size_t>(ma)] = true;
-    con_b[static_cast<std::size_t>(mb)] = true;
-  }
-
-  ContractPlan plan;
-  plan.free_a.reserve(static_cast<std::size_t>(a.order()));
-  plan.free_b.reserve(static_cast<std::size_t>(b.order()));
-  for (int m = 0; m < a.order(); ++m)
-    if (!con_a[static_cast<std::size_t>(m)]) plan.free_a.push_back(m);
-  for (int m = 0; m < b.order(); ++m)
-    if (!con_b[static_cast<std::size_t>(m)]) plan.free_b.push_back(m);
-
-  plan.out_indices.reserve(plan.free_a.size() + plan.free_b.size());
-  for (int m : plan.free_a) plan.out_indices.push_back(a.index(m));
-  for (int m : plan.free_b) plan.out_indices.push_back(b.index(m));
+  const tensor::ContractLayout& l = plan.layout;
+  plan.out_indices.reserve(l.free_a.size() + l.free_b.size());
+  for (int m : l.free_a) plan.out_indices.push_back(a.index(m));
+  for (int m : l.free_b) plan.out_indices.push_back(b.index(m));
   plan.out_flux = a.flux() + b.flux();
   return plan;
 }
 
 std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b,
-                                      const std::vector<std::pair<int, int>>& pairs,
                                       const ContractPlan& plan) {
-  // --- group B's blocks by contracted sector ids (hash join) -----------------
-  using ConKey = std::vector<int>;
-  std::map<ConKey, std::vector<const std::pair<const BlockKey, tensor::DenseTensor>*>>
-      b_groups;
-  for (const auto& kv : b.blocks()) {
-    ConKey ck(pairs.size());
-    for (std::size_t t = 0; t < pairs.size(); ++t)
-      ck[t] = kv.first[static_cast<std::size_t>(pairs[t].second)];
-    b_groups[ck].push_back(&kv);
-  }
+  const tensor::ContractLayout& l = plan.layout;
+  // Contracted legs carry equal sector lists, so a's and b's contracted
+  // codes share their weights; output codes number free(a) ++ free(b).
+  std::uint64_t con_span = 1, out_span = 1;
+  const SectorCode con_b = sector_code(b, l.con_b, con_span);
+  const SectorCode con_a{l.con_a, con_b.weights};
+  const SectorCode out_b = sector_code(b, l.free_b, out_span);
+  const SectorCode out_a = sector_code(a, l.free_a, out_span);
 
-  // --- bin the Algorithm 2 pair list by output block key ----------------------
+  // --- group B's blocks by contracted sectors (sort join) -------------------
+  // A stable sort keeps each group in b's key order.
+  std::vector<BEntry> b_entries;
+  b_entries.reserve(b.blocks().size());
+  for (const auto& [key, blk] : b.blocks()) {
+    double n_dim = 1.0;
+    for (int m : l.free_b) n_dim *= static_cast<double>(blk.dim(m));
+    b_entries.push_back({con_b.of(key), out_b.of(key), &key, &blk, n_dim});
+  }
+  std::stable_sort(b_entries.begin(), b_entries.end(),
+                   [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
+
+  // --- bin the Algorithm 2 pair list by output block ------------------------
   // Enumeration order (A blocks in key order, then B's group order) fixes both
   // the bin order and the within-bin accumulation order; neither depends on
   // the thread or rank count.
-  std::map<BlockKey, std::size_t> bin_of;
+  // tt-lint: allow(ordered-iteration) lookup-only: output code -> bin index; bins are ordered by first touch in the fixed enumeration, never by this map
+  std::unordered_map<std::uint64_t, std::size_t> bin_of;
   std::vector<OutputBin> bins;
-  for (const auto& akv : a.blocks()) {
-    const BlockKey& akey = akv.first;
-    ConKey ck(pairs.size());
-    for (std::size_t t = 0; t < pairs.size(); ++t)
-      ck[t] = akey[static_cast<std::size_t>(pairs[t].first)];
-    auto git = b_groups.find(ck);
-    if (git == b_groups.end()) continue;
+  for (const auto& [akey, ablk] : a.blocks()) {
+    const std::uint64_t ccode = con_a.of(akey);
+    auto group = std::equal_range(
+        b_entries.begin(), b_entries.end(), BEntry{ccode, 0, nullptr, nullptr, 0.0},
+        [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
+    if (group.first == group.second) continue;
 
     // m and k depend only on the A block; n on the B block.
     double m_dim = 1.0, k_dim = 1.0;
-    for (int m : plan.free_a)
-      m_dim *= static_cast<double>(akv.second.dim(m));
-    for (auto [ma, mb] : pairs) {
-      (void)mb;
-      k_dim *= static_cast<double>(akv.second.dim(ma));
-    }
-    const auto words_a = static_cast<double>(akv.second.size());
+    for (int m : l.free_a) m_dim *= static_cast<double>(ablk.dim(m));
+    for (int m : l.con_a) k_dim *= static_cast<double>(ablk.dim(m));
+    const auto words_a = static_cast<double>(ablk.size());
+    const std::uint64_t acode = out_a.of(akey);
 
-    for (const auto* bkv : git->second) {
-      BlockKey ckey;
-      ckey.reserve(plan.free_a.size() + plan.free_b.size());
-      for (int m : plan.free_a) ckey.push_back(akey[static_cast<std::size_t>(m)]);
-      for (int m : plan.free_b)
-        ckey.push_back(bkv->first[static_cast<std::size_t>(m)]);
-      auto [it, inserted] = bin_of.try_emplace(std::move(ckey), bins.size());
+    for (auto it = group.first; it != group.second; ++it) {
+      auto [slot, inserted] = bin_of.try_emplace(acode + it->out_code, bins.size());
       if (inserted) {
-        bins.emplace_back();
-        bins.back().out_key = it->first;
+        OutputBin& fresh = bins.emplace_back();
+        fresh.out_key.reserve(l.free_a.size() + l.free_b.size());
+        for (int m : l.free_a) fresh.out_key.push_back(akey[static_cast<std::size_t>(m)]);
+        for (int m : l.free_b)
+          fresh.out_key.push_back((*it->key)[static_cast<std::size_t>(m)]);
       }
-      double n_dim = 1.0;
-      for (int m : plan.free_b)
-        n_dim *= static_cast<double>(bkv->second.dim(m));
-      const BlockOpCost cost{2.0 * m_dim * n_dim * k_dim, words_a,
-                             static_cast<double>(bkv->second.size()), m_dim * n_dim};
-      OutputBin& bin = bins[it->second];
-      bin.pairs.push_back({&akv.second, &bkv->second, cost});
+      const BlockOpCost cost{2.0 * m_dim * it->n_dim * k_dim, words_a,
+                             static_cast<double>(it->blk->size()), m_dim * it->n_dim};
+      OutputBin& bin = bins[slot->second];
+      bin.pairs.push_back({&ablk, it->blk, cost});
       bin.est_flops += cost.flops;
     }
   }
@@ -111,12 +145,11 @@ void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
     }
 }
 
-tensor::DenseTensor execute_bin(const OutputBin& bin,
-                                const std::vector<std::pair<int, int>>& pairs) {
-  tensor::DenseTensor out =
-      tensor::contract(*bin.pairs.front().ablk, *bin.pairs.front().bblk, pairs);
-  for (std::size_t p = 1; p < bin.pairs.size(); ++p)
-    out.axpy(1.0, tensor::contract(*bin.pairs[p].ablk, *bin.pairs[p].bblk, pairs));
+tensor::DenseTensor execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout) {
+  const BinPair& first = bin.pairs.front();
+  tensor::DenseTensor out(tensor::contract_shape(layout, *first.ablk, *first.bblk));
+  for (const BinPair& pw : bin.pairs)
+    tensor::contract_accumulate(layout, *pw.ablk, *pw.bblk, out);
   return out;
 }
 
@@ -127,7 +160,7 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
   const ContractPlan plan = make_contract_plan(a, b, pairs);
   BlockTensor c(plan.out_indices, plan.out_flux);
 
-  const std::vector<OutputBin> bins = enumerate_bins(a, b, pairs, plan);
+  const std::vector<OutputBin> bins = enumerate_bins(a, b, plan);
   std::vector<tensor::DenseTensor> done(bins.size());
 
   support::parallel_for(
@@ -135,7 +168,7 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
         done[static_cast<std::size_t>(bi)] =
-            execute_bin(bins[static_cast<std::size_t>(bi)], pairs);
+            execute_bin(bins[static_cast<std::size_t>(bi)], plan.layout);
       },
       num_threads);
 

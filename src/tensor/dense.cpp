@@ -1,8 +1,10 @@
 #include "tensor/dense.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "support/thread_pool.hpp"
 
@@ -11,6 +13,40 @@ namespace tt::tensor {
 // Element count above which permute_into splits its leading-mode slices over
 // the pool; below it one pool dispatch costs more than the copy.
 constexpr index_t kParallelPermuteElems = index_t{1} << 16;
+
+namespace {
+
+// Per-mode metadata of the permutation kernel: on the stack up to
+// kInlineOrder modes (every order DMRG uses), on the heap beyond.
+constexpr int kInlineOrder = 8;
+
+class ModeArray {
+ public:
+  explicit ModeArray(int r)
+      : data_(r <= kInlineOrder ? inline_.data()
+                                : heap_.emplace(static_cast<std::size_t>(r), 0).data()) {}
+  ModeArray(const ModeArray&) = delete;
+  ModeArray& operator=(const ModeArray&) = delete;
+
+  index_t& operator[](int i) { return data_[i]; }
+
+ private:
+  std::array<index_t, kInlineOrder> inline_{};
+  std::optional<std::vector<index_t>> heap_;
+  index_t* data_;
+};
+
+void check_permutation(std::span<const int> perm, int r) {
+  TT_CHECK(static_cast<int>(perm.size()) == r,
+           "permutation order mismatch: " << perm.size() << " vs " << r);
+  ModeArray seen(r);
+  for (int p : perm) {
+    TT_CHECK(p >= 0 && p < r && seen[p] == 0, "invalid permutation entry " << p);
+    seen[p] = 1;
+  }
+}
+
+}  // namespace
 
 DenseTensor::DenseTensor(std::vector<index_t> shape, real_t fill)
     : shape_(std::move(shape)) {
@@ -68,15 +104,12 @@ DenseTensor DenseTensor::reshaped(std::vector<index_t> new_shape) const {
 }
 
 DenseTensor DenseTensor::permuted(std::span<const int> perm) const {
-  TT_CHECK(static_cast<int>(perm.size()) == order(),
-           "permutation order mismatch: " << perm.size() << " vs " << order());
-  for (int p : perm)
-    TT_CHECK(p >= 0 && p < order(), "permutation entry " << p << " out of range");
+  check_permutation(perm, order());
   std::vector<index_t> out_shape(perm.size());
   for (std::size_t i = 0; i < perm.size(); ++i)
     out_shape[i] = shape_[static_cast<std::size_t>(perm[i])];
   DenseTensor out(std::move(out_shape));
-  permute_into(*this, perm, out);
+  permute_into(data(), shape_, perm, out.data());
   return out;
 }
 
@@ -120,85 +153,68 @@ real_t max_abs_diff(const DenseTensor& a, const DenseTensor& b) {
   return m;
 }
 
-void permute_into(const DenseTensor& in, std::span<const int> perm,
-                  DenseTensor& out) {
-  const int r = in.order();
-  TT_CHECK(static_cast<int>(perm.size()) == r, "perm order mismatch");
-  {
-    std::vector<bool> seen(static_cast<std::size_t>(r), false);
-    for (int p : perm) {
-      TT_CHECK(p >= 0 && p < r && !seen[static_cast<std::size_t>(p)],
-               "invalid permutation entry " << p);
-      seen[static_cast<std::size_t>(p)] = true;
+void permute_into(const real_t* in, std::span<const index_t> shape,
+                  std::span<const int> perm, real_t* out) {
+  const int r = static_cast<int>(shape.size());
+  ModeArray in_strides(r), dims(r), strides(r);
+  index_t size = 1;
+  for (int i = r - 1; i >= 0; --i) {
+    in_strides[i] = size;
+    size *= shape[static_cast<std::size_t>(i)];
+  }
+  if (size == 0) return;
+
+  // The output modes with their source strides, simplified: unit modes drop
+  // out, and a mode that follows its predecessor in the source too fuses
+  // into it. The walk below then runs over the fewest, longest rows.
+  int q = 0;
+  for (int i = 0; i < r; ++i) {
+    const int p = perm[static_cast<std::size_t>(i)];
+    const index_t d = shape[static_cast<std::size_t>(p)];
+    const index_t s = in_strides[p];
+    if (d == 1) continue;
+    if (q > 0 && strides[q - 1] == s * d) {
+      dims[q - 1] *= d;
+      strides[q - 1] = s;
+    } else {
+      dims[q] = d;
+      strides[q] = s;
+      ++q;
     }
   }
-  TT_CHECK(out.size() == in.size(), "permute output size mismatch");
-
-  if (r == 0) {
-    out[0] = in[0];
+  // At most one mode left: the permutation moves nothing.
+  if (q <= 1) {
+    std::copy(in, in + size, out);
     return;
   }
 
-  // Identity permutation: straight copy.
-  bool identity = true;
-  for (int i = 0; i < r; ++i)
-    if (perm[static_cast<std::size_t>(i)] != i) identity = false;
-  if (identity) {
-    std::copy(in.data(), in.data() + in.size(), out.data());
-    return;
-  }
-
-  // in-stride of each *output* mode.
-  const std::vector<index_t> in_strides = in.strides();
-  std::vector<index_t> src_stride(static_cast<std::size_t>(r));
-  std::vector<index_t> out_shape(static_cast<std::size_t>(r));
-  for (int i = 0; i < r; ++i) {
-    src_stride[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
-    out_shape[static_cast<std::size_t>(i)] = in.dim(perm[static_cast<std::size_t>(i)]);
-  }
-
-  const index_t d0 = out_shape[0];
-  const index_t inner = in.size() / std::max<index_t>(d0, 1);
-  const index_t s0 = src_stride[0];
-  const real_t* src = in.data();
-  real_t* dst = out.data();
-
-  // Walk output in row-major order; per slice of the leading output mode an
-  // odometer tracks the source offset of the remaining modes. The innermost
-  // output mode advances by a fixed source stride, which vectorizes when that
-  // stride is 1.
-  const index_t last_stride = src_stride[static_cast<std::size_t>(r - 1)];
-  const index_t last_dim = out_shape[static_cast<std::size_t>(r - 1)];
-
+  // Walk the output in row-major order; per slice of the leading mode an
+  // odometer tracks the source offset of the middle modes. The last mode
+  // advances by a fixed source stride, which vectorizes when that stride is 1.
+  const index_t d0 = dims[0];
+  const index_t s0 = strides[0];
+  const index_t inner = size / d0;
+  const index_t last_dim = dims[q - 1];
+  const index_t last_stride = strides[q - 1];
   auto slice = [&](index_t i0) {
-    std::vector<index_t> odo(static_cast<std::size_t>(r), 0);
-    odo[0] = i0;
-    index_t src_off = i0 * s0;
-    real_t* d = dst + i0 * inner;
-    index_t written = 0;
-    while (written < inner) {
-      const real_t* s = src + src_off;
+    ModeArray odo(q);
+    const real_t* src = in + i0 * s0;
+    real_t* dst = out + i0 * inner;
+    for (index_t written = 0; written < inner; written += last_dim) {
       if (last_stride == 1) {
-        std::copy(s, s + last_dim, d + written);
+        std::copy(src, src + last_dim, dst + written);
       } else {
-        for (index_t j = 0; j < last_dim; ++j) d[written + j] = s[j * last_stride];
+        for (index_t j = 0; j < last_dim; ++j) dst[written + j] = src[j * last_stride];
       }
-      written += last_dim;
-      // Advance the odometer over modes r-2 .. 1.
-      int m = r - 2;
-      while (m >= 1) {
-        const auto mi = static_cast<std::size_t>(m);
-        src_off += src_stride[mi];
-        if (++odo[mi] < out_shape[mi]) break;
-        src_off -= out_shape[mi] * src_stride[mi];
-        odo[mi] = 0;
-        --m;
+      for (int m = q - 2; m >= 1; --m) {
+        src += strides[m];
+        if (++odo[m] < dims[m]) break;
+        src -= dims[m] * strides[m];
+        odo[m] = 0;
       }
-      if (m < 1) break;  // finished this i0 slice
     }
   };
-  if (in.size() > kParallelPermuteElems) return support::parallel_for(d0, slice);
+  if (size > kParallelPermuteElems) return support::parallel_for(d0, slice);
   for (index_t i0 = 0; i0 < d0; ++i0) slice(i0);
 }
 

@@ -82,9 +82,14 @@ real_t dot(const DenseTensor& a, const DenseTensor& b);
 /// Max elementwise |a - b|.
 real_t max_abs_diff(const DenseTensor& a, const DenseTensor& b);
 
-/// Parallel permutation into a preallocated output (HPTT stand-in).
-/// perm maps output modes to input modes: out_idx[i] = in_idx[perm[i]].
-void permute_into(const DenseTensor& in, std::span<const int> perm,
-                  DenseTensor& out);
+/// Parallel permutation into a preallocated output (HPTT stand-in), the
+/// kernel behind DenseTensor::permuted and the block executor: `out`
+/// receives the row-major `in` of shape `shape`, permuted by `perm`, which
+/// maps output modes to input modes: out_idx[i] = in_idx[perm[i]]. Nothing
+/// is checked — the caller validates `perm` once (a contraction does it once
+/// per layout, not once per block) and sizes `out`. Allocates nothing up to
+/// order 8; copies of more than 2^16 elements thread over the pool.
+void permute_into(const real_t* in, std::span<const index_t> shape,
+                  std::span<const int> perm, real_t* out);
 
 }  // namespace tt::tensor

@@ -102,7 +102,7 @@ TEST(Partition, RandomQnBlockStructuresStayWithinTheBound) {
 
     const std::vector<std::pair<int, int>> pairs = {{1, 0}};
     const auto plan = tt::symm::make_contract_plan(a, b, pairs);
-    const auto bins = tt::symm::enumerate_bins(a, b, pairs, plan);
+    const auto bins = tt::symm::enumerate_bins(a, b, plan);
     std::vector<double> weights(bins.size());
     for (std::size_t i = 0; i < bins.size(); ++i) {
       EXPECT_FALSE(bins[i].pairs.empty());  // a bin exists only if touched

@@ -104,12 +104,12 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
     tt::symm::contract(x, y, pairs, &priced);
     const tt::symm::ContractPlan plan = tt::symm::make_contract_plan(x, y, pairs);
     std::size_t i = 0;
-    for (const auto& bin : tt::symm::enumerate_bins(x, y, pairs, plan))
+    for (const auto& bin : tt::symm::enumerate_bins(x, y, plan))
       for (const auto& pw : bin.pairs) {
         ASSERT_LT(i, priced.block_ops.size());
         double m = 1.0, n = 1.0, k = 1.0;
-        for (int mode : plan.free_a) m *= static_cast<double>(pw.ablk->dim(mode));
-        for (int mode : plan.free_b) n *= static_cast<double>(pw.bblk->dim(mode));
+        for (int mode : plan.layout.free_a) m *= static_cast<double>(pw.ablk->dim(mode));
+        for (int mode : plan.layout.free_b) n *= static_cast<double>(pw.bblk->dim(mode));
         for (auto [ma, mb] : pairs) k *= static_cast<double>(pw.ablk->dim(ma));
         const auto& op = priced.block_ops[i++];
         EXPECT_EQ(op.flops, 2.0 * m * n * k);

@@ -115,6 +115,44 @@ TEST(Contract, RejectsDimensionMismatch) {
   EXPECT_THROW(tt::tensor::contract(a, b, {{1, 0}}), tt::Error);
 }
 
+TEST(Contract, AccumulateAddsOnePairIntoAnExistingOutput) {
+  // Both operands need a permuted copy, as in the two-site matvec. With k
+  // inside one GEMM k panel, out += a·b has the bits of out + contract(a, b).
+  Rng rng(8);
+  const DenseTensor a = DenseTensor::random({3, 2, 4, 5}, rng);
+  const DenseTensor b = DenseTensor::random({2, 6, 4}, rng);
+  const Pairs pairs = {{1, 0}, {2, 2}};
+  const auto layout = tt::tensor::contract_layout(a.order(), b.order(), pairs);
+  EXPECT_TRUE(layout.permute_a);
+  EXPECT_TRUE(layout.permute_b);
+
+  DenseTensor out = DenseTensor::random(tt::tensor::contract_shape(layout, a, b), rng);
+  DenseTensor want = out;
+  want.axpy(1.0, tt::tensor::contract(a, b, pairs));
+  tt::tensor::contract_accumulate(layout, a, b, out);
+  ASSERT_EQ(out.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(out.data(), want.data(), sizeof(double) * static_cast<std::size_t>(out.size())),
+            0);
+}
+
+TEST(Contract, AccumulateRejectsBlocksThatDisagreeWithTheLayout) {
+  Rng rng(9);
+  const DenseTensor a = DenseTensor::random({3, 4}, rng);
+  const DenseTensor b = DenseTensor::random({4, 5}, rng);
+  const auto layout = tt::tensor::contract_layout(2, 2, {{1, 0}});
+  DenseTensor out({3, 5});
+  EXPECT_NO_THROW(tt::tensor::contract_accumulate(layout, a, b, out));
+  // wrong operand order, contracted dimension, output order and output dim
+  EXPECT_THROW(tt::tensor::contract_accumulate(layout, DenseTensor::random({3, 4, 1}, rng), b, out),
+               tt::Error);
+  EXPECT_THROW(tt::tensor::contract_accumulate(layout, a, DenseTensor::random({3, 5}, rng), out),
+               tt::Error);
+  DenseTensor flat({15});
+  EXPECT_THROW(tt::tensor::contract_accumulate(layout, a, b, flat), tt::Error);
+  DenseTensor wide({3, 6});
+  EXPECT_THROW(tt::tensor::contract_accumulate(layout, a, b, wide), tt::Error);
+}
+
 TEST(Contract, ZeroDimensionOperand) {
   Rng rng(6);
   DenseTensor a = DenseTensor::random({3, 0}, rng);

@@ -99,6 +99,47 @@ INSTANTIATE_TEST_SUITE_P(Perms, PermuteRoundTrip,
                                            std::vector<int>{0, 2, 1, 3},
                                            std::vector<int>{3, 0, 2, 1}));
 
+// permute_into drops unit modes and fuses modes adjacent on both sides before
+// it walks; its per-mode state lives on the stack up to order 8 and on the
+// heap beyond. Checked against element-by-element indexing.
+struct PermuteCase {
+  std::vector<index_t> shape;
+  std::vector<int> perm;
+};
+
+class PermuteAgainstIndexing : public ::testing::TestWithParam<PermuteCase> {};
+
+TEST_P(PermuteAgainstIndexing, EveryElementLandsWherePermSays) {
+  const PermuteCase& c = GetParam();
+  Rng rng(17);
+  const DenseTensor t = DenseTensor::random(c.shape, rng);
+  const DenseTensor p = t.permuted(c.perm);
+  const int r = t.order();
+  std::vector<index_t> in(static_cast<std::size_t>(r)), out(static_cast<std::size_t>(r));
+  for (index_t flat = 0; flat < t.size(); ++flat) {
+    index_t rest = flat;
+    for (int m = r - 1; m >= 0; --m) {
+      in[static_cast<std::size_t>(m)] = rest % t.dim(m);
+      rest /= t.dim(m);
+    }
+    for (int i = 0; i < r; ++i)
+      out[static_cast<std::size_t>(i)] = in[static_cast<std::size_t>(c.perm[static_cast<std::size_t>(i)])];
+    ASSERT_EQ(p.at(out), t[flat]) << "input element " << flat;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PermuteAgainstIndexing,
+    ::testing::Values(
+        // the two-site matvec's t1 → [free, con]: unit physical modes
+        PermuteCase{{4, 3, 1, 1, 5}, {0, 3, 4, 1, 2}},
+        // adjacent modes that move together fuse into one
+        PermuteCase{{2, 3, 4, 5}, {2, 3, 0, 1}},
+        // order 10, above the stack-held order 8, with unit modes
+        PermuteCase{{2, 1, 3, 1, 2, 2, 1, 2, 1, 3}, {9, 8, 3, 4, 5, 0, 1, 2, 7, 6}},
+        // every mode but one is a unit mode: a plain copy
+        PermuteCase{{1, 7, 1}, {2, 1, 0}}));
+
 TEST(DenseTensor, PermuteRejectsInvalidPerm) {
   DenseTensor t({2, 2});
   EXPECT_THROW(t.permuted({0, 0}), tt::Error);
