@@ -19,12 +19,12 @@
 
 namespace {
 
-// Measured dgemm-equivalent throughput of this host through the active
-// backend: the paper's "peak rate" denominator, and the number the ≥2×
-// builtin-GEMM acceptance check reads (512³ row).
+// Measured dgemm-equivalent throughput of the library's GEMM on this host:
+// the paper's "peak rate" denominator, and the number the ≥2× builtin-GEMM
+// acceptance check reads (512³ row).
 void host_gemm_peak(tt::bench::Csv& csv) {
   using namespace tt;
-  Table t("Host GEMM peak (this machine, active backend)");
+  Table t("Host GEMM peak (this machine)");
   t.header({"backend", "m", "n", "k", "GF/s"});
   const struct {
     index_t m, n, k;

@@ -185,7 +185,7 @@ BENCHMARK(BM_WireChecksum)->Arg(4 << 10)->Arg(1 << 20)->Arg(64 << 20)
 namespace {
 
 // Explicit main (instead of benchmark_main) so the driver banner names the
-// active linalg backend next to the numbers it produced.
+// linalg kernel set next to the numbers it produced.
 int run(int argc, char** argv) {
   tt::bench::print_driver_header("bench_kernels");
   benchmark::Initialize(&argc, argv);

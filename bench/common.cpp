@@ -11,6 +11,8 @@
 #include <iostream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "linalg/backend.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -115,45 +117,94 @@ std::filesystem::path cache_dir() {
 std::string cache_key(const Workload& w, dmrg::EngineKind kind, index_t m,
                       unsigned seed) {
   std::ostringstream os;
-  // The backend is part of the key: wall_seconds (and hence every simulated
-  // rate derived from it) depends on which kernels executed the step.
-  os << "v4_" << linalg::backend_name() << "_" << w.name << "_"
-     << dmrg::engine_name(kind) << "_m" << m << "_s" << seed << ".txt";
+  os << "v5_" << w.name << "_" << dmrg::engine_name(kind) << "_m" << m << "_s"
+     << seed << ".txt";
   return os.str();
 }
 
+// Loads a cached measurement; false when the file does not exist. A file that
+// does not hold exactly the fields store_cached writes is a tt::Error naming it.
 bool load_cached(const std::filesystem::path& path, KernelMeasurement& out) {
   std::ifstream in(path);
   if (!in) return false;
-  std::size_t nrec = 0;
-  in >> out.flops >> out.wall_seconds >> out.m_actual >> out.theta_blocks >>
-      out.largest_block >> out.fill >> nrec;
-  if (!in) return false;
-  out.log.resize(nrec);
-  for (auto& r : out.log) {
+  std::vector<std::string> fields;
+  for (std::string tok; in >> tok;) fields.push_back(std::move(tok));
+  const std::string file = "bench cache file '" + path.string() + "'";
+  constexpr std::size_t kHeader = 6, kRecord = 9;
+  TT_CHECK(fields.size() >= kHeader, "corrupt " << file << ": " << fields.size()
+                                                << " fields, fewer than its header");
+
+  // Every field store_cached writes is a finite non-negative number.
+  std::size_t pos = 0;
+  auto read = [&](auto& v) {
+    const std::string& tok = fields[pos];
+    const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    TT_CHECK(ec == std::errc() && ptr == tok.data() + tok.size() &&
+                 std::isfinite(static_cast<double>(v)) && v >= 0,
+             "corrupt " << file << ": field " << pos << " '" << tok
+                        << "' is not a finite non-negative number");
+    ++pos;
+  };
+  index_t nrec = 0;
+  read(out.flops);
+  read(out.m_actual);
+  read(out.theta_blocks);
+  read(out.largest_block);
+  read(out.fill);
+  read(nrec);
+  const std::size_t held = (fields.size() - kHeader) / kRecord;
+  TT_CHECK(static_cast<std::size_t>(nrec) <= held,
+           "corrupt " << file << ": declares " << nrec << " records but holds " << held);
+  TT_CHECK(fields.size() == kHeader + static_cast<std::size_t>(nrec) * kRecord,
+           "corrupt " << file << ": trailing bytes after its " << nrec << " records");
+
+  constexpr int kMaxType = static_cast<int>(dmrg::OpRecord::Type::kRedistribution);
+  constexpr int kMaxLayout = static_cast<int>(rt::Layout::kLocal);
+  out.log.resize(static_cast<std::size_t>(nrec));
+  for (std::size_t i = 0; i < out.log.size(); ++i) {
+    dmrg::OpRecord& op = out.log[i];
     int type = 0, layout = 0;
-    in >> type >> layout >> r.cost.flops >> r.cost.words_a >> r.cost.words_b >>
-        r.cost.words_c >> r.rows >> r.cols >> r.words;
-    r.type = static_cast<dmrg::OpRecord::Type>(type);
-    r.layout = static_cast<rt::Layout>(layout);
+    read(type);
+    read(layout);
+    TT_CHECK(type <= kMaxType, "corrupt " << file << ": record " << i << " has op type "
+                                          << type << ", valid 0 to " << kMaxType);
+    TT_CHECK(layout <= kMaxLayout, "corrupt " << file << ": record " << i
+                                              << " has layout " << layout
+                                              << ", valid 0 to " << kMaxLayout);
+    op.type = static_cast<dmrg::OpRecord::Type>(type);
+    op.layout = static_cast<rt::Layout>(layout);
+    read(op.cost.flops);
+    read(op.cost.words_a);
+    read(op.cost.words_b);
+    read(op.cost.words_c);
+    read(op.rows);
+    read(op.cols);
+    read(op.words);
   }
-  return static_cast<bool>(in);
+  return true;
 }
 
+// Writes to a temporary file and renames it over `path`, so an interrupted
+// run never leaves a half-written cache file behind. Caching is best-effort:
+// a write failure leaves no file and the next run measures again.
 void store_cached(const std::filesystem::path& path, const KernelMeasurement& k) {
   std::error_code ec;
   std::filesystem::create_directories(path.parent_path(), ec);
-  std::ofstream outf(path);
+  std::filesystem::path tmp = path;
+  tmp += ".tmp" + std::to_string(::getpid());
+  std::ofstream outf(tmp);
   if (!outf) return;
   outf.precision(17);
-  outf << k.flops << " " << k.wall_seconds << " " << k.m_actual << " "
-       << k.theta_blocks << " " << k.largest_block << " " << k.fill << " "
-       << k.log.size() << "\n";
+  outf << k.flops << " " << k.m_actual << " " << k.theta_blocks << " "
+       << k.largest_block << " " << k.fill << " " << k.log.size() << "\n";
   for (const auto& r : k.log)
     outf << static_cast<int>(r.type) << " " << static_cast<int>(r.layout) << " "
          << r.cost.flops << " " << r.cost.words_a << " " << r.cost.words_b << " "
          << r.cost.words_c << " " << r.rows << " " << r.cols << " " << r.words
          << "\n";
+  outf.close();
+  if (outf) std::filesystem::rename(tmp, path, ec);
+  if (!outf || ec) std::filesystem::remove(tmp, ec);
 }
 
 }  // namespace
@@ -194,9 +245,7 @@ KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t
   dmrg::SweepParams params;
   params.max_m = m;
   params.davidson_iter = 2;  // paper production setting
-  Timer timer;
   solver.optimize_bond(j, params, /*sweep_right=*/true);
-  k.wall_seconds = timer.seconds();
   k.flops = eng->tracker().diff(before).flops();
   k.log = eng->log();
 

@@ -27,16 +27,16 @@
 
 namespace tt::bench {
 
-/// Standard driver banner: driver name, active linalg backend, thread count
-/// and scale factor. Every bench main prints this first so any recorded
-/// output identifies the kernel configuration that produced it (figure
-/// reproductions must note the backend — see docs/BENCHMARKS.md). Resolving
-/// TT_BENCH_SCALE, TT_BENCH_FULL and the thread count here also makes a bad
-/// value of any of them fail before any work.
+/// Standard driver banner: driver name, linalg kernel set, thread count and
+/// scale factor. Every bench main prints this first so any recorded output
+/// identifies the kernel configuration that produced it (see
+/// docs/BENCHMARKS.md). Resolving TT_BENCH_SCALE, TT_BENCH_FULL and the
+/// thread count here also makes a bad value of any of them fail before any
+/// work.
 void print_driver_header(const std::string& driver);
 
 /// MetricsRegistry pre-loaded with the context every driver shares: linalg
-/// backend, thread count, scale factor.
+/// kernel set, thread count, scale factor.
 rt::MetricsRegistry make_metrics(const std::string& driver);
 
 /// Per-category percentage cells of a breakdown table row — one cell per
@@ -88,7 +88,6 @@ struct Workload {
 /// Captured execution of one two-site optimization.
 struct KernelMeasurement {
   double flops = 0.0;      ///< charged flops of the measured step
-  double wall_seconds = 0.0;  ///< real execution time on this host
   index_t m_actual = 0;    ///< realized bond dimension at the middle bond
   int theta_blocks = 0;    ///< block count of the two-site tensor
   index_t largest_block = 0;  ///< largest bond-sector dimension
@@ -96,7 +95,8 @@ struct KernelMeasurement {
   std::vector<dmrg::OpRecord> log;  ///< replayable op stream
 };
 
-/// Execute (or load from cache) one measured step.
+/// Execute (or load from cache) one measured step. A missing cache file is a
+/// miss; a malformed one is a tt::Error naming the file.
 KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t m,
                                unsigned seed = 1);
 

@@ -4,27 +4,18 @@
 #include <cmath>
 #include <numeric>
 
-#include "linalg/backend.hpp"
-
 namespace tt::linalg {
 
 EigResult eigh(const Matrix& a, real_t symmetry_tol) {
   const index_t n = a.rows();
   TT_CHECK(a.rows() == a.cols(), "eigh requires a square matrix, got "
                                      << a.rows() << "x" << a.cols());
+  check_finite(a, "eigh");
   const real_t scale = std::max(a.max_abs(), real_t{1.0});
   for (index_t i = 0; i < n; ++i)
     for (index_t j = i + 1; j < n; ++j)
       TT_CHECK(std::abs(a(i, j) - a(j, i)) <= symmetry_tol * scale,
                "eigh input not symmetric at (" << i << "," << j << ")");
-  return backend().eigh(a);
-}
-
-namespace detail {
-
-EigResult builtin_eigh(const Matrix& a) {
-  const index_t n = a.rows();
-  const real_t scale = std::max(a.max_abs(), real_t{1.0});
 
   Matrix b = a;
   Matrix v = Matrix::identity(n);
@@ -80,7 +71,5 @@ EigResult builtin_eigh(const Matrix& a) {
   }
   return out;
 }
-
-}  // namespace detail
 
 }  // namespace tt::linalg

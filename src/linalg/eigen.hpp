@@ -1,9 +1,9 @@
-// Symmetric eigensolver (dispatched through linalg::Backend).
+// Symmetric eigensolver.
 //
 // Used for the Rayleigh–Ritz step of the Davidson routine (paper Alg. 1 line
 // 7 diagonalizes the small projected matrix M) and as a dense oracle in tests.
-// eigh() validates symmetry, then routes to the active backend: the builtin
-// cyclic Jacobi sweep below, or LAPACK dsyevd under TT_WITH_BLAS.
+// eigh() validates shape, finiteness and symmetry, then runs cyclic Jacobi
+// sweeps.
 #pragma once
 
 #include <vector>
@@ -19,16 +19,8 @@ struct EigResult {
   Matrix vectors;
 };
 
-/// Throws tt::Error if `a` is not square or not symmetric to tolerance.
+/// Throws tt::Error if `a` is not square, holds a non-finite entry, or is not
+/// symmetric to tolerance.
 EigResult eigh(const Matrix& a, real_t symmetry_tol = 1e-10);
-
-namespace detail {
-
-/// The self-contained cyclic-Jacobi eigensolver behind the "builtin" backend.
-/// Assumes a validated square symmetric input; call eigh() unless comparing
-/// backends directly.
-EigResult builtin_eigh(const Matrix& a);
-
-}  // namespace detail
 
 }  // namespace tt::linalg

@@ -163,29 +163,7 @@ void scale_inplace(real_t* c, index_t count, real_t beta) {
 
 }  // namespace
 
-namespace detail {
-
-void builtin_gemm(bool transa, bool transb, index_t m, index_t n, index_t k,
-                  real_t alpha, const real_t* a, const real_t* b, real_t beta,
-                  real_t* c) {
-  scale_inplace(c, m * n, beta);
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
-  gemm_packed(transa, transb, m, n, k, alpha, a, b, c);
-}
-
-void builtin_gemv(index_t m, index_t n, real_t alpha, const real_t* a,
-                  const real_t* x, real_t beta, real_t* y) {
-  for (index_t i = 0; i < m; ++i) {
-    real_t s = 0.0;
-    const real_t* ai = a + i * n;
-    for (index_t j = 0; j < n; ++j) s += ai[j] * x[j];
-    // BLAS semantics: beta == 0 overwrites without reading y, which may hold
-    // NaN or uninitialized garbage that 0*y would propagate.
-    y[i] = (beta == 0.0) ? alpha * s : alpha * s + beta * y[i];
-  }
-}
-
-}  // namespace detail
+const char* backend_name() { return "builtin"; }
 
 void gemm_raw(bool transa, bool transb, index_t m, index_t n, index_t k,
               real_t alpha, const real_t* a, const real_t* b, real_t beta,
@@ -196,7 +174,9 @@ void gemm_raw(bool transa, bool transb, index_t m, index_t n, index_t k,
            "gemm output aliases operand A");
   TT_CHECK(!ranges_overlap(c, m * n, b, k * n),
            "gemm output aliases operand B");
-  backend().gemm(transa, transb, m, n, k, alpha, a, b, beta, c);
+  scale_inplace(c, m * n, beta);
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
+  gemm_packed(transa, transb, m, n, k, alpha, a, b, c);
 }
 
 void gemm(bool transa, bool transb, real_t alpha, const Matrix& a,
@@ -224,7 +204,14 @@ Matrix matmul(bool transa, bool transb, const Matrix& a, const Matrix& b) {
 
 void gemv(index_t m, index_t n, real_t alpha, const real_t* a, const real_t* x,
           real_t beta, real_t* y) {
-  backend().gemv(m, n, alpha, a, x, beta, y);
+  for (index_t i = 0; i < m; ++i) {
+    real_t s = 0.0;
+    const real_t* ai = a + i * n;
+    for (index_t j = 0; j < n; ++j) s += ai[j] * x[j];
+    // BLAS semantics: beta == 0 overwrites without reading y, which may hold
+    // NaN or uninitialized garbage that 0*y would propagate.
+    y[i] = (beta == 0.0) ? alpha * s : alpha * s + beta * y[i];
+  }
 }
 
 }  // namespace tt::linalg

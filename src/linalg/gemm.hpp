@@ -2,11 +2,9 @@
 //
 // Every tensor contraction in the library lowers to gemm_raw (the same
 // execution strategy CTF uses: permute to matrix layout, multiply, permute
-// back), so its throughput sets the library's GFlop/s scale. Calls dispatch
-// through the active linalg::Backend (backend.hpp): either the builtin
-// packed-panel register-tiled micro-kernel below (transposes absorbed by the
-// packing, bitwise deterministic at any thread count) or vendor dgemm/dgemv
-// when built with TT_WITH_BLAS.
+// back), so its throughput sets the library's GFlop/s scale. The kernel is a
+// packed-panel register-tiled micro-kernel (transposes absorbed by the
+// packing, bitwise deterministic at any thread count).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -40,20 +38,5 @@ inline double gemm_flops(index_t m, index_t n, index_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
          static_cast<double>(k);
 }
-
-namespace detail {
-
-/// The self-contained packed micro-kernel GEMM behind the "builtin" backend.
-/// Full BLAS semantics (beta, alpha == 0, k == 0); no aliasing checks — call
-/// gemm_raw unless comparing backends directly.
-void builtin_gemm(bool transa, bool transb, index_t m, index_t n, index_t k,
-                  real_t alpha, const real_t* a, const real_t* b, real_t beta,
-                  real_t* c);
-
-/// The self-contained row-dot gemv behind the "builtin" backend.
-void builtin_gemv(index_t m, index_t n, real_t alpha, const real_t* a,
-                  const real_t* x, real_t beta, real_t* y);
-
-}  // namespace detail
 
 }  // namespace tt::linalg

@@ -57,4 +57,11 @@ real_t max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
+void check_finite(const Matrix& a, const char* op) {
+  for (index_t i = 0; i < a.size(); ++i)
+    TT_CHECK(std::isfinite(a.data()[i]), "non-finite input to " << op << ": entry ("
+                                             << i / a.cols() << ", " << i % a.cols()
+                                             << ") is " << a.data()[i]);
+}
+
 }  // namespace tt::linalg

@@ -77,4 +77,9 @@ class Matrix {
 /// Max |a_ij - b_ij|; matrices must have equal shape.
 real_t max_abs_diff(const Matrix& a, const Matrix& b);
 
+/// Throws tt::Error "non-finite input to <op>: entry (i, j) is <v>" at the
+/// first NaN or infinite entry. The factorizations (svd, qr, lq, eigh) call it
+/// before any arithmetic.
+void check_finite(const Matrix& a, const char* op);
+
 }  // namespace tt::linalg

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/backend.hpp"
-
 namespace tt::linalg {
 
 namespace {
@@ -34,16 +32,8 @@ void apply_householder(Matrix& work, index_t row0, index_t col0,
 
 }  // namespace
 
-QrResult qr(const Matrix& a) { return backend().qr(a); }
-
-LqResult lq(const Matrix& a) {
-  QrResult f = qr(a.transposed());
-  return {f.r.transposed(), f.q.transposed()};
-}
-
-namespace detail {
-
-QrResult builtin_qr(const Matrix& a) {
+QrResult qr(const Matrix& a) {
+  check_finite(a, "qr");
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t r = std::min(m, n);
@@ -90,7 +80,11 @@ QrResult builtin_qr(const Matrix& a) {
   return {std::move(q), std::move(rmat)};
 }
 
-}  // namespace detail
+LqResult lq(const Matrix& a) {
+  check_finite(a, "lq");  // names the entry of `a`, not of its transpose
+  QrResult f = qr(a.transposed());
+  return {f.r.transposed(), f.q.transposed()};
+}
 
 double qr_flops(index_t m, index_t n) {
   const double dm = static_cast<double>(m);

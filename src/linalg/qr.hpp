@@ -1,9 +1,8 @@
-// QR and LQ factorizations (dispatched through linalg::Backend).
+// QR and LQ factorizations.
 //
 // Used for MPS canonicalization (paper §II.C: the left/right environments are
-// kept orthogonal by QR-factoring each site). qr() routes to the active
-// backend: the builtin Householder factorization below, or LAPACK
-// dgeqrf+dorgqr under TT_WITH_BLAS.
+// kept orthogonal by QR-factoring each site). qr() and lq() reject a
+// non-finite entry with tt::Error, then run a Householder factorization.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -28,13 +27,5 @@ LqResult lq(const Matrix& a);
 
 /// Flop estimate for the QR of an m×n matrix (2mn² − 2n³/3 for m ≥ n).
 double qr_flops(index_t m, index_t n);
-
-namespace detail {
-
-/// The self-contained Householder QR behind the "builtin" backend. Call qr()
-/// unless comparing backends directly.
-QrResult builtin_qr(const Matrix& a);
-
-}  // namespace detail
 
 }  // namespace tt::linalg

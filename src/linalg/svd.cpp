@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 
 namespace tt::linalg {
@@ -215,28 +214,18 @@ Matrix SvdResult::reconstruct() const {
 }
 
 SvdResult svd(const Matrix& a) {
-  for (index_t i = 0; i < a.size(); ++i)
-    TT_CHECK(std::isfinite(a.data()[i]), "svd: entry (" << i / a.cols() << ", "
-                                             << i % a.cols() << ") is " << a.data()[i]);
+  check_finite(a, "svd");
   if (a.rows() == 0 || a.cols() == 0) {
     SvdResult out;
     out.u = Matrix(a.rows(), std::min(a.rows(), a.cols()));
     out.vt = Matrix(std::min(a.rows(), a.cols()), a.cols());
     return out;
   }
-  return backend().svd(a);
-}
-
-namespace detail {
-
-SvdResult builtin_svd(const Matrix& a) {
   if (a.rows() >= a.cols()) return gkr_svd(a);
   // SVD of the transpose, then swap factors: A = (V')·S·(U')ᵀ.
   SvdResult t = gkr_svd(a.transposed());
   return {t.vt.transposed(), std::move(t.s), t.u.transposed()};
 }
-
-}  // namespace detail
 
 double svd_flops(index_t m, index_t n) {
   const double lo = static_cast<double>(std::min(m, n));

@@ -1,12 +1,12 @@
-// Singular value decomposition (dispatched through linalg::Backend).
+// Singular value decomposition.
 //
 // Stands in for the ScaLAPACK pdgesvd the paper calls through Cyclops: every
 // block-wise SVD in the DMRG truncation step lands here. svd() rejects a
-// non-finite entry with tt::Error, then routes to the active backend: the
-// builtin Golub–Kahan–Reinsch SVD below (Householder bidiagonalization, then
-// implicit-shift bidiagonal QR, the route pdgesvd/dgesvd take; serial per
-// matrix, so its bits do not depend on TT_THREADS), or LAPACK dgesdd
-// (falling back to dgesvd on non-convergence) under TT_WITH_BLAS.
+// non-finite entry with tt::Error, then runs a Golub–Kahan–Reinsch SVD
+// (Householder bidiagonalization, then implicit-shift bidiagonal QR, the route
+// pdgesvd/dgesvd take; serial per matrix, so its bits do not depend on
+// TT_THREADS). It throws tt::Error naming the shape if the bidiagonal QR
+// exceeds its step cap.
 #pragma once
 
 #include <vector>
@@ -37,14 +37,5 @@ double svd_flops(index_t m, index_t n);
 /// nonzero bond) applies before the cap, so an explicit max_keep == 0 request
 /// wins and returns 0.
 index_t svd_rank(const std::vector<real_t>& s, real_t cutoff, index_t max_keep);
-
-namespace detail {
-
-/// The self-contained Golub–Kahan–Reinsch SVD behind the "builtin" backend;
-/// throws tt::Error naming the shape if the bidiagonal QR exceeds its step cap.
-/// Requires a non-empty input; call svd() unless comparing backends directly.
-SvdResult builtin_svd(const Matrix& a);
-
-}  // namespace detail
 
 }  // namespace tt::linalg

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "linalg/eigen.hpp"
 #include "linalg/gemm.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -97,6 +100,29 @@ TEST(Eigh, RejectsAsymmetric) {
   a(0, 1) = 1.0;
   a(1, 0) = -1.0;
   EXPECT_THROW(tt::linalg::eigh(a), tt::Error);
+}
+
+TEST(Eigh, RejectsNonFiniteInput) {
+  // Finiteness is checked before symmetry: an infinite symmetric pair must be
+  // named as such, not reported as asymmetry (inf - inf is NaN).
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix diag = Matrix::identity(2);
+    diag(0, 0) = bad;
+    Matrix offdiag = Matrix::identity(3);
+    offdiag(1, 2) = bad;
+    offdiag(2, 1) = bad;
+    const std::pair<Matrix, const char*> cases[] = {{diag, "(0, 0)"},
+                                                    {offdiag, "(1, 2)"}};
+    for (const auto& [a, where] : cases) {
+      try {
+        tt::linalg::eigh(a);
+        ADD_FAILURE() << "eigh accepted " << bad << " at " << where;
+      } catch (const tt::Error& err) {
+        // The message names the first bad entry.
+        EXPECT_NE(std::string(err.what()).find(where), std::string::npos) << err.what();
+      }
+    }
+  }
 }
 
 TEST(Eigh, NegativeDefinite) {

@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 #include <tuple>
 #include <vector>
 
-#include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -173,8 +171,6 @@ TEST(Gemm, BuiltinPropagatesNanThroughZeroEntries) {
   // The old loop nest skipped k-steps where a(i,k) == 0, silently turning
   // 0 · NaN into 0; the packed kernel follows IEEE/BLAS arithmetic, so a NaN
   // anywhere in a contributing B row must reach the output.
-  const std::string saved = tt::linalg::backend_name();
-  tt::linalg::set_backend("builtin");
   Matrix a(2, 2);  // row 0 = [0, 1], row 1 = [1, 0]
   a(0, 1) = 1.0;
   a(1, 0) = 1.0;
@@ -186,7 +182,6 @@ TEST(Gemm, BuiltinPropagatesNanThroughZeroEntries) {
   EXPECT_TRUE(std::isnan(c(0, 0)));  // 0·NaN + 1·1: no zero-skipping shortcut
   EXPECT_DOUBLE_EQ(c(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(c(1, 1), 1.0);
-  tt::linalg::set_backend(saved);
 }
 
 TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
@@ -195,8 +190,6 @@ TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
   // fixed, so results are bitwise identical at any TT_THREADS. The shape has
   // 3 row panels (kMc = 128) and 2 k blocks (kKc = 256), and each k block is
   // far above the serial flop cutoff, so threads > 1 really split it.
-  const std::string saved = tt::linalg::backend_name();
-  tt::linalg::set_backend("builtin");
   Rng rng(77);
   Matrix a = Matrix::random(300, 300, rng);
   Matrix b = Matrix::random(300, 90, rng);
@@ -208,7 +201,6 @@ TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
   for (int threads : {2, 3, 8})
     EXPECT_TRUE(run_with_threads(threads) == c1) << threads << " threads";
   tt::support::set_num_threads(0);
-  tt::linalg::set_backend(saved);
 }
 
 }  // namespace

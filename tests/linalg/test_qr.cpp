@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "linalg/gemm.hpp"
 #include "linalg/qr.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -75,6 +78,29 @@ TEST(Qr, ZeroMatrix) {
   EXPECT_LT(tt::linalg::matmul(f.q, f.r).max_abs(), 1e-14);
   Matrix qtq = tt::linalg::matmul(true, false, f.q, f.q);
   EXPECT_LT(tt::linalg::max_abs_diff(qtq, Matrix::identity(3)), 1e-12);
+}
+
+TEST(Qr, RejectsNonFiniteInput) {
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix a(5, 3, 1.0);
+    a(3, 1) = bad;
+    a(4, 2) = bad;
+    try {
+      tt::linalg::qr(a);
+      ADD_FAILURE() << "qr accepted " << bad;
+    } catch (const tt::Error& err) {
+      // The message names the first bad entry.
+      EXPECT_NE(std::string(err.what()).find("(3, 1)"), std::string::npos) << err.what();
+    }
+    try {
+      tt::linalg::lq(a);
+      ADD_FAILURE() << "lq accepted " << bad;
+    } catch (const tt::Error& err) {
+      // The entry of the input, not of the transpose lq factors.
+      EXPECT_NE(std::string(err.what()).find("lq: entry (3, 1)"), std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST(Lq, FactorsReproduceInputAndQOrthonormalRows) {
