@@ -31,8 +31,7 @@ int run() {
     t.header({"subspace", "matvecs/opt", "E after 1 sweep", "E after 3 sweeps"});
     for (int sub : {2, 4, 8}) {
       dmrg::Dmrg solver(mps::Mps::product_state(sites, neel), h,
-                        dmrg::make_engine(dmrg::EngineKind::kReference,
-                                          {rt::localhost(), 1, 1}));
+                        std::make_unique<dmrg::ContractionEngine>());
       dmrg::SweepParams p;
       p.max_m = 32;
       p.davidson_subspace = sub;
@@ -69,15 +68,15 @@ int run() {
       Rng rng(5);
       auto psi = mps::Mps::random(c.sites, c.sector, 24, rng);
       auto flops_with = [&](const mps::Mpo& mpo) {
-        auto eng = dmrg::make_engine(dmrg::EngineKind::kReference,
-                                     {rt::localhost(), 1, 1});
-        dmrg::EnvGraph envs(*eng, psi, mpo);
+        dmrg::ContractionEngine eng;
+        dmrg::EnvGraph envs(eng, psi, mpo);
         const int j = psi.size() / 2;
         auto theta = symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
-        const rt::CostTracker before = eng->tracker();
-        dmrg::apply_two_site(*eng, envs.left(j), mpo.site(j), mpo.site(j + 1),
+        eng.set_logging(true);
+        dmrg::apply_two_site(eng, envs.left(j), mpo.site(j), mpo.site(j + 1),
                              envs.right(j + 2), theta);
-        return eng->tracker().diff(before).flops();
+        const rt::Cluster local{rt::localhost(), 1, 1};
+        return dmrg::price(dmrg::EngineKind::kReference, eng.log(), local).flops();
       };
       const double ratio = flops_with(c.exact) / flops_with(c.comp);
       t.row({c.name, fmt_int(c.exact.max_bond_dim()), fmt_int(c.comp.max_bond_dim()),
@@ -100,8 +99,7 @@ int run() {
     t.header({"cutoff", "final E", "max m used", "max trunc err"});
     for (double cutoff : {1e-6, 1e-9, 1e-12, 0.0}) {
       dmrg::Dmrg solver(mps::Mps::product_state(sites, neel), h,
-                        dmrg::make_engine(dmrg::EngineKind::kReference,
-                                          {rt::localhost(), 1, 1}));
+                        std::make_unique<dmrg::ContractionEngine>());
       dmrg::SweepParams p;
       p.max_m = 64;
       p.cutoff = cutoff;
@@ -121,8 +119,7 @@ int run() {
   {
     auto electrons = bench::Workload::electrons();
     const index_t m = bench::electron_ms().back();
-    auto klist = bench::measure_step(electrons, dmrg::EngineKind::kList, m);
-    auto kss = bench::measure_step(electrons, dmrg::EngineKind::kSparseSparse, m);
+    const auto k = bench::measure_step(electrons, m);
 
     Table t("Ablation (d) — per-block overhead vs list/sparse-sparse crossover "
             "(electrons, m=" + fmt_int(m) + ", 4 BW nodes)");
@@ -130,8 +127,8 @@ int run() {
     for (double ovh : {0.0, 50.0, 120.0, 400.0, 1000.0}) {
       rt::Cluster cl = bench::cluster(rt::blue_waters(), 4, 16);
       cl.machine.block_overhead_us = ovh;
-      const double tl = bench::sim_seconds(klist, cl);
-      const double ts = bench::sim_seconds(kss, cl);
+      const double tl = bench::sim_seconds(k, dmrg::EngineKind::kList, cl);
+      const double ts = bench::sim_seconds(k, dmrg::EngineKind::kSparseSparse, cl);
       t.row({fmt(ovh, 0), fmt_sci(tl, 2), fmt_sci(ts, 2),
              tl < ts ? "list" : "sparse-sparse"});
     }

@@ -33,8 +33,7 @@ dmrg::Dmrg make_solver(int n) {
   std::vector<int> neel;
   for (int i = 0; i < n; ++i) neel.push_back(i % 2);
   return dmrg::Dmrg(mps::Mps::product_state(sites, neel), h,
-                    dmrg::make_engine(dmrg::EngineKind::kReference,
-                                      {rt::localhost(), 1, 1}));
+                    std::make_unique<dmrg::ContractionEngine>());
 }
 
 std::string default_dir() {

@@ -40,14 +40,16 @@ void panel(const char* title, const tt::rt::MachineModel& machine,
   std::vector<Point> pts;
   for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseDense}) {
     for (index_t m : ms) {
-      auto k = bench::measure_step(spins, kind, m);
+      const auto k = bench::measure_step(spins, m);
+      const double flops = k.flops(kind);
       // Extrapolated single-node baseline time at this m (paper method: the
       // baseline's max rate applied to this problem's flops).
-      auto kr = bench::measure_step(spins, dmrg::EngineKind::kReference, m);
-      const double base_time = kr.flops / (base.gflops_rate * 1e9);
+      const double base_time =
+          k.flops(dmrg::EngineKind::kReference) / (base.gflops_rate * 1e9);
       for (int nodes : bench::node_counts(bench::full_mode() ? 64 : 16)) {
         for (int ppn : {16, 32}) {
-          const double secs = bench::sim_seconds(k, bench::cluster(machine, nodes, ppn));
+          const double secs =
+              bench::sim_seconds(k, kind, bench::cluster(machine, nodes, ppn));
           Point p;
           p.engine = dmrg::engine_name(kind);
           p.m = bench::m_equiv(k.m_actual);
@@ -55,7 +57,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine,
           p.ppn = ppn;
           p.rel_time = secs / base_time;
           p.rel_cost = secs * nodes / base_time;
-          p.rate_speedup = (k.flops / secs) / (base.gflops_rate * 1e9);
+          p.rate_speedup = (flops / secs) / (base.gflops_rate * 1e9);
           pts.push_back(p);
         }
       }

@@ -24,9 +24,9 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseSparse}) {
     int nodes = 1;
     for (index_t m : ms) {
-      auto k = bench::measure_step(electrons, kind, m);
-      const double secs = bench::sim_seconds(k, bench::cluster(machine, nodes, ppn));
-      const double per_node = bench::gflops_equiv(k.flops, secs) / nodes;
+      auto k = bench::measure_step(electrons, m);
+      const auto tr = bench::replayed(k, kind, bench::cluster(machine, nodes, ppn));
+      const double per_node = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes;
       const double rel = per_node / bench::gflops_equiv(base.flops, base.sim_seconds);
       t.row({dmrg::engine_name(kind), fmt_int(bench::m_equiv(k.m_actual)), std::to_string(nodes),
              fmt(per_node, 1), fmt(rel, 2)});
@@ -46,9 +46,9 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
       double best = 0.0;
       index_t best_m = 0;
       for (index_t m : ms) {
-        auto k = bench::measure_step(electrons, kind, m);
-        const double secs = bench::sim_seconds(k, bench::cluster(machine, nodes, ppn));
-        const double rel = bench::gflops_equiv(k.flops, secs) / nodes /
+        auto k = bench::measure_step(electrons, m);
+        const auto tr = bench::replayed(k, kind, bench::cluster(machine, nodes, ppn));
+        const double rel = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes /
                              bench::gflops_equiv(base.flops, base.sim_seconds);
         if (rel > best) {
           best = rel;

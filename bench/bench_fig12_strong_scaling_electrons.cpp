@@ -16,13 +16,14 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
   using namespace tt;
   auto electrons = bench::Workload::electrons();
   const index_t m = bench::electron_ms().back();  // paper: m = 8192
-  auto k = bench::measure_step(electrons, dmrg::EngineKind::kSparseSparse, m);
+  auto k = bench::measure_step(electrons, m);
+  const auto ss = dmrg::EngineKind::kSparseSparse;
 
   Table t(title);
   t.header({"nodes", "sim s", "speedup", "efficiency"});
-  const double t1 = bench::sim_seconds(k, bench::cluster(machine, min_nodes, ppn));
+  const double t1 = bench::sim_seconds(k, ss, bench::cluster(machine, min_nodes, ppn));
   for (int nodes = min_nodes; nodes <= (bench::full_mode() ? 32 : 16); nodes *= 2) {
-    const double tn = bench::sim_seconds(k, bench::cluster(machine, nodes, ppn));
+    const double tn = bench::sim_seconds(k, ss, bench::cluster(machine, nodes, ppn));
     const double speedup = t1 / tn * min_nodes;
     t.row({std::to_string(nodes), fmt_sci(tn, 2), fmt(speedup / min_nodes, 2),
            fmt(speedup / nodes, 2)});

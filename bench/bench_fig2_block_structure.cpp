@@ -25,8 +25,7 @@ std::vector<Point> profile(const tt::bench::Workload& w,
                            const std::vector<int>& start) {
   using namespace tt;
   dmrg::Dmrg solver(mps::Mps::product_state(w.sites, start), w.h,
-                    dmrg::make_engine(dmrg::EngineKind::kReference,
-                                      {rt::localhost(), 1, 1}));
+                    std::make_unique<dmrg::ContractionEngine>());
   std::vector<Point> out;
   for (index_t m : ms) {
     dmrg::SweepParams p;

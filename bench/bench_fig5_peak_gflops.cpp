@@ -65,14 +65,15 @@ void panel(const char* title, const tt::bench::Workload& w,
 
   for (auto kind : kinds) {
     for (index_t m : ms) {
-      auto k = bench::measure_step(w, kind, m);
+      const auto k = bench::measure_step(w, m);
+      const double flops = k.flops(kind);
       std::vector<std::string> row{dmrg::engine_name(kind),
                                    fmt_int(bench::m_equiv(k.m_actual))};
       double best = 0.0;
       int best_n = 1;
       for (int n : bench::node_counts(256)) {
         const double gfs = bench::gflops_equiv(
-            k.flops, bench::sim_seconds(k, bench::cluster(machine, n, ppn)));
+            flops, bench::sim_seconds(k, kind, bench::cluster(machine, n, ppn)));
         row.push_back(fmt(gfs, 0));
         if (gfs > best) {
           best = gfs;

@@ -20,26 +20,27 @@ int run() {
   // Grow to m with two untimed sweeps from a random state.
   Rng rng(2);
   auto psi = mps::Mps::random(w.sites, w.sector, m, rng);
-  dmrg::Dmrg solver(std::move(psi), w.h,
-                    dmrg::make_engine(dmrg::EngineKind::kList,
-                                      bench::cluster(rt::blue_waters(), 4, 16)));
+  dmrg::Dmrg solver(std::move(psi), w.h, std::make_unique<dmrg::ContractionEngine>());
+  solver.engine().set_logging(true);
+  const rt::Cluster cl = bench::cluster(rt::blue_waters(), 4, 16);
 
   dmrg::SweepParams params;
   params.max_m = m;
   params.davidson_iter = 2;
 
   // One measured left-to-right half sweep, attributing each bond to the
-  // column of its left site (columns hold `ly` sites).
+  // column of its left site (columns hold `ly` sites): its log slice priced
+  // as the list algorithm, and its wall time.
   std::vector<double> col_sim(static_cast<std::size_t>(lx), 0.0);
   std::vector<double> col_wall(static_cast<std::size_t>(lx), 0.0);
   for (int j = 0; j + 1 < solver.psi().size(); ++j) {
-    const rt::CostTracker before = solver.engine().tracker();
+    solver.engine().clear_log();
     Timer timer;
     solver.optimize_bond(j, params, true);
     const int col = j / ly;
     col_wall[static_cast<std::size_t>(col)] += timer.seconds();
     col_sim[static_cast<std::size_t>(col)] +=
-        solver.engine().tracker().diff(before).total_time();
+        dmrg::price(dmrg::EngineKind::kList, solver.engine().log(), cl).total_time();
   }
 
   Table t("Fig 6 — time per column, half sweep at m=" + fmt_int(m) + " (list, " +

@@ -27,9 +27,10 @@ int run(const tt::Cli& cli) {
     const auto ms = bench::spin_ms();
     const int nodes_for[] = {16, 32, 64, 128};
     for (std::size_t i = 0; i < ms.size(); ++i) {
-      auto k = bench::measure_step(spins, dmrg::EngineKind::kList, ms[i]);
+      auto k = bench::measure_step(spins, ms[i]);
       const int nodes = nodes_for[std::min<std::size_t>(i, 3)];
-      auto tr = bench::replayed(k, bench::cluster(rt::blue_waters(), nodes, 16));
+      auto tr = bench::replayed(k, dmrg::EngineKind::kList,
+                                bench::cluster(rt::blue_waters(), nodes, 16));
       auto p = bench::pct_cells(tr);
       t.row({fmt_int(k.m_actual), std::to_string(nodes), p[0], p[1], p[2], p[3],
              p[4]});
@@ -47,10 +48,10 @@ int run(const tt::Cli& cli) {
             ": % time by category (4 BW nodes / 8 S2 nodes)");
     t.header({"machine", "engine", "GEMM", "Comm", "CTF transp", "SVD",
               "Imbalance"});
+    const auto k = bench::measure_step(electrons, m);
     for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseSparse}) {
-      auto k = bench::measure_step(electrons, kind, m);
-      auto bw = bench::replayed(k, bench::cluster(rt::blue_waters(), 4, 16));
-      auto s2 = bench::replayed(k, bench::cluster(rt::stampede2(), 8, 64));
+      auto bw = bench::replayed(k, kind, bench::cluster(rt::blue_waters(), 4, 16));
+      auto s2 = bench::replayed(k, kind, bench::cluster(rt::stampede2(), 8, 64));
       auto pbw = bench::pct_cells(bw);
       auto ps2 = bench::pct_cells(s2);
       t.row({"blue-waters", dmrg::engine_name(kind), pbw[0], pbw[1], pbw[2],

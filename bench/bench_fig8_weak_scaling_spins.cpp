@@ -30,9 +30,10 @@ int run(const tt::Cli& cli) {
     for (int ppn : {16, 32}) {
       int nodes = 1;
       for (index_t m : ms) {
-        auto k = bench::measure_step(spins, dmrg::EngineKind::kList, m);
-        const double secs = bench::sim_seconds(k, bench::cluster(rt::blue_waters(), nodes, ppn));
-        const double per_node = bench::gflops_equiv(k.flops, secs) / nodes;
+        auto k = bench::measure_step(spins, m);
+        const auto tr = bench::replayed(k, dmrg::EngineKind::kList,
+                                        bench::cluster(rt::blue_waters(), nodes, ppn));
+        const double per_node = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes;
         const double rel =
             per_node / bench::gflops_equiv(base.flops, base.sim_seconds);
         t.row({fmt_int(bench::m_equiv(k.m_actual)), std::to_string(nodes), std::to_string(ppn),
@@ -54,9 +55,10 @@ int run(const tt::Cli& cli) {
         double best = 0.0;
         index_t best_m = 0;
         for (index_t m : ms) {
-          auto k = bench::measure_step(spins, dmrg::EngineKind::kList, m);
-          const double secs = bench::sim_seconds(k, bench::cluster(rt::blue_waters(), nodes, ppn));
-          const double rel = bench::gflops_equiv(k.flops, secs) / nodes /
+          auto k = bench::measure_step(spins, m);
+          const auto tr = bench::replayed(k, dmrg::EngineKind::kList,
+                                          bench::cluster(rt::blue_waters(), nodes, ppn));
+          const double rel = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes /
                              bench::gflops_equiv(base.flops, base.sim_seconds);
           if (rel > best) {
             best = rel;

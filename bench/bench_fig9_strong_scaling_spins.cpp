@@ -18,7 +18,8 @@ int run(const tt::Cli& cli) {
                               spins, bench::spin_ms()))
     return 0;
   const index_t m = bench::spin_ms().back();  // paper: m = 8192 fixed
-  auto k = bench::measure_step(spins, dmrg::EngineKind::kList, m);
+  auto k = bench::measure_step(spins, m);
+  const auto list = dmrg::EngineKind::kList;
   auto mr = bench::make_metrics("bench_fig9_strong_scaling_spins");
   mr.add_context("workload", spins.name);
   mr.add_context("m_equiv", static_cast<double>(bench::m_equiv(k.m_actual)));
@@ -29,9 +30,11 @@ int run(const tt::Cli& cli) {
           " (Blue Waters)");
   t.header({"ppn", "nodes", "sim s", "speedup", "efficiency"});
   for (int ppn : {16, 32}) {
-    const double t1 = bench::sim_seconds(k, bench::cluster(rt::blue_waters(), 1, ppn));
+    const double t1 =
+        bench::sim_seconds(k, list, bench::cluster(rt::blue_waters(), 1, ppn));
     for (int nodes : bench::node_counts(64)) {
-      const auto tr = bench::replayed(k, bench::cluster(rt::blue_waters(), nodes, ppn));
+      const auto tr =
+          bench::replayed(k, list, bench::cluster(rt::blue_waters(), nodes, ppn));
       const double tn = tr.total_time();
       const double speedup = t1 / tn;
       t.row({std::to_string(ppn), std::to_string(nodes), fmt_sci(tn, 2),

@@ -152,10 +152,11 @@ void BM_BlockContractPermuted(benchmark::State& state) {
   auto sites = tt::models::electron_sites(lat.num_sites);
   const auto h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
   auto psi = tt::mps::Mps::random(sites, tt::symm::QN(lat.num_sites, 0), m, rng);
-  auto eng = tt::dmrg::make_engine(tt::dmrg::EngineKind::kList, {tt::rt::localhost(), 1, 1});
+  tt::dmrg::ContractionEngine eng;
   const int j = lat.num_sites / 2 - 1;
   auto left = tt::dmrg::left_boundary(2);
-  for (int i = 0; i < j; ++i) left = tt::dmrg::extend_left(*eng, left, psi.site(i), h.site(i));
+  for (int i = 0; i < j; ++i)
+    left = tt::dmrg::extend_left(eng, left, psi.site(i), h.site(i));
   const auto x = tt::symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
   const auto t1 = tt::symm::contract(left, x, {{2, 0}});
   for (auto _ : state) {

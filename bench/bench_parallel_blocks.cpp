@@ -86,9 +86,12 @@ int run() {
 
   ContractStats probe;
   const BlockTensor ref = symm::contract(a, b, {{2, 0}}, &probe, /*num_threads=*/1);
+  std::size_t pairs = 0;
+  const auto plan = symm::make_contract_plan(a, b, {{2, 0}});
+  for (const auto& bin : symm::enumerate_bins(a, b, plan)) pairs += bin.pairs.size();
   std::cout << "workload: " << a.num_blocks() << " x " << b.num_blocks()
-            << " operand blocks, " << probe.block_ops.size()
-            << " block pairs into " << probe.num_bins << " output bins, "
+            << " operand blocks, " << pairs << " block pairs into " << probe.num_bins
+            << " output bins, "
             << probe.total_flops / 1e9 << " GFlop\n\n";
 
   std::vector<int> thread_counts{1, 2, 4, 8};

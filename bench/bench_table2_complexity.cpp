@@ -24,15 +24,15 @@ int run() {
     Table t("Table II (measured) — " + w->name + " at m=" + fmt_int(m));
     t.header({"algorithm", "flops", "supersteps", "comm words @16p",
               "comm words @64p", "measured comm exponent", "model"});
+    const auto k = bench::measure_step(*w, m);
     for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseSparse,
                       dmrg::EngineKind::kSparseDense}) {
-      auto k = bench::measure_step(*w, kind, m);
-      auto t16 = bench::replayed(k, bench::cluster(rt::blue_waters(), 1, 16));
-      auto t64 = bench::replayed(k, bench::cluster(rt::blue_waters(), 4, 16));
+      auto t16 = bench::replayed(k, kind, bench::cluster(rt::blue_waters(), 1, 16));
+      auto t64 = bench::replayed(k, kind, bench::cluster(rt::blue_waters(), 4, 16));
       // words ~ p^(-x): x = log(w16/w64) / log(4).
       const double x = std::log(t16.words() / t64.words()) / std::log(4.0);
       const char* model = (kind == dmrg::EngineKind::kList) ? "2/3 (3D)" : "1/2 (2D)";
-      t.row({dmrg::engine_name(kind), fmt_sci(k.flops, 2),
+      t.row({dmrg::engine_name(kind), fmt_sci(t16.flops(), 2),
              fmt(t16.supersteps(), 0), fmt_sci(t16.words(), 2),
              fmt_sci(t64.words(), 2), fmt(x, 2), model});
     }
@@ -52,10 +52,9 @@ int run() {
         auto psi = mps::Mps::random(w->sites, w->sector, m, rng);
         const int j = psi.size() / 2;
         auto theta = symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
-        // Environment structure: build cheaply via the reference engine.
-        auto eng = dmrg::make_engine(dmrg::EngineKind::kReference,
-                                     {rt::localhost(), 1, 1});
-        dmrg::EnvGraph envs(*eng, psi, w->h);
+        // Environment structure.
+        dmrg::ContractionEngine eng;
+        dmrg::EnvGraph envs(eng, psi, w->h);
         const auto& env = envs.left(j);
         t.row({w->name, fmt_int(psi.bond_dim(j)), fmt_int(theta.num_elements()),
                fmt_int(theta.dense_size()), fmt_int(env.num_elements()),

@@ -68,7 +68,6 @@ void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
   mr.add(sec, "prefetch_launched", static_cast<double>(rec.prefetch_launched));
   mr.add(sec, "prefetch_hits", static_cast<double>(rec.prefetch_hits));
   mr.add(sec, "prefetch_wait_s", rec.prefetch_wait_seconds);
-  mr.add_tracker(sec, rec.costs);
 }
 
 Csv::Csv(const std::string& path, const std::string& header) {
@@ -114,73 +113,130 @@ std::filesystem::path cache_dir() {
   return env ? std::filesystem::path(env) : std::filesystem::path("bench_cache");
 }
 
-std::string cache_key(const Workload& w, dmrg::EngineKind kind, index_t m,
-                      unsigned seed) {
+std::string cache_key(const Workload& w, index_t m, unsigned seed) {
   std::ostringstream os;
-  os << "v5_" << w.name << "_" << dmrg::engine_name(kind) << "_m" << m << "_s"
-     << seed << ".txt";
+  os << "v6_" << w.name << "_m" << m << "_s" << seed << ".txt";
   return os.str();
 }
 
+// Cache file layout, one line each (store_cached writes it):
+//   m_actual theta_blocks largest_block fill records
+//   0 role_a role_b m n k size_a size_b size_c nnz_a nnz_b nnz_c nzbw_c matched pairs
+//     then `pairs` lines:  flops words_a words_b words_c
+//   1 in_elements uv_elements groups
+//     then `groups` lines: rows cols
+constexpr std::size_t kHeaderFields = 5, kContractionFields = 15, kPairFields = 4,
+                      kSvdFields = 4, kGroupFields = 2;
+
 // Loads a cached measurement; false when the file does not exist. A file that
-// does not hold exactly the fields store_cached writes is a tt::Error naming it.
+// does not hold exactly the lines store_cached writes is a tt::Error naming it.
 bool load_cached(const std::filesystem::path& path, KernelMeasurement& out) {
   std::ifstream in(path);
   if (!in) return false;
-  std::vector<std::string> fields;
-  for (std::string tok; in >> tok;) fields.push_back(std::move(tok));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(std::move(line));
   const std::string file = "bench cache file '" + path.string() + "'";
-  constexpr std::size_t kHeader = 6, kRecord = 9;
-  TT_CHECK(fields.size() >= kHeader, "corrupt " << file << ": " << fields.size()
-                                                << " fields, fewer than its header");
 
-  // Every field store_cached writes is a finite non-negative number.
-  std::size_t pos = 0;
+  // The fields of the current line; every one store_cached writes is a
+  // finite non-negative number.
+  std::size_t ln = 0, pos = 0;
+  std::vector<std::string> fields;
+  auto next_line = [&](const char* what) {
+    TT_CHECK(ln < lines.size(), "corrupt " << file << ": ends before its " << what);
+    fields.clear();
+    std::istringstream is(lines[ln++]);
+    for (std::string tok; is >> tok;) fields.push_back(std::move(tok));
+    pos = 0;
+  };
+  auto expect_fields = [&](std::size_t n) {
+    TT_CHECK(fields.size() == n, "corrupt " << file << ": line " << ln << " holds "
+                                            << fields.size() << " fields, not " << n);
+  };
   auto read = [&](auto& v) {
+    TT_CHECK(pos < fields.size(), "corrupt " << file << ": line " << ln << " is empty");
     const std::string& tok = fields[pos];
     const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
     TT_CHECK(ec == std::errc() && ptr == tok.data() + tok.size() &&
                  std::isfinite(static_cast<double>(v)) && v >= 0,
-             "corrupt " << file << ": field " << pos << " '" << tok
+             "corrupt " << file << ": line " << ln << " field " << pos << " '" << tok
                         << "' is not a finite non-negative number");
     ++pos;
   };
-  index_t nrec = 0;
-  read(out.flops);
+  // A count of sub-lines still to come, checked against the lines left
+  // before anything is allocated for them.
+  auto read_count = [&](std::size_t i, const char* what) {
+    index_t count = 0;
+    read(count);
+    const auto n = static_cast<std::size_t>(count);
+    TT_CHECK(n <= lines.size() - ln, "corrupt " << file << ": record " << i
+                                                << " declares " << n << " " << what
+                                                << " but " << lines.size() - ln
+                                                << " lines are left");
+    return n;
+  };
+  auto read_role = [&](std::size_t i, dmrg::Role& role) {
+    int r = 0;
+    read(r);
+    TT_CHECK(r <= 1, "corrupt " << file << ": record " << i << " has role " << r
+                                << ", valid 0 to 1");
+    role = static_cast<dmrg::Role>(r);
+  };
+
+  next_line("header");
+  expect_fields(kHeaderFields);
+  index_t records = 0;
   read(out.m_actual);
   read(out.theta_blocks);
   read(out.largest_block);
   read(out.fill);
-  read(nrec);
-  const std::size_t held = (fields.size() - kHeader) / kRecord;
-  TT_CHECK(static_cast<std::size_t>(nrec) <= held,
-           "corrupt " << file << ": declares " << nrec << " records but holds " << held);
-  TT_CHECK(fields.size() == kHeader + static_cast<std::size_t>(nrec) * kRecord,
-           "corrupt " << file << ": trailing bytes after its " << nrec << " records");
-
-  constexpr int kMaxType = static_cast<int>(dmrg::OpRecord::Type::kRedistribution);
-  constexpr int kMaxLayout = static_cast<int>(rt::Layout::kLocal);
-  out.log.resize(static_cast<std::size_t>(nrec));
-  for (std::size_t i = 0; i < out.log.size(); ++i) {
-    dmrg::OpRecord& op = out.log[i];
-    int type = 0, layout = 0;
+  read(records);
+  const auto nrec = static_cast<std::size_t>(records);
+  TT_CHECK(nrec <= lines.size() - ln, "corrupt " << file << ": declares " << nrec
+                                                 << " records but holds "
+                                                 << lines.size() - ln << " lines");
+  out.log.reserve(nrec);
+  for (std::size_t i = 0; i < nrec; ++i) {
+    next_line("records");
+    int type = 0;
     read(type);
-    read(layout);
-    TT_CHECK(type <= kMaxType, "corrupt " << file << ": record " << i << " has op type "
-                                          << type << ", valid 0 to " << kMaxType);
-    TT_CHECK(layout <= kMaxLayout, "corrupt " << file << ": record " << i
-                                              << " has layout " << layout
-                                              << ", valid 0 to " << kMaxLayout);
-    op.type = static_cast<dmrg::OpRecord::Type>(type);
-    op.layout = static_cast<rt::Layout>(layout);
-    read(op.cost.flops);
-    read(op.cost.words_a);
-    read(op.cost.words_b);
-    read(op.cost.words_c);
-    read(op.rows);
-    read(op.cols);
-    read(op.words);
+    TT_CHECK(type <= 1, "corrupt " << file << ": record " << i << " has op type " << type
+                                   << ", valid 0 to 1");
+    if (type == 0) {
+      expect_fields(kContractionFields);
+      dmrg::ContractionRecord r;
+      read_role(i, r.role_a);
+      read_role(i, r.role_b);
+      for (double* v : {&r.m, &r.n, &r.k, &r.size_a, &r.size_b, &r.size_c, &r.nnz_a,
+                        &r.nnz_b, &r.nnz_c, &r.nonzero_block_words_c,
+                        &r.matched_products})
+        read(*v);
+      r.pairs.resize(read_count(i, "pairs"));
+      for (symm::BlockOpCost& p : r.pairs) {
+        next_line("pairs");
+        expect_fields(kPairFields);
+        read(p.flops);
+        read(p.words_a);
+        read(p.words_b);
+        read(p.words_c);
+      }
+      out.log.emplace_back(std::move(r));
+    } else {
+      expect_fields(kSvdFields);
+      dmrg::SvdRecord r;
+      read(r.in_elements);
+      read(r.uv_elements);
+      r.groups.resize(read_count(i, "groups"));
+      for (symm::FactorShape& g : r.groups) {
+        next_line("groups");
+        expect_fields(kGroupFields);
+        read(g.rows);
+        read(g.cols);
+      }
+      out.log.emplace_back(std::move(r));
+    }
   }
+  TT_CHECK(ln == lines.size(),
+           "corrupt " << file << ": trailing bytes after its " << nrec << " records");
   return true;
 }
 
@@ -195,13 +251,26 @@ void store_cached(const std::filesystem::path& path, const KernelMeasurement& k)
   std::ofstream outf(tmp);
   if (!outf) return;
   outf.precision(17);
-  outf << k.flops << " " << k.m_actual << " " << k.theta_blocks << " "
-       << k.largest_block << " " << k.fill << " " << k.log.size() << "\n";
-  for (const auto& r : k.log)
-    outf << static_cast<int>(r.type) << " " << static_cast<int>(r.layout) << " "
-         << r.cost.flops << " " << r.cost.words_a << " " << r.cost.words_b << " "
-         << r.cost.words_c << " " << r.rows << " " << r.cols << " " << r.words
-         << "\n";
+  outf << k.m_actual << " " << k.theta_blocks << " " << k.largest_block << " " << k.fill
+       << " " << k.log.size() << "\n";
+  for (const dmrg::OpRecord& op : k.log) {
+    if (const auto* r = std::get_if<dmrg::ContractionRecord>(&op)) {
+      outf << 0 << " " << static_cast<int>(r->role_a) << " "
+           << static_cast<int>(r->role_b);
+      for (double v : {r->m, r->n, r->k, r->size_a, r->size_b, r->size_c, r->nnz_a,
+                       r->nnz_b, r->nnz_c, r->nonzero_block_words_c, r->matched_products})
+        outf << " " << v;
+      outf << " " << r->pairs.size() << "\n";
+      for (const symm::BlockOpCost& p : r->pairs)
+        outf << p.flops << " " << p.words_a << " " << p.words_b << " " << p.words_c
+             << "\n";
+    } else {
+      const auto& s = std::get<dmrg::SvdRecord>(op);
+      outf << 1 << " " << s.in_elements << " " << s.uv_elements << " " << s.groups.size()
+           << "\n";
+      for (const symm::FactorShape& g : s.groups) outf << g.rows << " " << g.cols << "\n";
+    }
+  }
   outf.close();
   if (outf) std::filesystem::rename(tmp, path, ec);
   if (!outf || ec) std::filesystem::remove(tmp, ec);
@@ -209,9 +278,13 @@ void store_cached(const std::filesystem::path& path, const KernelMeasurement& k)
 
 }  // namespace
 
-KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t m,
-                               unsigned seed) {
-  const auto path = cache_dir() / cache_key(w, kind, m, seed);
+double KernelMeasurement::flops(dmrg::EngineKind kind) const {
+  // Charged flops do not depend on the cluster.
+  return dmrg::price(kind, log, cluster(rt::blue_waters(), 1, 16)).flops();
+}
+
+KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed) {
+  const auto path = cache_dir() / cache_key(w, m, seed);
   KernelMeasurement k;
   if (load_cached(path, k)) return k;
 
@@ -221,8 +294,7 @@ KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t
   Rng rng(seed);
   mps::Mps psi = mps::Mps::random(w.sites, w.sector, m, rng);
 
-  // Any cluster works here: only the replayable log and wall time matter.
-  auto engine = dmrg::make_engine(kind, {rt::blue_waters(), 1, 16});
+  auto engine = std::make_unique<dmrg::ContractionEngine>();
   dmrg::ContractionEngine* eng = engine.get();
   dmrg::Dmrg solver(std::move(psi), w.h, std::move(engine));
 
@@ -240,13 +312,10 @@ KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t
   k.m_actual = bond.dim();
 
   eng->set_logging(true);
-  eng->clear_log();
-  const rt::CostTracker before = eng->tracker();
   dmrg::SweepParams params;
   params.max_m = m;
   params.davidson_iter = 2;  // paper production setting
   solver.optimize_bond(j, params, /*sweep_right=*/true);
-  k.flops = eng->tracker().diff(before).flops();
   k.log = eng->log();
 
   store_cached(path, k);
@@ -264,7 +333,7 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
   sopts.num_ranks = ranks;
   rt::Scheduler sched(sopts);
 
-  auto engine = dmrg::make_engine(dmrg::EngineKind::kList, {rt::blue_waters(), 1, 16});
+  auto engine = std::make_unique<dmrg::ContractionEngine>();
   engine->set_scheduler(&sched);
   dmrg::ContractionEngine* eng = engine.get();
   dmrg::Dmrg solver(std::move(psi), w.h, std::move(engine));
@@ -276,7 +345,7 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
   d.m_actual = solver.psi().site(j).index(2).dim();
 
   sched.reset_accumulated();  // drop the untimed environment build
-  const rt::CostTracker before = eng->tracker();
+  eng->set_logging(true);
   dmrg::SweepParams params;
   params.max_m = m;
   params.davidson_iter = 2;  // paper production setting
@@ -284,7 +353,9 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
   solver.optimize_bond(j, params, /*sweep_right=*/true);
   d.wall_seconds = timer.seconds();
   d.dist = sched.accumulated();
-  d.flops = eng->tracker().diff(before).flops();
+  d.flops = dmrg::price(dmrg::EngineKind::kList, eng->log(),
+                        cluster(rt::blue_waters(), 1, 16))
+                .flops();
   return d;
 }
 
@@ -329,7 +400,7 @@ dmrg::SweepRecord pipeline_smoke(const Workload& w, index_t m, int ranks,
   sopts.num_ranks = ranks;
   rt::Scheduler sched(sopts);  // forks before the prefetch queue exists
 
-  auto engine = dmrg::make_engine(dmrg::EngineKind::kList, {rt::blue_waters(), 1, 16});
+  auto engine = std::make_unique<dmrg::ContractionEngine>();
   engine->set_scheduler(&sched);
   dmrg::Dmrg solver(std::move(psi), w.h, std::move(engine));
 
@@ -397,8 +468,9 @@ bool distributed_mode(const Cli& cli, const std::string& driver, const Workload&
     // BSP-replayed analogue at `ranks` virtual nodes, for contrast: simulated
     // seconds on a scaled virtual cluster, not this machine's wall time (see
     // docs/BENCHMARKS.md, "Measured vs replayed").
-    const KernelMeasurement k = measure_step(w, dmrg::EngineKind::kList, m);
-    const rt::CostTracker sim = replayed(k, cluster(rt::blue_waters(), ranks, 16));
+    const KernelMeasurement k = measure_step(w, m);
+    const rt::CostTracker sim =
+        replayed(k, dmrg::EngineKind::kList, cluster(rt::blue_waters(), ranks, 16));
     csv.row({driver, w.name, "replayed", std::to_string(m),
              std::to_string(m_equiv(k.m_actual)),
              std::to_string(ranks), "bsp-sim", fmt_sci(sim.total_time(), 6),
@@ -433,20 +505,22 @@ bool distributed_mode(const Cli& cli, const std::string& driver, const Workload&
   return true;
 }
 
-double sim_seconds(const KernelMeasurement& k, const rt::Cluster& cluster) {
-  return replayed(k, cluster).total_time();
+double sim_seconds(const KernelMeasurement& k, dmrg::EngineKind kind,
+                   const rt::Cluster& cluster) {
+  return replayed(k, kind, cluster).total_time();
 }
 
-rt::CostTracker replayed(const KernelMeasurement& k, const rt::Cluster& cluster) {
-  return dmrg::replay_log(k.log, cluster, scaled_params());
+rt::CostTracker replayed(const KernelMeasurement& k, dmrg::EngineKind kind,
+                         const rt::Cluster& cluster) {
+  return dmrg::price(kind, k.log, cluster, scaled_params());
 }
 
 Baseline baseline(const Workload& w, const rt::MachineModel& machine, index_t m,
                   unsigned seed) {
-  KernelMeasurement k = measure_step(w, dmrg::EngineKind::kReference, m, seed);
+  const KernelMeasurement k = measure_step(w, m, seed);
   Baseline b;
-  b.flops = k.flops;
-  b.sim_seconds = sim_seconds(k, cluster(machine, 1, 1));
+  b.flops = k.flops(dmrg::EngineKind::kReference);
+  b.sim_seconds = sim_seconds(k, dmrg::EngineKind::kReference, cluster(machine, 1, 1));
   b.gflops_rate = b.flops / b.sim_seconds / 1e9;
   return b;
 }

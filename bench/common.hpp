@@ -3,10 +3,11 @@
 // Methodology (mirrors paper §VI): an MPS is grown to the target bond
 // dimension m (untimed), then a single two-site DMRG optimization at the
 // middle bond is executed and measured — 2 Davidson matvecs, the truncated
-// SVD, and one environment update. The engine's op log is captured so the
-// BSP cost model can be replayed against any virtual cluster without
-// re-executing the numerics; measurements are cached on disk because several
-// figure benches share them.
+// SVD, and one environment update. The engine's kind-neutral op log is
+// captured once per step, so the BSP cost model can price it as any
+// algorithm on any virtual cluster without re-executing the numerics
+// (dmrg/replay.hpp); measurements are cached on disk because several figure
+// benches share them.
 #pragma once
 
 #include <iostream>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "dmrg/dmrg.hpp"
+#include "dmrg/replay.hpp"
 #include "models/electron.hpp"
 #include "models/heisenberg.hpp"
 #include "models/hubbard.hpp"
@@ -51,8 +53,8 @@ void print_metrics_summary(const std::string& title, const rt::CostTracker& t,
                            std::ostream& os = std::cout);
 
 /// Flatten a SweepRecord into `mr` section `sec`: energy, bond dimension,
-/// wall time, cost breakdown, prefetch counters. Lives here because
-/// rt::MetricsRegistry cannot depend on the dmrg layer.
+/// wall time, prefetch counters. Lives here because rt::MetricsRegistry
+/// cannot depend on the dmrg layer.
 void add_sweep_metrics(rt::MetricsRegistry& mr, const std::string& sec,
                        const dmrg::SweepRecord& rec);
 
@@ -85,26 +87,30 @@ struct Workload {
   static Workload electrons(int lx = 4, int ly = 3, double u = 8.5);
 };
 
-/// Captured execution of one two-site optimization.
+/// Captured execution of one two-site optimization: one recorded log, priced
+/// per algorithm.
 struct KernelMeasurement {
-  double flops = 0.0;      ///< charged flops of the measured step
   index_t m_actual = 0;    ///< realized bond dimension at the middle bond
   int theta_blocks = 0;    ///< block count of the two-site tensor
   index_t largest_block = 0;  ///< largest bond-sector dimension
   double fill = 0.0;       ///< fused fill fraction of the two-site tensor
-  std::vector<dmrg::OpRecord> log;  ///< replayable op stream
+  std::vector<dmrg::OpRecord> log;  ///< kind-neutral op stream
+
+  /// Flops the step is charged when priced as `kind` (any cluster).
+  double flops(dmrg::EngineKind kind) const;
 };
 
 /// Execute (or load from cache) one measured step. A missing cache file is a
 /// miss; a malformed one is a tt::Error naming the file.
-KernelMeasurement measure_step(const Workload& w, dmrg::EngineKind kind, index_t m,
-                               unsigned seed = 1);
+KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed = 1);
 
-/// Simulated seconds of a measurement on a cluster.
-double sim_seconds(const KernelMeasurement& k, const rt::Cluster& cluster);
+/// Simulated seconds of a measurement priced as `kind` on a cluster.
+double sim_seconds(const KernelMeasurement& k, dmrg::EngineKind kind,
+                   const rt::Cluster& cluster);
 
-/// Full replayed cost tracker.
-rt::CostTracker replayed(const KernelMeasurement& k, const rt::Cluster& cluster);
+/// Full cost tracker of a measurement priced as `kind` on a cluster.
+rt::CostTracker replayed(const KernelMeasurement& k, dmrg::EngineKind kind,
+                         const rt::Cluster& cluster);
 
 /// Measured execution of one two-site optimization across real scheduler
 /// ranks (multi-process by default). Unlike KernelMeasurement — whose
@@ -114,15 +120,15 @@ rt::CostTracker replayed(const KernelMeasurement& k, const rt::Cluster& cluster)
 struct DistMeasurement {
   int ranks = 0;
   rt::SpawnMode mode = rt::SpawnMode::kProcess;
-  double flops = 0.0;          ///< charged flops of the measured step
+  double flops = 0.0;          ///< flops of the measured step priced as list
   double wall_seconds = 0.0;   ///< real end-to-end time of the step
   index_t m_actual = 0;        ///< realized bond dimension at the middle bond
   rt::DistStats dist;          ///< the step's measured exchanges, per rank
 };
 
-/// Execute one middle-bond optimization with the list engine routed through a
-/// `ranks`-rank rt::Scheduler. Never cached: this is a real measurement of
-/// this machine, not a replayable log.
+/// Execute one middle-bond optimization routed through a `ranks`-rank
+/// rt::Scheduler. Never cached: this is a real measurement of this machine,
+/// not a replayable log.
 DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks,
                                          unsigned seed = 1);
 
@@ -135,8 +141,9 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
 bool distributed_mode(const Cli& cli, const std::string& driver, const Workload& w,
                       const std::vector<index_t>& ms);
 
-/// Single-node baseline ("ITensor" stand-in): reference engine on one node of
-/// `machine`. gflops_rate is used for the paper's extrapolated comparisons.
+/// Single-node baseline ("ITensor" stand-in): a step priced as the reference
+/// kind on one node of `machine`. gflops_rate is used for the paper's
+/// extrapolated comparisons.
 struct Baseline {
   double flops = 0.0;
   double sim_seconds = 0.0;

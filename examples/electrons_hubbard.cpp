@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "dmrg/dmrg.hpp"
+#include "dmrg/replay.hpp"
 #include "ed/ed.hpp"
 #include "models/electron.hpp"
 #include "models/hubbard.hpp"
@@ -53,7 +54,8 @@ int run(int argc, char** argv) {
   std::vector<int> filling;
   for (int i = 0; i < lat.num_sites; ++i) filling.push_back(i % 2 == 0 ? 1 : 2);
   dmrg::Dmrg solver(mps::Mps::product_state(sites, filling), h,
-                    dmrg::make_engine(kind, cluster));
+                    std::make_unique<dmrg::ContractionEngine>());
+  solver.engine().set_logging(true);
 
   Table table("DMRG sweeps — triangular Hubbard " + std::to_string(lx) + "x" +
               std::to_string(ly));
@@ -64,11 +66,13 @@ int run(int argc, char** argv) {
     p.max_m = m;
     p.davidson_iter = 4;
     p.davidson_subspace = 3;
+    solver.engine().clear_log();
     auto rec = solver.sweep(p);
+    const rt::CostTracker costs = dmrg::price(kind, solver.engine().log(), cluster);
     table.row({std::to_string(rec.sweep), fmt(rec.energy, 8),
                std::to_string(rec.max_bond_dim), fmt_sci(rec.truncation_error, 1),
-               fmt(rec.wall_seconds, 2), fmt(rec.costs.total_time(), 3),
-               fmt(rec.costs.flops() / 1e9, 2)});
+               fmt(rec.wall_seconds, 2), fmt(costs.total_time(), 3),
+               fmt(costs.flops() / 1e9, 2)});
   }
   table.print();
 

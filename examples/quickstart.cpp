@@ -39,10 +39,8 @@ int run(int argc, char** argv) {
   for (int i = 0; i < n; ++i) neel.push_back(i % 2);
   mps::Mps psi = mps::Mps::product_state(sites, neel);
 
-  // 4. DMRG with the reference (single-node) engine.
-  dmrg::Dmrg solver(std::move(psi), h,
-                    dmrg::make_engine(dmrg::EngineKind::kReference,
-                                      {rt::localhost(), 1, 1}));
+  // 4. DMRG through the block-wise contraction engine.
+  dmrg::Dmrg solver(std::move(psi), h, std::make_unique<dmrg::ContractionEngine>());
   Table table("DMRG sweeps — Heisenberg chain, N=" + std::to_string(n));
   table.header({"sweep", "energy", "E/site", "max m", "trunc err", "wall s"});
   for (int s = 0; s < sweeps; ++s) {

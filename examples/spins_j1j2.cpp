@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "dmrg/dmrg.hpp"
+#include "dmrg/replay.hpp"
 #include "ed/ed.hpp"
 #include "models/heisenberg.hpp"
 #include "models/lattice.hpp"
@@ -53,26 +54,29 @@ int run(int argc, char** argv) {
   for (int x = 0; x < lx; ++x)
     for (int y = 0; y < ly; ++y) neel.push_back((x + y) % 2);
   dmrg::Dmrg solver(mps::Mps::product_state(sites, neel), h,
-                    dmrg::make_engine(kind, cluster));
+                    std::make_unique<dmrg::ContractionEngine>());
+  solver.engine().set_logging(true);
 
   Table table("DMRG sweeps — J1-J2 " + std::to_string(lx) + "x" + std::to_string(ly) +
               " cylinder");
   table.header({"sweep", "energy", "E/site", "max m", "trunc err", "wall s",
                 "sim s", "GFlop"});
+  rt::CostTracker costs;  // each sweep's log priced as `kind`
   for (int s = 0; s < sweeps; ++s) {
     dmrg::SweepParams p;
     p.max_m = m;
     p.davidson_iter = 3;
+    solver.engine().clear_log();
     auto rec = solver.sweep(p);
+    costs = dmrg::price(kind, solver.engine().log(), cluster);
     table.row({std::to_string(rec.sweep), fmt(rec.energy, 8),
                fmt(rec.energy / lat.num_sites, 6), std::to_string(rec.max_bond_dim),
                fmt_sci(rec.truncation_error, 1), fmt(rec.wall_seconds, 2),
-               fmt(rec.costs.total_time(), 3), fmt(rec.costs.flops() / 1e9, 2)});
+               fmt(costs.total_time(), 3), fmt(costs.flops() / 1e9, 2)});
   }
   table.print();
 
   // Simulated time breakdown of the final sweep (cf. paper Fig 7).
-  const auto& costs = solver.records().back().costs;
   auto pct = costs.percentages();
   std::cout << "\nSimulated time breakdown of last sweep:";
   for (int c = 0; c < rt::kNumCategories; ++c)

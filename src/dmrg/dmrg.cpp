@@ -20,10 +20,10 @@ Dmrg::Dmrg(mps::Mps psi, mps::Mpo h, std::unique_ptr<ContractionEngine> engine)
   psi_.normalize();
   // The initial environment graph is amortized setup (every engine runs the
   // same block-wise kernels): a separate builder keeps it off the main
-  // engine's tracker, op log and scheduler; all in-sweep production still
-  // runs — and is charged — through the main engine.
-  auto builder = make_engine(EngineKind::kReference, engine_->cluster());
-  envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, builder.get());
+  // engine's op log and scheduler; all in-sweep production still runs — and
+  // is recorded — through the main engine.
+  ContractionEngine builder;
+  envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, &builder);
 }
 
 real_t Dmrg::optimize_bond(int j, const SweepParams& params, bool sweep_right) {
@@ -150,7 +150,6 @@ SweepRecord Dmrg::sweep_from(const SweepParams& params, int phase, int start_bon
                              real_t max_trunc0) {
   TT_TRACE_SPAN("dmrg.sweep", rt::TraceCat::kSweep);
   Timer timer;
-  const rt::CostTracker start = engine_->tracker();
   const EnvGraph::PrefetchStats pf0 = envs_->prefetch_stats();
   max_trunc_partial_ = max_trunc0;
 
@@ -167,7 +166,7 @@ SweepRecord Dmrg::sweep_from(const SweepParams& params, int phase, int start_bon
     max_trunc_partial_ = std::max(max_trunc_partial_, trunc_err_);
     maybe_checkpoint(params, 1, j);
   }
-  // Settle any still-flying prefetch so its cost lands in this record.
+  // Settle any still-flying prefetch so its counters land in this record.
   envs_->sync();
 
   SweepRecord rec;
@@ -176,7 +175,6 @@ SweepRecord Dmrg::sweep_from(const SweepParams& params, int phase, int start_bon
   rec.max_bond_dim = psi_.max_bond_dim();
   rec.truncation_error = max_trunc_partial_;
   rec.wall_seconds = timer.seconds();
-  rec.costs = engine_->tracker().diff(start);
   const EnvGraph::PrefetchStats& pf = envs_->prefetch_stats();
   rec.prefetch_launched = pf.launched - pf0.launched;
   rec.prefetch_hits = pf.hits - pf0.hits;
@@ -220,8 +218,8 @@ real_t Dmrg::resume(const std::vector<SweepParams>& schedule) {
   // node is a deterministic function of its cone's site tensors, and the
   // engines are bit-equivalent, so eager rebuild reproduces the tensors the
   // incremental maintenance held at snapshot time — bitwise.
-  auto builder = make_engine(EngineKind::kReference, engine_->cluster());
-  envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, builder.get());
+  ContractionEngine builder;
+  envs_ = std::make_unique<EnvGraph>(*engine_, psi_, h_, &builder);
 
   schedule_pos_ = data.pos.schedule_pos;
   sweep_from(schedule[static_cast<std::size_t>(schedule_pos_)], data.pos.phase,

@@ -42,7 +42,6 @@ struct SweepRecord {
   index_t max_bond_dim = 0;
   real_t truncation_error = 0.0;  ///< max over bonds of Σ discarded σ²
   double wall_seconds = 0.0;
-  rt::CostTracker costs;          ///< simulated costs of this sweep only
   long prefetch_launched = 0;     ///< env extensions started asynchronously
   long prefetch_hits = 0;         ///< joins that found the future finished
   double prefetch_wait_seconds = 0.0;  ///< real time blocked joining futures

@@ -1,31 +1,20 @@
-// The contraction engine: one block-wise executor priced as one of the
-// paper's three block-sparsity algorithms or the single-node baseline (§IV-A).
+// The contraction engine: one block-wise executor for every DMRG contraction
+// and SVD, and the recorder of what it executed (paper §IV-A).
 //
-// Every contraction executes the same way whatever the engine kind: the
-// thread-parallel block executor symm::contract (paper Alg. 2), or
-// rt::Scheduler::contract when a multi-rank scheduler is attached. Results
-// are therefore bitwise identical across kinds. The kind chooses only the
-// cost model — what the tracker is charged and which OpRecords are logged:
-//
-//   Reference     — serial single node, no network. Plays the role of the
-//                   paper's ITensor baseline.
-//   List          — each quantum-number block is its own distributed dense
-//                   tensor; every compatible block pair is one 3D dense
-//                   contraction. O(Nb) supersteps.
-//   SparseDense   — operator tensors (MPS/MPO/environments) fused into single
-//                   sparse tensors, Davidson intermediates fused dense;
-//                   one 2D contraction per step. O(1) supersteps.
-//   SparseSparse  — everything fused sparse, output sparsity precomputed from
-//                   the quantum numbers. O(1) supersteps, sparse flop rate.
-//
-// The fused kinds are priced from block shapes and exact-nonzero counts, as
-// the paper's persistent CTF tensors would store them; no fused tensor is
-// ever built (runtime/cost_model.hpp has the per-layout cost formulas).
+// Every contraction executes the same way: the thread-parallel block executor
+// symm::contract (paper Alg. 2), or rt::Scheduler::contract when a multi-rank
+// scheduler is attached. The engine executes and counts nothing but executed
+// contraction flops. With logging on it also appends one kind-neutral
+// OpRecord per operation, and dmrg/replay.hpp prices that log as any of the
+// paper's three block-sparsity algorithms or the single-node baseline
+// (EngineKind) on any virtual cluster. Pricing never runs on the execution
+// path, and measured and modelled seconds never share a tracker.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "runtime/cost_model.hpp"
@@ -38,7 +27,7 @@ class Scheduler;  // runtime/scheduler.hpp — the distributed block scheduler
 
 namespace tt::dmrg {
 
-/// Which algorithm an engine is priced as (see the taxonomy above and
+/// The algorithms a recorded log is priced as (dmrg/replay.hpp; see
 /// docs/ARCHITECTURE.md). The kind fixes the modelled storage format and the
 /// distributed cost charged per operation — never the execution or the
 /// numerical result.
@@ -56,52 +45,55 @@ const char* engine_name(EngineKind k);
 /// Inverse of engine_name. Throws tt::Error listing the valid names.
 EngineKind engine_from_name(const std::string& name);
 
-/// One charged operation, recorded when logging is enabled. An op log can be
-/// replayed against any Cluster — the benches execute the (cluster-invariant)
-/// numerics once per engine and problem size, then price every node-count /
-/// procs-per-node configuration by replay.
-struct OpRecord {
-  enum class Type { kContraction, kSvd, kRedistribution };
-  Type type = Type::kContraction;
-  rt::ContractionCost cost;      // kContraction
-  rt::Layout layout = rt::Layout::kLocal;
-  index_t rows = 0, cols = 0;    // kSvd
-  double words = 0.0;            // kRedistribution
-};
-
-/// Price an op log on a cluster.
-rt::CostTracker replay_log(const std::vector<OpRecord>& log,
-                           const rt::Cluster& cluster,
-                           const rt::CostModelParams& params = {});
-
 /// Modelled storage role of a contraction operand in the sparse-dense
 /// algorithm: operator tensors stay sparse, Davidson intermediates go dense
 /// (§IV-A). Callers tag each operand; the result's role is implied (any
 /// intermediate operand makes the result an intermediate). Roles only change
-/// what the sparse-dense kind charges — execution is block-wise for every
-/// role.
+/// what the sparse-dense kind is priced at — execution is block-wise for
+/// every role.
 enum class Role {
   kOperator,      ///< MPS/MPO/environment tensor: long-lived, fused sparse
   kIntermediate,  ///< Davidson work vector: transient, fused dense
 };
 
-/// The contraction engine. Owns a cluster description and a cost tracker;
-/// all DMRG work flows through contract()/svd(). kind(), contract() and svd()
-/// are virtual so a decorator can wrap an engine (forwarding to an inner one).
+/// One executed contraction c = a·b: everything any kind's price reads.
+/// "Fused" quantities describe the single tensors the paper's fused formats
+/// would store; none is ever built.
+struct ContractionRecord {
+  Role role_a = Role::kOperator;
+  Role role_b = Role::kOperator;
+  std::vector<symm::BlockOpCost> pairs;  ///< per block pair, in bin order
+  double m = 1.0, n = 1.0, k = 1.0;      ///< fused free(a), free(b), contracted dims
+  double size_a = 0.0, size_b = 0.0, size_c = 0.0;  ///< fused dense sizes
+  double nnz_a = 0.0, nnz_b = 0.0, nnz_c = 0.0;     ///< exact nonzeros (x != 0)
+  double nonzero_block_words_c = 0.0;  ///< elements of c's blocks holding a nonzero
+  double matched_products = 0.0;  ///< Σ over contracted positions of nnz(a)·nnz(b)
+
+  bool operator==(const ContractionRecord&) const = default;
+};
+
+/// One executed truncated SVD.
+struct SvdRecord {
+  double in_elements = 0.0;               ///< stored elements of the input
+  std::vector<symm::FactorShape> groups;  ///< per quantum-number group matrix
+  double uv_elements = 0.0;               ///< stored elements of U plus Vᵀ
+
+  bool operator==(const SvdRecord&) const = default;
+};
+
+/// One logged operation, kind-neutral: a log prices as every EngineKind on
+/// every cluster (dmrg/replay.hpp).
+using OpRecord = std::variant<ContractionRecord, SvdRecord>;
+
+/// The contraction engine. All DMRG work flows through contract()/svd().
 class ContractionEngine {
  public:
-  explicit ContractionEngine(rt::Cluster cluster, rt::CostModelParams params = {},
-                             EngineKind kind = EngineKind::kList)
-      : cluster_(cluster), params_(params), kind_(kind) {}
+  ContractionEngine() = default;
   virtual ~ContractionEngine() = default;
-
-  virtual EngineKind kind() const { return kind_; }
-  std::string name() const { return engine_name(kind()); }
 
   /// Contract two block tensors over the given (mode of a, mode of b) pairs.
   /// Uncontracted modes of a then of b, each in order, form the result. The
-  /// roles only select the sparse-dense pricing; the result is bitwise the
-  /// same for every kind and role.
+  /// roles are recorded for pricing only; the result does not depend on them.
   virtual symm::BlockTensor contract(const symm::BlockTensor& a, Role role_a,
                                      const symm::BlockTensor& b, Role role_b,
                                      const std::vector<std::pair<int, int>>& pairs);
@@ -109,48 +101,51 @@ class ContractionEngine {
   /// Truncated SVD across the (row_modes | remaining modes) bipartition,
   /// truncated per `trunc` (symm::TruncParams: absolute/relative cutoff and
   /// bond cap, applied globally across quantum-number groups). Always
-  /// executed in the list format (paper §IV-A); the fused kinds additionally
-  /// charge the redistribution of blocks out of / back into the single
-  /// tensor, the reference kind a serial single-node SVD.
+  /// executed in the list format (paper §IV-A).
   virtual symm::BlockSvd svd(const symm::BlockTensor& a,
                              const std::vector<int>& row_modes,
                              const symm::TruncParams& trunc);
 
-  const rt::Cluster& cluster() const { return cluster_; }
-  rt::CostTracker& tracker() { return tracker_; }
-  const rt::CostTracker& tracker() const { return tracker_; }
-  const rt::CostModelParams& params() const { return params_; }
-
   /// Executor threads for block-wise contraction work flowing through this
   /// engine (the Davidson matvec and environment updates): 0 = the global
   /// TT_THREADS setting, 1 = serial. Results are bitwise identical at any
-  /// value — only wall time changes; the simulated distributed cost is
-  /// charged from deterministic per-block stats exactly as before.
+  /// value — only wall time changes.
   void set_num_threads(int n) { num_threads_ = n; }
   int num_threads() const { return num_threads_; }
 
   /// Attach a distributed block scheduler (non-owning; the caller keeps it
-  /// alive for the engine's lifetime, e.g. the `--ranks N` bench drivers).
-  /// With a scheduler of more than one rank attached, every contraction
-  /// executes across its ranks. The measured exchange — real bytes, busy
-  /// time, idle tails — is read from the scheduler (last()/accumulated());
-  /// the tracker and op log keep the kind's modelled cost, bitwise the same
-  /// as on the local path (the scheduler's rank-parity invariant). nullptr
-  /// (the default) executes locally.
+  /// alive for the engine's lifetime). With more than one rank, every
+  /// contraction executes across its ranks; the measured exchange is read
+  /// from the scheduler (last()/accumulated()), and the op log is bitwise the
+  /// local one (rank parity). nullptr (the default) executes locally.
   void set_scheduler(rt::Scheduler* s) { scheduler_ = s; }
 
-  /// Enable/disable op logging (off by default).
+  /// Enable/disable op logging (off by default). Only a recording engine
+  /// enumerates block pairs a second time and counts nonzeros.
   void set_logging(bool on) { logging_ = on; }
   const std::vector<OpRecord>& log() const { return log_; }
   void clear_log() { log_.clear(); }
 
- private:
-  /// Charge `r` to the tracker and log it if logging is on.
-  void record(const OpRecord& r);
+  // --- Kept for bench/e2e/bench_e2e.cpp, their only user --------------------
+  // The end-to-end benchmark builds its engine with make_engine and this
+  // constructor, wraps it in a decorator that overrides the virtual kind(),
+  // contract() and svd(), and reads engine.flops from tracker().flops(). The
+  // kind, cluster and params are stored and returned, nothing more; the
+  // tracker counts executed contraction flops only (no seconds, no words).
+  // Everything else default-constructs an engine and prices its log.
+  explicit ContractionEngine(rt::Cluster cluster, rt::CostModelParams params = {},
+                             EngineKind kind = EngineKind::kList)
+      : cluster_(cluster), params_(params), kind_(kind) {}
+  virtual EngineKind kind() const { return kind_; }
+  const rt::Cluster& cluster() const { return cluster_; }
+  const rt::CostModelParams& params() const { return params_; }
+  rt::CostTracker& tracker() { return tracker_; }
+  const rt::CostTracker& tracker() const { return tracker_; }
 
+ private:
   rt::Cluster cluster_;
   rt::CostModelParams params_;
-  EngineKind kind_;
+  EngineKind kind_ = EngineKind::kList;
   rt::CostTracker tracker_;
   rt::Scheduler* scheduler_ = nullptr;
   bool logging_ = false;
@@ -158,9 +153,8 @@ class ContractionEngine {
   int num_threads_ = 0;
 };
 
-/// Engine priced as `kind`. `cluster` describes the virtual machine the cost
-/// model charges against (use {rt::localhost(), 1, 1} for purely local
-/// runs); it does not affect the numerics.
+/// An engine storing `kind`, `cluster` and `params` (bench/e2e/bench_e2e.cpp
+/// only; see the group above). None of them affects execution.
 std::unique_ptr<ContractionEngine> make_engine(EngineKind kind, rt::Cluster cluster,
                                                rt::CostModelParams params = {});
 

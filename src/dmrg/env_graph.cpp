@@ -121,10 +121,10 @@ void EnvGraph::prefetch(bool is_left, int j) {
   if (nodes[static_cast<std::size_t>(parent)].state != NodeState::kValid)
     return;  // prefetch computes one edge only; demand handles chain rebuilds
   if (!pf_queue_) {
-    // Same algorithm / virtual cluster as the main engine — bit-identical
-    // tensors, comparable charged cost. Serial (the worker thread runs with
-    // in_parallel_region() set); no scheduler: ranks are not prefetch-safe.
-    pf_engine_ = make_engine(eng_.kind(), eng_.cluster(), eng_.params());
+    // Bit-identical tensors to the main engine's. Serial (the worker thread
+    // runs with in_parallel_region() set); no scheduler: ranks are not
+    // prefetch-safe.
+    pf_engine_ = std::make_unique<ContractionEngine>();
     pf_queue_ = std::make_unique<support::TaskQueue>();
   }
   const int site = is_left ? j - 1 : j;
@@ -171,11 +171,6 @@ void EnvGraph::join_pending() {
   pf_future_.get();
   node.t = std::move(pf_result_);
   node.state = NodeState::kValid;
-  // Fold the prefetch engine's modelled charge into the main tracker, as if
-  // the extension had run on the main engine; the measured overlap stays in
-  // pf_stats_ and the trace spans.
-  eng_.tracker().merge(pf_engine_->tracker());
-  pf_engine_->tracker().reset();
 }
 
 void EnvGraph::sync() { join_pending(); }

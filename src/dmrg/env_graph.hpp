@@ -18,9 +18,8 @@
 // environment extension depends only on tensors the current Davidson
 // iteration will not touch, so it can be prefetched as a future on a
 // support::TaskQueue worker while Davidson iterates. Prefetched work runs on
-// a private engine of the same kind/cluster; its modelled cost is merged into
-// the main tracker at join time, exactly as if the main engine had run it.
-// The measured overlap — hits, misses, blocked wait — lives in PrefetchStats
+// a private, unlogged engine. The measured overlap — hits, misses, blocked
+// wait — lives in PrefetchStats
 // and the trace spans. At most one prefetch is in flight, and every graph
 // mutation joins it first, so demanded values are bitwise identical with
 // prefetch on or off.
@@ -59,7 +58,7 @@ class EnvGraph {
   /// When `builder` is non-null it executes this initial, amortized
   /// construction while `eng` remains the engine for all later production.
   /// Every engine runs the same kernels; the builder only keeps setup off
-  /// `eng`'s tracker, op log and scheduler.
+  /// `eng`'s op log and scheduler.
   EnvGraph(ContractionEngine& eng, const mps::Mps& psi, const mps::Mpo& h,
            ContractionEngine* builder = nullptr);
   ~EnvGraph();
@@ -81,13 +80,11 @@ class EnvGraph {
   /// Launch asynchronous production of left(j) / right(j) on the prefetch
   /// worker. No-op if the node is already valid or its parent is not (demand
   /// would have to rebuild a chain; prefetch only ever computes one edge).
-  /// The next access joins the future; its modelled cost is merged into the
-  /// main engine's tracker.
+  /// The next access joins the future.
   void prefetch_left(int j);
   void prefetch_right(int j);
 
-  /// Join any in-flight prefetch (fold its cost, settle its node). Call
-  /// before reading the main tracker so no charged work is still in flight.
+  /// Join any in-flight prefetch and settle its node.
   void sync();
 
   NodeState left_state(int j) const;
@@ -114,7 +111,7 @@ class EnvGraph {
   const symm::BlockTensor& demand(bool is_left, int j);
   void produce(bool is_left, int j);           // one edge, main engine
   void prefetch(bool is_left, int j);
-  void join_pending();                         // wait + fold + settle
+  void join_pending();                         // wait + settle
   std::vector<Node>& chain(bool is_left) { return is_left ? left_ : right_; }
 
   ContractionEngine& eng_;

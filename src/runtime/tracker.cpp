@@ -34,22 +34,4 @@ std::array<double, kNumCategories> CostTracker::percentages() const {
   return out;
 }
 
-CostTracker CostTracker::diff(const CostTracker& start) const {
-  CostTracker d;
-  for (int i = 0; i < kNumCategories; ++i) d.time_[i] = time_[i] - start.time_[i];
-  d.flops_ = flops_ - start.flops_;
-  d.words_ = words_ - start.words_;
-  d.supersteps_ = supersteps_ - start.supersteps_;
-  return d;
-}
-
-void CostTracker::merge(const CostTracker& other) {
-  for (int i = 0; i < kNumCategories; ++i) time_[i] += other.time_[i];
-  flops_ += other.flops_;
-  words_ += other.words_;
-  supersteps_ += other.supersteps_;
-}
-
-void CostTracker::reset() { *this = CostTracker(); }
-
 }  // namespace tt::rt

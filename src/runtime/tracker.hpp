@@ -3,9 +3,10 @@
 //
 // The categories are exactly paper Fig. 7: GEMM/MKL, communication, CTF
 // transposition (local data reordering + mapping), SVD, and load imbalance.
-// A tracker holds modelled cost only — it is charged by runtime/cost_model.cpp
-// and nothing else. Measured time lives in rt::DistStats, the prefetch
-// counters and the trace spans, never here.
+// A tracker holds modelled cost only: runtime/cost_model.cpp charges it, on
+// behalf of dmrg/replay.hpp pricing a recorded log. (The one other writer is
+// the engine's executed-flop count; see dmrg/engine.hpp.) Measured time lives
+// in rt::DistStats, the prefetch counters and the trace spans, never here.
 #pragma once
 
 #include <array>
@@ -25,7 +26,7 @@ constexpr int kNumCategories = 5;
 
 const char* category_name(Category c);
 
-/// Accumulated simulated cost of a run region. Copyable; diffable.
+/// Accumulated simulated cost of a run region. Copyable.
 class CostTracker {
  public:
   /// Charge `seconds` of simulated time to category `c`.
@@ -44,14 +45,6 @@ class CostTracker {
 
   /// Percentage share of each category (sums to 100 when total > 0).
   std::array<double, kNumCategories> percentages() const;
-
-  /// this - other, category-wise (for measuring a sub-region).
-  CostTracker diff(const CostTracker& start) const;
-
-  /// this += other, category-wise (folds a side engine's tracker in).
-  void merge(const CostTracker& other);
-
-  void reset();
 
  private:
   std::array<double, kNumCategories> time_{};

@@ -28,6 +28,8 @@ struct TruncParams {
 /// Per-group matrix shape, reported for the runtime SVD cost model.
 struct FactorShape {
   index_t rows = 0, cols = 0;
+
+  bool operator==(const FactorShape&) const = default;
 };
 
 /// A = Q·R over the (row_modes | remaining) bipartition.

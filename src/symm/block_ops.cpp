@@ -139,10 +139,7 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
 void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
   stats.num_bins += static_cast<int>(bins.size());
   for (const OutputBin& bin : bins)
-    for (const BinPair& pw : bin.pairs) {
-      stats.total_flops += pw.cost.flops;
-      stats.block_ops.push_back(pw.cost);
-    }
+    for (const BinPair& pw : bin.pairs) stats.total_flops += pw.cost.flops;
 }
 
 tensor::DenseTensor execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout) {

@@ -7,8 +7,8 @@
 // (tensor::ContractLayout). Each bin then runs as a flat list of β=1 GEMMs
 // into its one output block: an operand that needs it is permuted into a
 // per-thread scratch buffer, and no pair allocates a temporary. Per-block-pair
-// costs are priced from block shapes at enumeration, so the list engine can
-// charge the Table II cost model block-wise without observing execution.
+// costs come from block shapes at enumeration, so a recorded log can price the
+// list algorithm block-wise without observing execution (dmrg/replay.hpp).
 //
 // Execution is thread-parallel: bins run concurrently on the shared
 // work-stealing pool (support/thread_pool.hpp, TT_THREADS knob), and each bin
@@ -33,12 +33,13 @@ struct BlockOpCost {
   double words_a = 0.0;
   double words_b = 0.0;
   double words_c = 0.0;
+
+  bool operator==(const BlockOpCost&) const = default;
 };
 
-/// Aggregate cost record of one block-sparse contraction (see add_bin_stats).
+/// Executed totals of one block-sparse contraction (see add_bin_stats).
 struct ContractStats {
-  double total_flops = 0.0;
-  std::vector<BlockOpCost> block_ops;  ///< one entry per block pair contracted
+  double total_flops = 0.0;  ///< Σ of the pairs' cost.flops, in bin order
   int num_bins = 0;  ///< distinct output blocks touched (executor bin count)
 };
 
@@ -80,7 +81,7 @@ struct OutputBin {
 std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b,
                                       const ContractPlan& plan);
 
-/// Append the bins' pair costs to `stats` in bin order. The bin list is the
+/// Add the bins' flops and count to `stats`, in bin order. The bin list is the
 /// contraction's only cost record: stats never depend on who executed a bin.
 void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats);
 

@@ -7,7 +7,7 @@
 #include "linalg/matrix.hpp"
 #include "mps/mpo.hpp"
 #include "symm/block_ops.hpp"
-#include "symm/fuse.hpp"
+#include "common/fuse.hpp"
 
 namespace tt::testing {
 
@@ -21,7 +21,7 @@ inline linalg::Matrix mpo_to_dense_matrix(const mps::Mpo& h) {
   for (int j = 1; j < n; ++j)
     acc = symm::contract(acc, h.site(j), {{acc.order() - 1, 0}});
 
-  tensor::DenseTensor d = symm::fuse_dense(acc);  // dims: 1, (d,d)×n, 1
+  tensor::DenseTensor d = testing::fuse_dense(acc);  // dims: 1, (d,d)×n, 1
   // Permute bra legs together then ket legs together.
   std::vector<int> perm;
   perm.push_back(0);

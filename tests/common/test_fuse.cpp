@@ -2,7 +2,7 @@
 
 #include "common/naive_einsum.hpp"
 #include "symm/block_ops.hpp"
-#include "symm/fuse.hpp"
+#include "common/fuse.hpp"
 
 namespace {
 
@@ -25,14 +25,14 @@ BlockTensor site(Rng& rng) {
 TEST(Fuse, DenseShapeIsFusedDims) {
   Rng rng(51);
   BlockTensor t = site(rng);
-  auto d = tt::symm::fuse_dense(t);
+  auto d = tt::testing::fuse_dense(t);
   EXPECT_EQ(d.shape(), (std::vector<index_t>{6, 2, 5}));
 }
 
 TEST(Fuse, BlockValuesLandAtSectorOffsets) {
   Rng rng(56);
   BlockTensor t = site(rng);
-  auto d = tt::symm::fuse_dense(t);
+  auto d = tt::testing::fuse_dense(t);
   // Block (l=0 sector id 1, s=+1 id 1, r=+1 id 1): offsets l:2, s:1, r:2.
   const auto* blk = t.find_block({1, 1, 1});
   ASSERT_NE(blk, nullptr);
@@ -43,7 +43,7 @@ TEST(Fuse, BlockValuesLandAtSectorOffsets) {
 TEST(Fuse, DenseKeepsNormAndZerosOutsideBlocks) {
   Rng rng(53);
   BlockTensor t = site(rng);
-  auto d = tt::symm::fuse_dense(t);
+  auto d = tt::testing::fuse_dense(t);
   EXPECT_NEAR(d.norm2(), t.norm2(), 1e-12);
   index_t nonzero = 0;
   for (index_t i = 0; i < d.size(); ++i) nonzero += d[i] != 0.0 ? 1 : 0;
@@ -60,9 +60,9 @@ TEST(Fuse, FusedContractionEqualsBlockContraction) {
       {odd_bond(Dir::In), phys(Dir::In), even_bond(Dir::Out)}, QN::zero(1), rng);
   BlockTensor want = tt::symm::contract(a, b, {{2, 0}});
 
-  auto dc = tt::testing::naive_einsum("lsr,rtm->lstm", tt::symm::fuse_dense(a),
-                                      tt::symm::fuse_dense(b));
-  EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(want), dc),
+  auto dc = tt::testing::naive_einsum("lsr,rtm->lstm", tt::testing::fuse_dense(a),
+                                      tt::testing::fuse_dense(b));
+  EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(want), dc),
             1e-10 * (1.0 + want.norm2()));
 }
 

@@ -28,15 +28,12 @@ using tt::Rng;
 using tt::dmrg::CheckpointData;
 using tt::dmrg::CheckpointManager;
 using tt::dmrg::Dmrg;
-using tt::dmrg::EngineKind;
 using tt::dmrg::SweepParams;
 using tt::dmrg::SweepPosition;
 using tt::dmrg::SweepRecord;
 using tt::mps::Mps;
 using tt::rt::FaultInjector;
 using tt::symm::QN;
-
-tt::rt::Cluster local() { return {tt::rt::localhost(), 1, 1}; }
 
 // Fresh empty directory under the test temp root.
 std::string fresh_dir(const std::string& name) {
@@ -226,7 +223,7 @@ TEST(Checkpoint, ResumeWithoutManagerOrSnapshotThrows) {
   SweepParams sp;
   sp.max_m = 8;
   Dmrg solver(Mps::product_state(p.sites, p.neel), p.h,
-              tt::dmrg::make_engine(EngineKind::kReference, local()));
+              std::make_unique<tt::dmrg::ContractionEngine>());
   EXPECT_THROW((void)solver.resume({sp}), tt::Error);  // no manager attached
   CheckpointManager mgr(fresh_dir("ckpt_noresume"));
   solver.set_checkpointing(&mgr);
@@ -246,7 +243,7 @@ TEST(Checkpoint, KillMidSweepThenResumeReachesBitwiseIdenticalEnergy) {
 
   // Reference: the uninterrupted run.
   Dmrg ref(Mps::product_state(p.sites, p.neel), p.h,
-           tt::dmrg::make_engine(EngineKind::kReference, local()));
+           std::make_unique<tt::dmrg::ContractionEngine>());
   const double e_ref = ref.run(schedule);
 
   // Interrupted run: checkpoint every 2 bonds, die at the 20th bond — in the
@@ -257,7 +254,7 @@ TEST(Checkpoint, KillMidSweepThenResumeReachesBitwiseIdenticalEnergy) {
   FaultInjector::instance().configure("dmrg.kill_sweep:nth=20");
   {
     Dmrg victim(Mps::product_state(p.sites, p.neel), p.h,
-                tt::dmrg::make_engine(EngineKind::kReference, local()));
+                std::make_unique<tt::dmrg::ContractionEngine>());
     victim.set_checkpointing(&mgr);
     EXPECT_THROW((void)victim.run(schedule), tt::Error);
   }
@@ -269,7 +266,7 @@ TEST(Checkpoint, KillMidSweepThenResumeReachesBitwiseIdenticalEnergy) {
   // energy, continued sweep numbering, and identical per-sweep energies.
   CheckpointManager mgr2(dir);
   Dmrg revived(Mps::product_state(p.sites, p.neel), p.h,
-               tt::dmrg::make_engine(EngineKind::kReference, local()));
+               std::make_unique<tt::dmrg::ContractionEngine>());
   revived.set_checkpointing(&mgr2);
   const double e_res = revived.resume(schedule);
 

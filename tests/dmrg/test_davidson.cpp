@@ -35,8 +35,7 @@ struct TwoSiteProblem {
     auto lat = tt::models::chain(2);
     h = tt::models::heisenberg_mpo(sites, lat, 1.0);
     psi = tt::mps::Mps::product_state(sites, {0, 1});
-    eng = tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                {tt::rt::localhost(), 1, 1});
+    eng = std::make_unique<tt::dmrg::ContractionEngine>();
     left = tt::dmrg::left_boundary(1);
     right = tt::dmrg::right_boundary(QN(0));
     Rng rng(seed);
@@ -120,8 +119,7 @@ TEST(Davidson, MatchesEdOnLargerChain) {
   Rng rng(4);
   auto psi = tt::mps::Mps::random(sites, QN(0), 8, rng);
   psi.canonicalize(1);
-  auto eng = tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                   {tt::rt::localhost(), 1, 1});
+  auto eng = std::make_unique<tt::dmrg::ContractionEngine>();
   tt::dmrg::EnvGraph envs(*eng, psi, h);
   BlockTensor theta = tt::symm::contract(psi.site(1), psi.site(2), {{2, 0}});
   DavidsonOptions opts;

@@ -7,6 +7,7 @@
 
 #include "dmrg/dmrg.hpp"
 #include "dmrg/engine.hpp"
+#include "dmrg/replay.hpp"
 #include "models/heisenberg.hpp"
 #include "models/hubbard.hpp"
 #include "models/electron.hpp"
@@ -15,7 +16,7 @@
 #include "mps/mps.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/error.hpp"
-#include "symm/fuse.hpp"
+#include "common/fuse.hpp"
 #include "tensor/contract.hpp"
 
 namespace {
@@ -66,113 +67,148 @@ struct Operands {
   }
 };
 
-class EngineParam : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(EngineParam, ContractionMatchesReference) {
+TEST(Engines, ContractionIsTheBlockExecutorForEveryRole) {
+  // Roles are recorded for pricing only: every role pair executes exactly
+  // symm::contract.
   Operands ops;
-  auto ref = tt::dmrg::make_engine(EngineKind::kReference, test_cluster());
-  auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
-  BlockTensor want = ref->contract(ops.a, Role::kOperator, ops.b, Role::kOperator,
-                                   {{2, 0}});
+  const BlockTensor want = tt::symm::contract(ops.a, ops.b, {{2, 0}});
+  tt::dmrg::ContractionEngine eng;
   for (auto ra : kRoles)
-    for (auto rb : kRoles) {
-      SCOPED_TRACE(tt::dmrg::engine_name(GetParam()));
-      expect_bitwise_equal(eng->contract(ops.a, ra, ops.b, rb, {{2, 0}}), want);
-    }
+    for (auto rb : kRoles)
+      expect_bitwise_equal(eng.contract(ops.a, ra, ops.b, rb, {{2, 0}}), want);
 }
 
-TEST_P(EngineParam, SvdMatchesReferenceSingularValues) {
+TEST(Engines, SvdIsTheBlockSvd) {
   Operands ops;
   BlockTensor theta = tt::symm::contract(ops.a, ops.b, {{2, 0}});
-  auto ref = tt::dmrg::make_engine(EngineKind::kReference, test_cluster());
-  auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
   tt::symm::TruncParams trunc;
   trunc.max_dim = 8;
-  auto f1 = ref->svd(theta, {0, 1}, trunc);
-  auto f2 = eng->svd(theta, {0, 1}, trunc);
+  tt::dmrg::ContractionEngine eng;
+  auto f1 = tt::symm::block_svd(theta, {0, 1}, trunc);
+  auto f2 = eng.svd(theta, {0, 1}, trunc);
   EXPECT_EQ(f1.kept, f2.kept);
-  EXPECT_NEAR(f1.truncation_error, f2.truncation_error, 1e-12);
+  EXPECT_EQ(f1.truncation_error, f2.truncation_error);
+  expect_bitwise_equal(f1.u, f2.u);
+  expect_bitwise_equal(f1.vt, f2.vt);
 }
 
-TEST_P(EngineParam, ChargesFlops) {
+TEST(Engines, LogsOneRecordPerOperationOnlyWhenAsked) {
   Operands ops;
-  auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
-  eng->contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
-  EXPECT_GT(eng->tracker().flops(), 0.0);
-  EXPECT_GT(eng->tracker().time(Category::kGemm), 0.0);
+  tt::dmrg::ContractionEngine eng;
+  eng.contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
+  EXPECT_TRUE(eng.log().empty());
+  eng.set_logging(true);
+  const BlockTensor c = eng.contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator,
+                                     {{2, 0}});
+  eng.svd(c, {0, 1}, {});
+  ASSERT_EQ(eng.log().size(), 2u);
+  const auto& r = std::get<tt::dmrg::ContractionRecord>(eng.log()[0]);
+  EXPECT_EQ(r.role_a, Role::kIntermediate);
+  EXPECT_EQ(r.role_b, Role::kOperator);
+  std::size_t pairs = 0;
+  for (const auto& bin : tt::symm::enumerate_bins(
+           ops.a, ops.b, tt::symm::make_contract_plan(ops.a, ops.b, {{2, 0}})))
+    pairs += bin.pairs.size();
+  EXPECT_EQ(r.pairs.size(), pairs);
+  EXPECT_EQ(r.size_c, static_cast<double>(c.dense_size()));
+  const auto& s = std::get<tt::dmrg::SvdRecord>(eng.log()[1]);
+  EXPECT_EQ(s.in_elements, static_cast<double>(c.num_elements()));
+  EXPECT_FALSE(s.groups.empty());
+  eng.clear_log();
+  EXPECT_TRUE(eng.log().empty());
 }
 
-TEST_P(EngineParam, SchedulerRunsEveryKindBitwise) {
-  // Every kind executes block-wise, so every kind routes through an attached
-  // multi-rank scheduler and reproduces the local result exactly.
+TEST(Engines, TrackerCountsExecutedContractionFlopsForBenchE2e) {
+  // The one seam bench/e2e/bench_e2e.cpp reads: make_engine stores a kind,
+  // cluster and params it never uses, and tracker().flops() grows by exactly
+  // the executed flops of each contraction — nothing for an SVD, no seconds.
   Operands ops;
-  auto local = tt::dmrg::make_engine(GetParam(), test_cluster());
+  const tt::rt::Cluster cl = test_cluster();
+  auto eng = tt::dmrg::make_engine(EngineKind::kSparseDense, cl);
+  EXPECT_EQ(eng->kind(), EngineKind::kSparseDense);
+  EXPECT_EQ(eng->cluster().total_procs(), cl.total_procs());
+  EXPECT_EQ(eng->params().summa_coef, tt::rt::CostModelParams{}.summa_coef);
+  double want = 0.0;
+  auto expect_counted = [&](const BlockTensor& b, const Pairs& pairs) {
+    tt::symm::ContractStats st;
+    tt::symm::contract(ops.a, b, pairs, &st);
+    ASSERT_GT(st.total_flops, 0.0);
+    want += st.total_flops;
+    eng->contract(ops.a, Role::kOperator, b, Role::kIntermediate, pairs);
+    EXPECT_EQ(eng->tracker().flops(), want);
+  };
+  expect_counted(ops.b, {{2, 0}});
+  expect_counted(ops.a.dagger(), {{1, 1}, {2, 2}});
+  eng->svd(tt::symm::contract(ops.a, ops.b, {{2, 0}}), {0, 1}, {});
+  EXPECT_EQ(eng->tracker().flops(), want);
+  EXPECT_EQ(eng->tracker().total_time(), 0.0);
+  EXPECT_EQ(eng->tracker().words(), 0.0);
+}
+
+TEST(Engines, SchedulerRunsBitwise) {
+  // An attached multi-rank scheduler reproduces the local result exactly.
+  Operands ops;
+  tt::dmrg::ContractionEngine local;
   const BlockTensor want =
-      local->contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}});
+      local.contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}});
 
   tt::rt::SchedulerOptions opts;
   opts.num_ranks = 2;
   opts.mode = tt::rt::SpawnMode::kThread;
   tt::rt::Scheduler sched(opts);
-  auto eng = tt::dmrg::make_engine(GetParam(), test_cluster());
-  eng->set_scheduler(&sched);
+  tt::dmrg::ContractionEngine eng;
+  eng.set_scheduler(&sched);
   expect_bitwise_equal(
-      eng->contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}}), want);
+      eng.contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}}), want);
   EXPECT_GT(sched.accumulated().contractions, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(All, EngineParam, ::testing::ValuesIn(kAllEngines),
-                         [](const auto& info) {
-                           std::string name = tt::dmrg::engine_name(info.param);
-                           for (char& c : name)
-                             if (c == '-') c = '_';
-                           return name;
-                         });
+// One logged contraction and SVD of the Operands, for pricing.
+std::vector<OpRecord> operand_log() {
+  Operands ops;
+  tt::dmrg::ContractionEngine eng;
+  eng.set_logging(true);
+  const BlockTensor theta =
+      eng.contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
+  eng.svd(theta, {0, 1}, {});
+  return eng.log();
+}
 
 TEST(Engines, SuperstepAccountingMatchesTableII) {
   // Table II: list pays O(Nb) supersteps per contraction, fused formats O(1).
   Operands ops;
-  auto list = tt::dmrg::make_engine(EngineKind::kList, test_cluster());
-  auto ss = tt::dmrg::make_engine(EngineKind::kSparseSparse, test_cluster());
-  list->contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
-  ss->contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
-  EXPECT_GT(list->tracker().supersteps(), ss->tracker().supersteps());
-  EXPECT_DOUBLE_EQ(ss->tracker().supersteps(), 1.0);
+  tt::dmrg::ContractionEngine eng;
+  eng.set_logging(true);
+  eng.contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
+  const auto list = tt::dmrg::price(EngineKind::kList, eng.log(), test_cluster());
+  const auto ss = tt::dmrg::price(EngineKind::kSparseSparse, eng.log(), test_cluster());
+  EXPECT_GT(list.supersteps(), ss.supersteps());
+  EXPECT_DOUBLE_EQ(ss.supersteps(), 1.0);
 }
 
 TEST(Engines, ReferenceHasNoCommunication) {
-  Operands ops;
-  auto ref = tt::dmrg::make_engine(EngineKind::kReference, test_cluster());
-  ref->contract(ops.a, Role::kOperator, ops.b, Role::kOperator, {{2, 0}});
-  tt::symm::TruncParams trunc;
-  BlockTensor theta = tt::symm::contract(ops.a, ops.b, {{2, 0}});
-  ref->svd(theta, {0, 1}, trunc);
-  EXPECT_DOUBLE_EQ(ref->tracker().time(Category::kComm), 0.0);
-  EXPECT_DOUBLE_EQ(ref->tracker().words(), 0.0);
+  const auto ref = tt::dmrg::price(EngineKind::kReference, operand_log(), test_cluster());
+  EXPECT_GT(ref.flops(), 0.0);
+  EXPECT_DOUBLE_EQ(ref.time(Category::kComm), 0.0);
+  EXPECT_DOUBLE_EQ(ref.words(), 0.0);
 }
 
 TEST(Engines, FusedSvdChargesRedistribution) {
-  // Sparse engines must pay the block-extraction round trip around the SVD
+  // Sparse kinds must pay the block-extraction round trip around the SVD
   // (paper §IV-A); list/reference must not.
   Operands ops;
-  BlockTensor theta = tt::symm::contract(ops.a, ops.b, {{2, 0}});
-  tt::symm::TruncParams trunc;
-
-  auto list = tt::dmrg::make_engine(EngineKind::kList, test_cluster());
-  auto sd = tt::dmrg::make_engine(EngineKind::kSparseDense, test_cluster());
-  list->svd(theta, {0, 1}, trunc);
-  sd->svd(theta, {0, 1}, trunc);
-  EXPECT_DOUBLE_EQ(list->tracker().time(Category::kComm), 0.0);
-  EXPECT_GT(sd->tracker().time(Category::kComm), 0.0);
+  tt::dmrg::ContractionEngine eng;
+  eng.set_logging(true);
+  eng.svd(tt::symm::contract(ops.a, ops.b, {{2, 0}}), {0, 1}, {});
+  const auto list = tt::dmrg::price(EngineKind::kList, eng.log(), test_cluster());
+  const auto sd = tt::dmrg::price(EngineKind::kSparseDense, eng.log(), test_cluster());
+  EXPECT_DOUBLE_EQ(list.time(Category::kComm), 0.0);
+  EXPECT_GT(sd.time(Category::kComm), 0.0);
 }
 
 TEST(Engines, NameRoundTrip) {
-  for (EngineKind k : kAllEngines) {
-    auto eng = tt::dmrg::make_engine(k, test_cluster());
-    EXPECT_EQ(eng->kind(), k);
-    EXPECT_EQ(eng->name(), tt::dmrg::engine_name(k));
+  for (EngineKind k : kAllEngines)
     EXPECT_EQ(tt::dmrg::engine_from_name(tt::dmrg::engine_name(k)), k);
-  }
 }
 
 TEST(Engines, UnknownEngineNameListsTheValidOnes) {
@@ -187,64 +223,60 @@ TEST(Engines, UnknownEngineNameListsTheValidOnes) {
   }
 }
 
-TEST(Engines, FullSweepEquivalenceAcrossEngines) {
-  // The headline invariant (paper §III: "We compute DMRG in the same way as
-  // the best sequential approach"): every engine produces the same sweep
-  // energies on the same problem — bitwise, since all of them execute the
-  // same block-wise contractions.
+// A full solve recorded and not recorded: logging never touches the
+// numerics, and the one recorded run prices as every kind.
+void expect_logging_leaves_sweeps_bitwise(const tt::mps::Mps& psi0, const tt::mps::Mpo& h,
+                                          const tt::dmrg::SweepParams& params) {
+  std::vector<double> energies;
+  std::vector<OpRecord> log;
+  for (bool logging : {false, true}) {
+    tt::dmrg::Dmrg solver(psi0, h, std::make_unique<tt::dmrg::ContractionEngine>());
+    solver.engine().set_logging(logging);
+    auto rec1 = solver.sweep(params);
+    auto rec2 = solver.sweep(params);
+    EXPECT_LE(rec2.energy, rec1.energy + 1e-9);
+    energies.push_back(rec2.energy);
+    log = solver.engine().log();
+  }
+  EXPECT_EQ(energies[1], energies[0]);
+  ASSERT_FALSE(log.empty());
+  for (EngineKind k : kAllEngines)
+    EXPECT_GT(tt::dmrg::price(k, log, test_cluster()).total_time(), 0.0)
+        << tt::dmrg::engine_name(k);
+}
+
+TEST(Engines, FullSweepIsBitwiseWithLoggingOnOrOff) {
   auto lat = tt::models::square_cylinder(3, 2, true);
   auto sites = tt::models::spin_half_sites(lat.num_sites);
   auto h = tt::models::heisenberg_mpo(sites, lat, 1.0, 0.5);
   std::vector<int> neel;
   for (int i = 0; i < lat.num_sites; ++i) neel.push_back(i % 2);
-
   tt::dmrg::SweepParams params;
   params.max_m = 16;
   params.davidson_iter = 3;
-
-  std::vector<double> energies;
-  for (EngineKind k : kAllEngines) {
-    auto psi = tt::mps::Mps::product_state(sites, neel);
-    tt::dmrg::Dmrg solver(psi, h, tt::dmrg::make_engine(k, test_cluster()));
-    auto rec1 = solver.sweep(params);
-    auto rec2 = solver.sweep(params);
-    energies.push_back(rec2.energy);
-    EXPECT_LE(rec2.energy, rec1.energy + 1e-9) << tt::dmrg::engine_name(k);
-  }
-  for (std::size_t i = 1; i < energies.size(); ++i)
-    EXPECT_EQ(energies[i], energies[0])
-        << "engine " << tt::dmrg::engine_name(kAllEngines[i]);
+  expect_logging_leaves_sweeps_bitwise(tt::mps::Mps::product_state(sites, neel), h,
+                                       params);
 }
 
-TEST(Engines, ElectronSweepEquivalence) {
+TEST(Engines, ElectronSweepIsBitwiseWithLoggingOnOrOff) {
   // Same invariant on the d = 4, two-charge system (much finer blocks).
   auto lat = tt::models::chain(4);
   auto sites = tt::models::electron_sites(4);
   auto h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
-  std::vector<int> half{1, 2, 1, 2};
-
   tt::dmrg::SweepParams params;
   params.max_m = 24;
   params.davidson_iter = 3;
-
-  std::vector<double> energies;
-  for (EngineKind k : kAllEngines) {
-    auto psi = tt::mps::Mps::product_state(sites, half);
-    tt::dmrg::Dmrg solver(psi, h, tt::dmrg::make_engine(k, test_cluster()));
-    solver.sweep(params);
-    energies.push_back(solver.sweep(params).energy);
-  }
-  for (std::size_t i = 1; i < energies.size(); ++i)
-    EXPECT_EQ(energies[i], energies[0])
-        << "engine " << tt::dmrg::engine_name(kAllEngines[i]);
+  expect_logging_leaves_sweeps_bitwise(
+      tt::mps::Mps::product_state(sites, {1, 2, 1, 2}), h, params);
 }
 
 // ---------------------------------------------------------------------------
-// Pricing oracle. A sparse-dense or sparse-sparse engine logs one fused
-// contraction record whose flops and words follow from the fused operands
-// alone: nonzeros for operands stored sparse, the full fused size for dense
-// ones. The oracle recomputes every field by walking fuse_dense tensors
-// element by element, independently of the engine's block bookkeeping.
+// Pricing oracle. A recorded contraction prices as one fused contraction for
+// the sparse-dense and sparse-sparse kinds, whose flops and words follow from
+// the fused operands alone: nonzeros for operands stored sparse, the full
+// fused size for dense ones. The oracle recomputes every field by walking
+// fuse_dense tensors element by element, independently of the engine's block
+// bookkeeping, and prices it with the cost model directly.
 // ---------------------------------------------------------------------------
 
 // Random index: 1–4 sectors with distinct small charges, dims 1–4.
@@ -297,8 +329,8 @@ struct FusedCounts {
 };
 
 FusedCounts fused_counts(const BlockTensor& a, const BlockTensor& b, const Pairs& pairs) {
-  const DenseTensor fa = tt::symm::fuse_dense(a);
-  const DenseTensor fb = tt::symm::fuse_dense(b);
+  const DenseTensor fa = tt::testing::fuse_dense(a);
+  const DenseTensor fb = tt::testing::fuse_dense(b);
   FusedCounts o;
   o.size_a = static_cast<double>(fa.size());
   o.size_b = static_cast<double>(fb.size());
@@ -429,30 +461,33 @@ TEST_P(PricingOracle, FusedRecordsMatchFusedDenseWalk) {
   ASSERT_LT(o.nnz_a, o.size_a);
   ASSERT_GT(o.nnz_c, 0.0);
 
-  for (EngineKind kind : {EngineKind::kSparseDense, EngineKind::kSparseSparse}) {
-    auto eng = tt::dmrg::make_engine(kind, test_cluster());
-    eng->set_logging(true);
-    for (Role ra : kRoles)
-      for (Role rb : kRoles) {
+  const tt::rt::Cluster cl = test_cluster();
+  tt::dmrg::ContractionEngine eng;
+  eng.set_logging(true);
+  for (Role ra : kRoles)
+    for (Role rb : kRoles) {
+      eng.clear_log();
+      eng.contract(a, ra, b, rb, pairs);
+      ASSERT_EQ(eng.log().size(), 1u);
+      for (EngineKind kind : {EngineKind::kSparseDense, EngineKind::kSparseSparse}) {
         SCOPED_TRACE(std::string(tt::dmrg::engine_name(kind)) + " roles " +
                      std::to_string(static_cast<int>(ra)) +
                      std::to_string(static_cast<int>(rb)));
-        eng->clear_log();
-        eng->contract(a, ra, b, rb, pairs);
-        ASSERT_EQ(eng->log().size(), 1u);
-        const OpRecord& r = eng->log()[0];
-        EXPECT_EQ(r.type, OpRecord::Type::kContraction);
         const bool sd = kind == EngineKind::kSparseDense;
-        EXPECT_EQ(r.layout,
-                  sd ? tt::rt::Layout::kFusedDense2D : tt::rt::Layout::kFusedSparse2D);
-        const tt::rt::ContractionCost want =
-            sd ? expected_sparse_dense(o, ra, rb) : expected_sparse_sparse(o);
-        EXPECT_EQ(r.cost.flops, want.flops);
-        EXPECT_EQ(r.cost.words_a, want.words_a);
-        EXPECT_EQ(r.cost.words_b, want.words_b);
-        EXPECT_EQ(r.cost.words_c, want.words_c);
+        tt::rt::CostTracker want;
+        tt::rt::charge_contraction(
+            cl, want, sd ? expected_sparse_dense(o, ra, rb) : expected_sparse_sparse(o),
+            sd ? tt::rt::Layout::kFusedDense2D : tt::rt::Layout::kFusedSparse2D);
+        const tt::rt::CostTracker got = tt::dmrg::price(kind, eng.log(), cl);
+        EXPECT_EQ(got.flops(), want.flops());
+        EXPECT_EQ(got.words(), want.words());
+        EXPECT_EQ(got.supersteps(), want.supersteps());
+        for (int c = 0; c < tt::rt::kNumCategories; ++c) {
+          const auto cat = static_cast<Category>(c);
+          EXPECT_EQ(got.time(cat), want.time(cat)) << tt::rt::category_name(cat);
+        }
       }
-  }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PricingOracle, ::testing::Range(0, 8));

@@ -23,7 +23,7 @@ struct Fixture {
   tt::mps::Mpo h = tt::models::heisenberg_mpo(sites, lat, 1.0);
   tt::mps::Mps psi;
   std::unique_ptr<tt::dmrg::ContractionEngine> eng =
-      tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference, {tt::rt::localhost(), 1, 1});
+      std::make_unique<tt::dmrg::ContractionEngine>();
 
   Fixture() {
     Rng rng(7);

@@ -24,8 +24,7 @@ Mps heisenberg_ground(int n, tt::index_t m = 48) {
   std::vector<int> neel;
   for (int i = 0; i < n; ++i) neel.push_back(i % 2);
   tt::dmrg::Dmrg solver(Mps::product_state(sites, neel), h,
-                        tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                              {tt::rt::localhost(), 1, 1}));
+                        std::make_unique<tt::dmrg::ContractionEngine>());
   tt::dmrg::SweepParams p;
   p.max_m = m;
   p.davidson_iter = 4;
@@ -96,8 +95,7 @@ TEST(Correlation, FermionHoppingMatchesFreeFermions) {
   auto lat = tt::models::chain(n);
   auto h = tt::models::hubbard_mpo(sites, lat, 1.0, 0.0);
   tt::dmrg::Dmrg solver(Mps::product_state(sites, {1, 2, 1, 2}), h,
-                        tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                              {tt::rt::localhost(), 1, 1}));
+                        std::make_unique<tt::dmrg::ContractionEngine>());
   tt::dmrg::SweepParams p;
   p.max_m = 64;
   p.davidson_iter = 6;

@@ -283,8 +283,7 @@ TEST_F(TraceTest, SweepTurnPrefetchSpanOverlapsDavidson) {
   std::vector<int> neel;
   for (int i = 0; i < n; ++i) neel.push_back(i % 2);
   tt::dmrg::Dmrg solver(tt::mps::Mps::product_state(sites, neel), h,
-                        tt::dmrg::make_engine(tt::dmrg::EngineKind::kReference,
-                                              {tt::rt::localhost(), 1, 1}));
+                        std::make_unique<tt::dmrg::ContractionEngine>());
   // At this scale the extension outpaces theta; the stall holds the turn
   // future in flight into the Davidson window (same seam the TSan turn-race
   // test uses), making the overlap deterministic instead of a scheduling

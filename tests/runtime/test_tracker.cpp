@@ -48,46 +48,9 @@ TEST(Tracker, RawBspQuantities) {
   EXPECT_DOUBLE_EQ(t.supersteps(), 3.0);
 }
 
-TEST(Tracker, DiffMeasuresSubRegion) {
-  CostTracker t;
-  t.add_time(Category::kGemm, 1.0);
-  t.add_flops(10.0);
-  CostTracker start = t;
-  t.add_time(Category::kGemm, 2.0);
-  t.add_flops(30.0);
-  CostTracker d = t.diff(start);
-  EXPECT_DOUBLE_EQ(d.time(Category::kGemm), 2.0);
-  EXPECT_DOUBLE_EQ(d.flops(), 30.0);
-}
-
 TEST(Tracker, NegativeTimeRejected) {
   CostTracker t;
   EXPECT_THROW(t.add_time(Category::kGemm, -1.0), tt::Error);
-}
-
-TEST(Tracker, ResetClearsEverything) {
-  CostTracker t;
-  t.add_time(Category::kImbalance, 5.0);
-  t.add_flops(1.0);
-  t.reset();
-  EXPECT_DOUBLE_EQ(t.total_time(), 0.0);
-  EXPECT_DOUBLE_EQ(t.flops(), 0.0);
-}
-
-TEST(Tracker, MergeAddsEverything) {
-  CostTracker a, b;
-  a.add_time(Category::kGemm, 1.0);
-  a.add_flops(10.0);
-  b.add_time(Category::kGemm, 2.0);
-  b.add_time(Category::kComm, 4.0);
-  b.add_words(3.0);
-  b.add_supersteps(2.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.time(Category::kGemm), 3.0);
-  EXPECT_DOUBLE_EQ(a.time(Category::kComm), 4.0);
-  EXPECT_DOUBLE_EQ(a.flops(), 10.0);
-  EXPECT_DOUBLE_EQ(a.words(), 3.0);
-  EXPECT_DOUBLE_EQ(a.supersteps(), 2.0);
 }
 
 TEST(Tracker, CategoriesAreExactlyFig7) {
@@ -126,28 +89,6 @@ TEST(Tracker, PercentagesAtZeroTotalStayFiniteAfterCharges) {
   t.add_words(10.0);
   EXPECT_DOUBLE_EQ(t.total_time(), 0.0);
   for (double v : t.percentages()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Tracker, DiffAfterMergeIsolatesTheMergedCharges) {
-  CostTracker t;
-  t.add_time(Category::kGemm, 1.0);
-  t.add_flops(5.0);
-  const CostTracker before = t;
-
-  CostTracker other;
-  other.add_time(Category::kComm, 2.0);
-  other.add_time(Category::kGemm, 0.5);
-  other.add_words(4.0);
-  other.add_supersteps(1.0);
-  t.merge(other);
-
-  const CostTracker d = t.diff(before);
-  EXPECT_DOUBLE_EQ(d.time(Category::kGemm), 0.5);
-  EXPECT_DOUBLE_EQ(d.time(Category::kComm), 2.0);
-  EXPECT_DOUBLE_EQ(d.flops(), 0.0);
-  EXPECT_DOUBLE_EQ(d.words(), 4.0);
-  EXPECT_DOUBLE_EQ(d.supersteps(), 1.0);
-  EXPECT_DOUBLE_EQ(d.total_time(), 2.5);
 }
 
 }  // namespace

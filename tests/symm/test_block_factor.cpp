@@ -6,7 +6,7 @@
 
 #include "symm/block_factor.hpp"
 #include "symm/block_ops.hpp"
-#include "symm/fuse.hpp"
+#include "common/fuse.hpp"
 
 namespace {
 

@@ -19,7 +19,7 @@
 #include "runtime/spawn_modes.hpp"
 #include "symm/block_factor.hpp"
 #include "symm/block_ops.hpp"
-#include "symm/fuse.hpp"
+#include "common/fuse.hpp"
 
 namespace {
 
@@ -75,9 +75,9 @@ TEST_P(RandomStructure, ContractionMatchesFusedOracle) {
   ASSERT_GT(b.num_blocks(), 0);
 
   BlockTensor c = tt::symm::contract(a, b, {{1, 0}});
-  auto want = tt::testing::naive_einsum("xcy,cz->xyz", tt::symm::fuse_dense(a),
-                                       tt::symm::fuse_dense(b));
-  EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(c), want),
+  auto want = tt::testing::naive_einsum("xcy,cz->xyz", tt::testing::fuse_dense(a),
+                                       tt::testing::fuse_dense(b));
+  EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(c), want),
             1e-10 * (1.0 + want.max_abs()));
 }
 
@@ -142,7 +142,7 @@ TEST_P(RandomStructure, FuseDensePreservesNorm) {
   ASSERT_GT(a.num_blocks(), 0);
 
   // Parseval: the fused norm equals the block norm.
-  EXPECT_NEAR(tt::symm::fuse_dense(a).norm2(), a.norm2(), 1e-12);
+  EXPECT_NEAR(tt::testing::fuse_dense(a).norm2(), a.norm2(), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomStructure, ::testing::Range(0, 12));
@@ -264,9 +264,9 @@ TEST_P(BinExecutorLayout, MatchesOracleAndIsBitwiseStableAcrossThreadsAndRanks) 
     ASSERT_FALSE(ops.bins.empty());
 
     const BlockTensor serial = tt::symm::contract(ops.a, ops.b, c.pairs, nullptr, 1);
-    const auto want = tt::testing::naive_einsum(c.spec, tt::symm::fuse_dense(ops.a),
-                                                tt::symm::fuse_dense(ops.b));
-    EXPECT_LT(tt::tensor::max_abs_diff(tt::symm::fuse_dense(serial), want),
+    const auto want = tt::testing::naive_einsum(c.spec, tt::testing::fuse_dense(ops.a),
+                                                tt::testing::fuse_dense(ops.b));
+    EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(serial), want),
               1e-10 * (1.0 + want.max_abs()));
 
     for (int threads : {2, 8})

@@ -40,7 +40,10 @@ Rules (each check is named; see ``--list-rules``):
                       (``src/runtime/cost_model.cpp``) and the tracker itself
                       (``src/runtime/tracker.cpp``) may call ``add_time`` /
                       ``add_flops`` / ``add_words`` / ``add_supersteps``.
-                      Elsewhere, fold a whole tracker in with ``merge``.
+                      And pricing stays off the execution path: only the
+                      cost model and the replay module (``src/dmrg/replay.*``)
+                      may call ``charge_contraction`` / ``charge_svd`` /
+                      ``charge_redistribution`` / ``charge_transpose``.
   one-thread-runtime  ``support::parallel_for`` is the only thread runtime,
                       so ``TT_THREADS`` is the only thread knob: a
                       ``#pragma omp``, an ``omp_*`` call or an ``<omp.h>``
@@ -80,7 +83,8 @@ RULES = {
     "check-macro": "TT_CHECK/TT_ASSERT messages non-empty, conditions free of "
     "side effects",
     "modelled-time": "CostTracker is charged only by the cost model "
-    "(src/runtime/cost_model.cpp, src/runtime/tracker.cpp)",
+    "(src/runtime/cost_model.cpp, src/runtime/tracker.cpp), and rt::charge_* "
+    "is called only by it and the replay module (src/dmrg/replay.*)",
     "one-thread-runtime": "no OpenMP (#pragma omp, omp_* calls, <omp.h>): "
     "threads come from support::parallel_for only",
 }
@@ -95,6 +99,15 @@ RAW_CAST_ALLOWED = (
 MODELLED_TIME_ALLOWED = (
     os.path.join("src", "runtime", "cost_model.cpp"),
     os.path.join("src", "runtime", "tracker.cpp"),
+)
+
+# The only src/ files that may price an operation (call rt::charge_*): the
+# cost model itself and the replay module that prices a recorded log.
+PRICING_ALLOWED = (
+    os.path.join("src", "runtime", "cost_model.cpp"),
+    os.path.join("src", "runtime", "cost_model.hpp"),
+    os.path.join("src", "dmrg", "replay.cpp"),
+    os.path.join("src", "dmrg", "replay.hpp"),
 )
 
 CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
@@ -464,19 +477,26 @@ def check_check_macro(sf: SourceFile, findings):
 
 TRACKER_CHARGE_RE = re.compile(
     r"(?:\.|->)\s*(add_(?:time|flops|words|supersteps))\s*\(")
+PRICING_CALL_RE = re.compile(
+    r"\b(charge_(?:contraction|svd|redistribution|transpose))\s*\(")
 
 
 def check_modelled_time(sf: SourceFile, findings):
     rel = sf.rel.replace(os.sep, "/")
-    if not rel.startswith("src/") or any(
-            sf.rel.endswith(suffix) for suffix in MODELLED_TIME_ALLOWED):
+    if not rel.startswith("src/"):
         return
+    charges = not any(sf.rel.endswith(s) for s in MODELLED_TIME_ALLOWED)
+    prices = not any(sf.rel.endswith(s) for s in PRICING_ALLOWED)
     for idx, line in enumerate(sf.code_lines, start=1):
-        for m in TRACKER_CHARGE_RE.finditer(line):
+        for m in TRACKER_CHARGE_RE.finditer(line) if charges else ():
             emit(findings, sf, "modelled-time", idx,
                  f"{m.group(1)} outside the cost model; a CostTracker holds "
                  "modelled cost only — price the operation in "
-                 "runtime/cost_model.cpp, or merge() a side engine's tracker")
+                 "runtime/cost_model.cpp")
+        for m in PRICING_CALL_RE.finditer(line) if prices else ():
+            emit(findings, sf, "modelled-time", idx,
+                 f"{m.group(1)} outside the cost model and dmrg/replay; "
+                 "record the operation and price the log with dmrg::price")
 
 
 # --------------------------------------------------------------------------
