@@ -16,7 +16,6 @@
 #include "linalg/backend.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
-#include "support/logging.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 

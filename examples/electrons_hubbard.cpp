@@ -59,8 +59,8 @@ int run(int argc, char** argv) {
 
   Table table("DMRG sweeps — triangular Hubbard " + std::to_string(lx) + "x" +
               std::to_string(ly));
-  table.header({"sweep", "energy", "max m", "trunc err", "wall s", "sim s",
-                "GFlop"});
+  table.header({"sweep", "energy", "max m", "trunc err", "wall s (incl. recording)",
+                "sim s", "GFlop"});
   for (int s = 0; s < sweeps; ++s) {
     dmrg::SweepParams p;
     p.max_m = m;

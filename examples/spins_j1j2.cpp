@@ -59,8 +59,8 @@ int run(int argc, char** argv) {
 
   Table table("DMRG sweeps — J1-J2 " + std::to_string(lx) + "x" + std::to_string(ly) +
               " cylinder");
-  table.header({"sweep", "energy", "E/site", "max m", "trunc err", "wall s",
-                "sim s", "GFlop"});
+  table.header({"sweep", "energy", "E/site", "max m", "trunc err",
+                "wall s (incl. recording)", "sim s", "GFlop"});
   rt::CostTracker costs;  // each sweep's log priced as `kind`
   for (int s = 0; s < sweeps; ++s) {
     dmrg::SweepParams p;

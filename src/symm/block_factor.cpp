@@ -165,73 +165,70 @@ std::vector<Index> side_indices(const BlockTensor& a, const std::vector<int>& mo
   return out;
 }
 
-}  // namespace
+// A = left · right over the bipartition: one dense factorization per
+// row-charge group g, its bond sector of dim min(rows, cols) between the
+// factors. The factor that keeps flux(A) is the one the orthogonal factor is
+// not: QR's R (bond charge g) or LQ's L (bond charge g − flux, so that Q,
+// bond In then column modes, carries flux 0 as the MPS leg convention wants).
+struct TwoFactors {
+  BlockTensor left, right;
+  std::vector<FactorShape> shapes;
+};
 
-BlockQr block_qr(const BlockTensor& a, const std::vector<int>& row_modes) {
+template <class Dense>
+TwoFactors two_factor(const BlockTensor& a, const std::vector<int>& row_modes,
+                      bool flux_on_left, const char* what, Dense&& dense) {
   const std::vector<int> col_modes = complement_modes(a, row_modes);
   const std::vector<Group> groups = build_groups(a, row_modes, col_modes);
-  TT_CHECK(!groups.empty(), "cannot QR-factor a block tensor with no blocks");
+  TT_CHECK(!groups.empty(), "cannot " << what << "-factor a block tensor with no blocks");
 
-  // Bond sectors: one per group, charge g, dim = min(rows, cols).
   std::vector<Sector> bond_sectors;
   bond_sectors.reserve(groups.size());
   for (const Group& grp : groups)
-    bond_sectors.push_back({grp.g, std::min(grp.rows.total, grp.cols.total)});
+    bond_sectors.push_back({flux_on_left ? grp.g - a.flux() : grp.g,
+                            std::min(grp.rows.total, grp.cols.total)});
   const Index bond_out(bond_sectors, Dir::Out);
   const Index bond_in(bond_sectors, Dir::In);
 
-  std::vector<Index> q_idx = side_indices(a, row_modes);
-  q_idx.push_back(bond_out);
-  std::vector<Index> r_idx{bond_in};
-  for (const Index& i : side_indices(a, col_modes)) r_idx.push_back(i);
+  std::vector<Index> left_idx = side_indices(a, row_modes);
+  left_idx.push_back(bond_out);
+  std::vector<Index> right_idx{bond_in};
+  for (const Index& i : side_indices(a, col_modes)) right_idx.push_back(i);
 
-  BlockQr out;
-  out.q = BlockTensor(q_idx, QN::zero(a.flux().rank()));
-  out.r = BlockTensor(r_idx, a.flux());
+  const QN zero = QN::zero(a.flux().rank());
+  TwoFactors out{BlockTensor(left_idx, flux_on_left ? a.flux() : zero),
+                 BlockTensor(right_idx, flux_on_left ? zero : a.flux()),
+                 {}};
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const Group& grp = groups[gi];
     const linalg::Matrix m = assemble(a, grp, row_modes, col_modes);
-    auto f = linalg::qr(m);
+    const auto [left, right] = dense(m);
     const index_t keep = bond_sectors[gi].dim;
-    scatter_rows(out.q, a, grp, row_modes, f.q, keep, static_cast<int>(gi));
-    scatter_cols(out.r, a, grp, col_modes, f.r, keep, static_cast<int>(gi));
+    scatter_rows(out.left, a, grp, row_modes, left, keep, static_cast<int>(gi));
+    scatter_cols(out.right, a, grp, col_modes, right, keep, static_cast<int>(gi));
     out.shapes.push_back({m.rows(), m.cols()});
   }
   return out;
 }
 
+}  // namespace
+
+BlockQr block_qr(const BlockTensor& a, const std::vector<int>& row_modes) {
+  TwoFactors f = two_factor(a, row_modes, /*flux_on_left=*/false, "QR",
+                            [](const linalg::Matrix& m) {
+                              auto d = linalg::qr(m);
+                              return std::pair{std::move(d.q), std::move(d.r)};
+                            });
+  return {std::move(f.left), std::move(f.right), std::move(f.shapes)};
+}
+
 BlockLq block_lq(const BlockTensor& a, const std::vector<int>& row_modes) {
-  const std::vector<int> col_modes = complement_modes(a, row_modes);
-  const std::vector<Group> groups = build_groups(a, row_modes, col_modes);
-  TT_CHECK(!groups.empty(), "cannot LQ-factor a block tensor with no blocks");
-
-  // Bond charge is g − flux so that Q (bond + col modes) carries flux 0 with
-  // the bond direction In — preserving the MPS leg convention downstream.
-  std::vector<Sector> bond_sectors;
-  bond_sectors.reserve(groups.size());
-  for (const Group& grp : groups)
-    bond_sectors.push_back({grp.g - a.flux(), std::min(grp.rows.total, grp.cols.total)});
-  const Index bond_out(bond_sectors, Dir::Out);
-  const Index bond_in(bond_sectors, Dir::In);
-
-  std::vector<Index> l_idx = side_indices(a, row_modes);
-  l_idx.push_back(bond_out);
-  std::vector<Index> q_idx{bond_in};
-  for (const Index& i : side_indices(a, col_modes)) q_idx.push_back(i);
-
-  BlockLq out;
-  out.l = BlockTensor(l_idx, a.flux());
-  out.q = BlockTensor(q_idx, QN::zero(a.flux().rank()));
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const Group& grp = groups[gi];
-    const linalg::Matrix m = assemble(a, grp, row_modes, col_modes);
-    auto f = linalg::lq(m);
-    const index_t keep = bond_sectors[gi].dim;
-    scatter_rows(out.l, a, grp, row_modes, f.l, keep, static_cast<int>(gi));
-    scatter_cols(out.q, a, grp, col_modes, f.q, keep, static_cast<int>(gi));
-    out.shapes.push_back({m.rows(), m.cols()});
-  }
-  return out;
+  TwoFactors f = two_factor(a, row_modes, /*flux_on_left=*/true, "LQ",
+                            [](const linalg::Matrix& m) {
+                              auto d = linalg::lq(m);
+                              return std::pair{std::move(d.l), std::move(d.q)};
+                            });
+  return {std::move(f.left), std::move(f.right), std::move(f.shapes)};
 }
 
 BlockTensor BlockSvd::u_times_s() const {

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/naive_einsum.hpp"
-#include "symm/block_ops.hpp"
 #include "common/fuse.hpp"
 
 namespace {
@@ -49,21 +47,6 @@ TEST(Fuse, DenseKeepsNormAndZerosOutsideBlocks) {
   for (index_t i = 0; i < d.size(); ++i) nonzero += d[i] != 0.0 ? 1 : 0;
   // Random normal entries are never exactly zero in practice.
   EXPECT_EQ(nonzero, t.num_elements());
-}
-
-TEST(Fuse, FusedContractionEqualsBlockContraction) {
-  // The fused formats' core identity: one dense contraction over the fused
-  // tensors equals Algorithm 2 block-wise.
-  Rng rng(62);
-  BlockTensor a = site(rng);
-  BlockTensor b = BlockTensor::random(
-      {odd_bond(Dir::In), phys(Dir::In), even_bond(Dir::Out)}, QN::zero(1), rng);
-  BlockTensor want = tt::symm::contract(a, b, {{2, 0}});
-
-  auto dc = tt::testing::naive_einsum("lsr,rtm->lstm", tt::testing::fuse_dense(a),
-                                      tt::testing::fuse_dense(b));
-  EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(want), dc),
-            1e-10 * (1.0 + want.norm2()));
 }
 
 }  // namespace

@@ -1,22 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dmrg/dmrg.hpp"
+#include "common/fuse.hpp"
+#include "common/parity.hpp"
 #include "dmrg/engine.hpp"
 #include "dmrg/replay.hpp"
-#include "models/heisenberg.hpp"
-#include "models/hubbard.hpp"
-#include "models/electron.hpp"
-#include "models/lattice.hpp"
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
-#include "runtime/scheduler.hpp"
 #include "support/error.hpp"
-#include "common/fuse.hpp"
 #include "tensor/contract.hpp"
 
 namespace {
@@ -31,8 +25,9 @@ using tt::symm::BlockTensor;
 using tt::symm::Dir;
 using tt::symm::Index;
 using tt::symm::QN;
-using tt::symm::Sector;
 using tt::tensor::DenseTensor;
+using tt::testing::bitwise_equal;
+using tt::testing::random_index;
 using Pairs = std::vector<std::pair<int, int>>;
 
 const EngineKind kAllEngines[] = {EngineKind::kReference, EngineKind::kList,
@@ -40,20 +35,6 @@ const EngineKind kAllEngines[] = {EngineKind::kReference, EngineKind::kList,
 const Role kRoles[] = {Role::kOperator, Role::kIntermediate};
 
 tt::rt::Cluster test_cluster() { return {tt::rt::blue_waters(), 4, 16}; }
-
-// Same keys, same shapes, same bytes.
-void expect_bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
-  ASSERT_TRUE(x.same_structure(y));
-  ASSERT_EQ(x.num_blocks(), y.num_blocks());
-  for (const auto& [key, blk] : x.blocks()) {
-    const DenseTensor* other = y.find_block(key);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(blk.shape(), other->shape());
-    EXPECT_EQ(std::memcmp(blk.data(), other->data(),
-                          static_cast<std::size_t>(blk.size()) * sizeof(double)),
-              0);
-  }
-}
 
 // Random MPS-shaped operands for engine contraction equivalence.
 struct Operands {
@@ -75,7 +56,7 @@ TEST(Engines, ContractionIsTheBlockExecutorForEveryRole) {
   tt::dmrg::ContractionEngine eng;
   for (auto ra : kRoles)
     for (auto rb : kRoles)
-      expect_bitwise_equal(eng.contract(ops.a, ra, ops.b, rb, {{2, 0}}), want);
+      EXPECT_TRUE(bitwise_equal(eng.contract(ops.a, ra, ops.b, rb, {{2, 0}}), want));
 }
 
 TEST(Engines, SvdIsTheBlockSvd) {
@@ -88,8 +69,8 @@ TEST(Engines, SvdIsTheBlockSvd) {
   auto f2 = eng.svd(theta, {0, 1}, trunc);
   EXPECT_EQ(f1.kept, f2.kept);
   EXPECT_EQ(f1.truncation_error, f2.truncation_error);
-  expect_bitwise_equal(f1.u, f2.u);
-  expect_bitwise_equal(f1.vt, f2.vt);
+  EXPECT_TRUE(bitwise_equal(f1.u, f2.u));
+  EXPECT_TRUE(bitwise_equal(f1.vt, f2.vt));
 }
 
 TEST(Engines, LogsOneRecordPerOperationOnlyWhenAsked) {
@@ -143,24 +124,6 @@ TEST(Engines, TrackerCountsExecutedContractionFlopsForBenchE2e) {
   EXPECT_EQ(eng->tracker().flops(), want);
   EXPECT_EQ(eng->tracker().total_time(), 0.0);
   EXPECT_EQ(eng->tracker().words(), 0.0);
-}
-
-TEST(Engines, SchedulerRunsBitwise) {
-  // An attached multi-rank scheduler reproduces the local result exactly.
-  Operands ops;
-  tt::dmrg::ContractionEngine local;
-  const BlockTensor want =
-      local.contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}});
-
-  tt::rt::SchedulerOptions opts;
-  opts.num_ranks = 2;
-  opts.mode = tt::rt::SpawnMode::kThread;
-  tt::rt::Scheduler sched(opts);
-  tt::dmrg::ContractionEngine eng;
-  eng.set_scheduler(&sched);
-  expect_bitwise_equal(
-      eng.contract(ops.a, Role::kIntermediate, ops.b, Role::kOperator, {{2, 0}}), want);
-  EXPECT_GT(sched.accumulated().contractions, 0);
 }
 
 // One logged contraction and SVD of the Operands, for pricing.
@@ -223,53 +186,6 @@ TEST(Engines, UnknownEngineNameListsTheValidOnes) {
   }
 }
 
-// A full solve recorded and not recorded: logging never touches the
-// numerics, and the one recorded run prices as every kind.
-void expect_logging_leaves_sweeps_bitwise(const tt::mps::Mps& psi0, const tt::mps::Mpo& h,
-                                          const tt::dmrg::SweepParams& params) {
-  std::vector<double> energies;
-  std::vector<OpRecord> log;
-  for (bool logging : {false, true}) {
-    tt::dmrg::Dmrg solver(psi0, h, std::make_unique<tt::dmrg::ContractionEngine>());
-    solver.engine().set_logging(logging);
-    auto rec1 = solver.sweep(params);
-    auto rec2 = solver.sweep(params);
-    EXPECT_LE(rec2.energy, rec1.energy + 1e-9);
-    energies.push_back(rec2.energy);
-    log = solver.engine().log();
-  }
-  EXPECT_EQ(energies[1], energies[0]);
-  ASSERT_FALSE(log.empty());
-  for (EngineKind k : kAllEngines)
-    EXPECT_GT(tt::dmrg::price(k, log, test_cluster()).total_time(), 0.0)
-        << tt::dmrg::engine_name(k);
-}
-
-TEST(Engines, FullSweepIsBitwiseWithLoggingOnOrOff) {
-  auto lat = tt::models::square_cylinder(3, 2, true);
-  auto sites = tt::models::spin_half_sites(lat.num_sites);
-  auto h = tt::models::heisenberg_mpo(sites, lat, 1.0, 0.5);
-  std::vector<int> neel;
-  for (int i = 0; i < lat.num_sites; ++i) neel.push_back(i % 2);
-  tt::dmrg::SweepParams params;
-  params.max_m = 16;
-  params.davidson_iter = 3;
-  expect_logging_leaves_sweeps_bitwise(tt::mps::Mps::product_state(sites, neel), h,
-                                       params);
-}
-
-TEST(Engines, ElectronSweepIsBitwiseWithLoggingOnOrOff) {
-  // Same invariant on the d = 4, two-charge system (much finer blocks).
-  auto lat = tt::models::chain(4);
-  auto sites = tt::models::electron_sites(4);
-  auto h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
-  tt::dmrg::SweepParams params;
-  params.max_m = 24;
-  params.davidson_iter = 3;
-  expect_logging_leaves_sweeps_bitwise(
-      tt::mps::Mps::product_state(sites, {1, 2, 1, 2}), h, params);
-}
-
 // ---------------------------------------------------------------------------
 // Pricing oracle. A recorded contraction prices as one fused contraction for
 // the sparse-dense and sparse-sparse kinds, whose flops and words follow from
@@ -278,23 +194,6 @@ TEST(Engines, ElectronSweepIsBitwiseWithLoggingOnOrOff) {
 // fuse_dense tensors element by element, independently of the engine's block
 // bookkeeping, and prices it with the cost model directly.
 // ---------------------------------------------------------------------------
-
-// Random index: 1–4 sectors with distinct small charges, dims 1–4.
-Index random_index(Rng& rng, Dir dir) {
-  const int nsec = static_cast<int>(rng.integer(1, 4));
-  std::vector<Sector> sectors;
-  std::vector<QN> used;
-  while (static_cast<int>(sectors.size()) < nsec) {
-    const QN q(static_cast<int>(rng.integer(-1, 2)),
-               static_cast<int>(rng.integer(-1, 1)));
-    bool fresh = true;
-    for (const QN& u : used) fresh &= !(u == q);
-    if (!fresh) continue;
-    used.push_back(q);
-    sectors.push_back({q, rng.integer(1, 4)});
-  }
-  return Index(sectors, dir);
-}
 
 // Calls fn(multi_index) for every row-major position of `shape`.
 template <class Fn>
@@ -428,11 +327,11 @@ TEST_P(PricingOracle, FusedRecordsMatchFusedDenseWalk) {
   const Pairs pairs = {{1, 2}, {3, 0}};
   BlockTensor a, b;
   for (int attempt = 0; attempt < 100; ++attempt) {
-    const Index c = random_index(rng, Dir::Out), d = random_index(rng, Dir::In);
+    const Index c = random_index(rng, 2, Dir::Out), d = random_index(rng, 2, Dir::In);
     const QN fa(static_cast<int>(rng.integer(-1, 1)), 0);
     a = BlockTensor::random(
-        {random_index(rng, Dir::In), c, random_index(rng, Dir::Out), d}, fa, rng);
-    b = BlockTensor::random({d.reversed(), random_index(rng, Dir::Out), c.reversed()},
+        {random_index(rng, 2, Dir::In), c, random_index(rng, 2, Dir::Out), d}, fa, rng);
+    b = BlockTensor::random({d.reversed(), random_index(rng, 2, Dir::Out), c.reversed()},
                             QN(0, 0), rng);
     if (a.num_blocks() >= 3 && b.num_blocks() >= 2 &&
         tt::symm::contract(a, b, pairs).num_blocks() >= 2)

@@ -1,13 +1,15 @@
 // EnvGraph invalidation/property tests: the incremental environments must be
 // bitwise identical to a from-scratch rebuild after arbitrary site mutations
 // and mixed-direction demands — the regression test the old EnvironmentStack
-// never had. The sweep-level cases pin the same contract end to end: with
-// env prefetch on, and at any thread count, a sweep is bitwise the eager one.
+// never had — and a prefetch must survive invalidation races, including the
+// sweep-turn race under an injected worker delay. (A sweep with prefetch on,
+// at any thread count, is bitwise the eager one: dmrg/sweep_matrix_*.)
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <vector>
 
+#include "common/parity.hpp"
 #include "dmrg/dmrg.hpp"
 #include "dmrg/env_graph.hpp"
 #include "dmrg/environment.hpp"
@@ -16,7 +18,6 @@
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -186,35 +187,6 @@ std::vector<SweepRecord> run_sweeps(Dmrg& solver, const SweepParams& p, int swee
   return out;
 }
 
-void expect_bitwise_equal(const std::vector<SweepRecord>& a,
-                          const std::vector<SweepRecord>& b, const Dmrg& sa,
-                          const Dmrg& sb, const char* label) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].energy, b[i].energy) << label << " sweep " << i;
-    EXPECT_EQ(a[i].truncation_error, b[i].truncation_error)
-        << label << " sweep " << i;
-    EXPECT_EQ(a[i].max_bond_dim, b[i].max_bond_dim) << label << " sweep " << i;
-  }
-  for (int j = 0; j < sa.psi().size(); ++j)
-    EXPECT_EQ(tt::symm::max_abs_diff(sa.psi().site(j), sb.psi().site(j)), 0.0)
-        << label << " site " << j;
-}
-
-TEST(SerialSweep, PrefetchIsBitwiseSerial) {
-  const int n = 8, sweeps = 3;
-  Dmrg eager = heisenberg_solver(n);
-  auto ra = run_sweeps(eager, params_for(16), sweeps);
-  Dmrg pre = heisenberg_solver(n);
-  auto rb = run_sweeps(pre, params_for(16, /*prefetch=*/true), sweeps);
-  expect_bitwise_equal(ra, rb, eager, pre, "prefetch");
-  // Overlap is measured in the prefetch counters.
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_GT(rb[i].prefetch_launched, 0);
-    EXPECT_EQ(ra[i].prefetch_launched, 0);
-  }
-}
-
 TEST(SerialSweep, SlowPrefetchStaysInFlightAcrossTheTurn) {
   // Regression for the sweep-turn race: the last L2R bond launches
   // prefetch_left(N-1), whose worker reads site N-2, and the first R2L bond
@@ -230,23 +202,11 @@ TEST(SerialSweep, SlowPrefetchStaysInFlightAcrossTheTurn) {
   slow.environments().set_prefetch_delay_for_testing(
       std::chrono::milliseconds(10));
   auto rb = run_sweeps(slow, params_for(12, /*prefetch=*/true), sweeps);
-  expect_bitwise_equal(ra, rb, eager, slow, "slow prefetch");
+  EXPECT_TRUE(tt::testing::bitwise_equal(ra, rb));
+  EXPECT_TRUE(tt::testing::bitwise_equal(eager.psi(), slow.psi()));
   long blocked = 0;
   for (const auto& r : rb) blocked += r.prefetch_launched - r.prefetch_hits;
   EXPECT_GT(blocked, 0);  // the delay really forced joins to block in flight
-}
-
-TEST(SerialSweep, SerialSweepInvariantUnderThreadCount) {
-  const int n = 8, sweeps = 2;
-  Dmrg base = heisenberg_solver(n);
-  auto ra = run_sweeps(base, params_for(16), sweeps);
-  for (int threads : {2, 8}) {
-    tt::support::set_num_threads(threads);
-    Dmrg other = heisenberg_solver(n);
-    auto rb = run_sweeps(other, params_for(16, /*prefetch=*/true), sweeps);
-    tt::support::set_num_threads(0);
-    expect_bitwise_equal(ra, rb, base, other, "threads");
-  }
 }
 
 }  // namespace

@@ -14,8 +14,6 @@
 #include "models/lattice.hpp"
 #include "models/spin_half.hpp"
 #include "mps/mps.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/spawn_modes.hpp"
 
 namespace {
 
@@ -29,9 +27,7 @@ const EngineKind kAllKinds[] = {EngineKind::kReference, EngineKind::kList,
                                 EngineKind::kSparseDense, EngineKind::kSparseSparse};
 
 // The log of optimize_bond(4) on a seeded 8-site Heisenberg chain at m = 12.
-// `sched`, when given, executes every contraction across its ranks.
-std::vector<OpRecord> record_step(tt::rt::Scheduler* sched = nullptr, unsigned seed = 9,
-                                  tt::index_t m = 12) {
+std::vector<OpRecord> record_step(unsigned seed = 9, tt::index_t m = 12) {
   auto lat = tt::models::chain(8);
   auto sites = tt::models::spin_half_sites(8);
   auto h = tt::models::heisenberg_mpo(sites, lat, 1.0);
@@ -39,7 +35,6 @@ std::vector<OpRecord> record_step(tt::rt::Scheduler* sched = nullptr, unsigned s
   auto psi = tt::mps::Mps::random(sites, QN(0), m, rng);
 
   auto engine = std::make_unique<tt::dmrg::ContractionEngine>();
-  engine->set_scheduler(sched);
   engine->set_logging(true);
   tt::dmrg::Dmrg solver(std::move(psi), h, std::move(engine));
   tt::dmrg::SweepParams p;
@@ -103,34 +98,10 @@ TEST(Replay, PricesTheGoldenStepBitwise) {
     }
 }
 
-class ReplaySpawnModes : public ::testing::TestWithParam<tt::rt::SpawnMode> {};
-
-TEST_P(ReplaySpawnModes, LogThroughRanksEqualsTheLocalLog) {
-  // Ranks move where bins run, never what is recorded: the scheduler's
-  // rank-parity invariant carries every field of every record.
-  tt::rt::SchedulerOptions opts;
-  opts.num_ranks = 2;
-  opts.mode = GetParam();
-  tt::rt::Scheduler sched(opts);
-  const std::vector<OpRecord> ranked = record_step(&sched);
-  EXPECT_GT(sched.accumulated().contractions, 0);
-  sched.shutdown();
-  const std::vector<OpRecord> local = record_step();
-  ASSERT_EQ(ranked.size(), local.size());
-  for (std::size_t i = 0; i < local.size(); ++i)
-    EXPECT_TRUE(ranked[i] == local[i]) << "record " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, ReplaySpawnModes,
-                         ::testing::ValuesIn(tt::rt::testing::tested_spawn_modes()),
-                         [](const auto& info) {
-                           return std::string(tt::rt::spawn_mode_name(info.param));
-                         });
-
 class ReplayParam : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(ReplayParam, ReplayOnBiggerClusterIsFaster) {
-  const std::vector<OpRecord> log = record_step(nullptr, 10, 16);
+  const std::vector<OpRecord> log = record_step(10, 16);
   auto t1 = tt::dmrg::price(GetParam(), log, {tt::rt::blue_waters(), 1, 16});
   auto t8 = tt::dmrg::price(GetParam(), log, {tt::rt::blue_waters(), 8, 16});
   if (GetParam() == EngineKind::kReference) {

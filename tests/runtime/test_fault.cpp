@@ -8,24 +8,22 @@
 // (frame.*, payload.*, wire.*) have per-process counters in fork mode — a
 // respawned worker starts fresh — so those assertions use >= where the two
 // spawn modes legitimately differ (see fault.hpp's process-mode caveat).
+// Also here: worker reuse across contractions and its accumulated record, a
+// killed rank with no respawn budget, and the worker-free single rank.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/parity.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/tracker.hpp"
 #include "spawn_modes.hpp"
-#include "support/rng.hpp"
 #include "support/timer.hpp"
-#include "symm/block_ops.hpp"
 
 namespace {
 
-using tt::Rng;
-using tt::index_t;
 using tt::rt::FaultInjector;
 using tt::rt::FaultSide;
 using tt::rt::FaultSpec;
@@ -33,40 +31,8 @@ using tt::rt::Scheduler;
 using tt::rt::SchedulerOptions;
 using tt::rt::SpawnMode;
 using tt::symm::BlockTensor;
-using tt::symm::Dir;
-using tt::symm::Index;
-using tt::symm::QN;
-
-Index wide_bond(Dir d, int nsec, int dim0) {
-  std::vector<tt::symm::Sector> secs;
-  for (int q = 0; q < nsec; ++q)
-    secs.push_back({QN(q - nsec / 2), static_cast<index_t>(dim0 + q % 3)});
-  return Index(secs, d);
-}
-
-Index phys(Dir d) { return Index({{QN(-1), 2}, {QN(1), 2}}, d); }
-
-std::pair<BlockTensor, BlockTensor> many_block_pair(unsigned seed) {
-  Rng rng(seed);
-  const Index mid = wide_bond(Dir::Out, 11, 3);
-  BlockTensor a = BlockTensor::random(
-      {wide_bond(Dir::In, 9, 2), phys(Dir::In), mid}, QN::zero(1), rng);
-  BlockTensor b = BlockTensor::random(
-      {mid.reversed(), phys(Dir::In), wide_bond(Dir::Out, 9, 2)}, QN::zero(1), rng);
-  return {std::move(a), std::move(b)};
-}
-
-void expect_bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
-  ASSERT_TRUE(x.same_structure(y));
-  ASSERT_EQ(x.num_blocks(), y.num_blocks());
-  for (const auto& [key, blk] : x.blocks()) {
-    const tt::tensor::DenseTensor* other = y.find_block(key);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(std::memcmp(blk.data(), other->data(),
-                          static_cast<std::size_t>(blk.size()) * sizeof(double)),
-              0);
-  }
-}
+using tt::testing::bitwise_equal;
+using tt::testing::many_block_pair;
 
 // Every test arms the process-wide injector (the one transport/scheduler
 // consult) and must leave it empty for the next test.
@@ -202,7 +168,7 @@ TEST_P(FaultModes, KillBeforeResultIsHealedBitwise) {
 
   FaultInjector::instance().configure("worker.kill_before_result:nth=1;rank=1");
   Scheduler sched(two_rank_opts(GetParam()));
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
 
   // Root-evaluated fault: counters are exact in both spawn modes.
   EXPECT_EQ(sched.stats().faults_detected, 1);
@@ -217,7 +183,7 @@ TEST_P(FaultModes, KillBeforeResultIsHealedBitwise) {
   EXPECT_GT(sched.accumulated().recovery_seconds, 0.0);
 
   // The respawned worker serves the next contraction cleanly (spec spent).
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   sched.shutdown();
 }
@@ -228,7 +194,7 @@ TEST_P(FaultModes, FailedTaskIsRedistributedWithoutRespawn) {
 
   FaultInjector::instance().configure("worker.fail_task:nth=1;rank=1");
   Scheduler sched(two_rank_opts(GetParam()));
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
 
   // An error frame is frame-aligned: the worker stays alive, its share is
   // simply re-executed on the root.
@@ -237,7 +203,7 @@ TEST_P(FaultModes, FailedTaskIsRedistributedWithoutRespawn) {
   EXPECT_EQ(sched.stats().respawns, 0);
   EXPECT_EQ(sched.live_workers(), 1);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   sched.shutdown();
 }
@@ -248,7 +214,7 @@ TEST_P(FaultModes, CorruptResultPayloadIsDetectedAndHealed) {
 
   FaultInjector::instance().configure("payload.corrupt:nth=1;rank=1;side=worker");
   Scheduler sched(two_rank_opts(GetParam()));
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   EXPECT_EQ(sched.stats().retries, 1);
   EXPECT_EQ(sched.stats().respawns, 1);
@@ -256,7 +222,7 @@ TEST_P(FaultModes, CorruptResultPayloadIsDetectedAndHealed) {
   // Worker-evaluated fault: in process mode the respawned fork starts with
   // fresh counters and may re-fire, so later contractions assert bitwise
   // results and monotone counters only.
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_GE(sched.stats().faults_detected, 1);
   sched.shutdown();
 }
@@ -271,14 +237,14 @@ TEST_P(FaultModes, CorruptTaskPayloadIsDetectedAndHealed) {
   FaultInjector::instance().configure("payload.corrupt:nth=1;rank=1;side=root");
   Scheduler sched(two_rank_opts(GetParam()));
   tt::Timer wall;
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_LT(wall.seconds(), 5.0);
   // Root-evaluated side: the counter is the root's own, exact in both modes.
   EXPECT_EQ(sched.stats().faults_detected, 1);
   EXPECT_EQ(sched.stats().retries, 1);
   EXPECT_EQ(sched.stats().respawns, 1);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   sched.shutdown();
 }
@@ -289,12 +255,12 @@ TEST_P(FaultModes, TruncatedResultFrameIsDetectedAndHealed) {
 
   FaultInjector::instance().configure("frame.truncate:nth=1;rank=1;side=worker");
   Scheduler sched(two_rank_opts(GetParam()));
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   EXPECT_EQ(sched.stats().retries, 1);
   EXPECT_EQ(sched.stats().respawns, 1);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   sched.shutdown();
 }
 
@@ -308,11 +274,11 @@ TEST_P(FaultModes, WireTruncatedPayloadIsDetectedAndHealed) {
   // The healing contract is mode-independent: bitwise result, fault counted.
   FaultInjector::instance().configure("wire.truncate:nth=1");
   Scheduler sched(two_rank_opts(GetParam()));
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   EXPECT_EQ(sched.stats().retries, 1);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   sched.shutdown();
 }
 
@@ -328,7 +294,7 @@ TEST_P(FaultModes, WedgedWorkerIsTimedOutAndHealed) {
   SchedulerOptions opts = two_rank_opts(GetParam());
   opts.timeout_seconds = 0.25;
   Scheduler sched(opts);
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_GE(sched.stats().faults_detected, 1);
   EXPECT_GE(sched.stats().retries, 1);
   EXPECT_GT(sched.last().recovery_seconds, 0.0);
@@ -346,11 +312,11 @@ TEST_P(FaultModes, DegradesToSerialWhenWorkersKeepDying) {
   opts.retry.max_attempts = 1;
   Scheduler sched(opts);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));  // die + respawn
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));  // die + respawn
   EXPECT_EQ(sched.stats().respawns, 1);
   EXPECT_EQ(sched.live_workers(), 1);
 
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));  // die + retire
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));  // die + retire
   EXPECT_EQ(sched.stats().faults_detected, 2);
   EXPECT_EQ(sched.stats().retries, 2);
   EXPECT_EQ(sched.stats().ranks_lost, 1);
@@ -358,7 +324,7 @@ TEST_P(FaultModes, DegradesToSerialWhenWorkersKeepDying) {
   EXPECT_EQ(sched.live_workers(), 0);
 
   // Serial degraded mode: no workers left to fault, still correct.
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 2);
   sched.shutdown();
 }
@@ -370,13 +336,35 @@ TEST_P(FaultModes, ZeroAttemptsRetiresRankAtFirstFault) {
   SchedulerOptions opts = two_rank_opts(GetParam());
   opts.retry.max_attempts = 0;  // never respawn
   Scheduler sched(opts);
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   EXPECT_EQ(sched.stats().faults_detected, 1);
   EXPECT_EQ(sched.stats().respawns, 0);
   EXPECT_EQ(sched.stats().ranks_lost, 1);
   EXPECT_TRUE(sched.stats().degraded);
-  expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
   sched.shutdown();
+}
+
+TEST_P(FaultModes, RepeatedContractionsReuseWorkersAndAccumulate) {
+  auto [a, b] = many_block_pair(42);
+  SchedulerOptions opts;
+  opts.num_ranks = 2;
+  opts.mode = GetParam();
+  Scheduler sched(opts);
+
+  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}});
+  for (int it = 0; it < 3; ++it)
+    EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
+  EXPECT_EQ(sched.accumulated().contractions, 3);
+  EXPECT_DOUBLE_EQ(sched.accumulated().total_bytes(),
+                   3.0 * sched.last().total_bytes());
+
+  // The measured record accumulates every exchange, rank by rank.
+  const tt::rt::DistStats& acc = sched.accumulated();
+  EXPECT_GT(acc.critical_busy_seconds, 0.0);
+  EXPECT_GT(acc.comm_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(acc.exchange_words, 3.0 * sched.last().exchange_words);
+  EXPECT_DOUBLE_EQ(acc.total_flops(), 3.0 * sched.last().total_flops());
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, FaultModes,
@@ -384,6 +372,41 @@ INSTANTIATE_TEST_SUITE_P(Modes, FaultModes,
                          [](const auto& info) {
                            return std::string(tt::rt::spawn_mode_name(info.param));
                          });
+
+// ---------------------------------------------------------------------------
+// A lost rank without respawns, and the single-rank scheduler.
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerFault, KilledWorkerWithoutRespawnsIsRetiredAndResultStaysBitwise) {
+  auto [a, b] = many_block_pair(45);
+  const BlockTensor ref = tt::symm::contract(a, b, {{2, 0}});
+  SchedulerOptions opts;
+  opts.num_ranks = 2;
+  opts.mode = SpawnMode::kProcess;
+  opts.timeout_seconds = 10.0;
+  // No respawns: the first fault retires the rank.
+  opts.retry.max_attempts = 0;
+  Scheduler sched(opts);
+  // First exchange proves the pair works.
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
+  sched.kill_rank(1);
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
+  EXPECT_EQ(sched.stats().respawns, 0);
+  EXPECT_EQ(sched.stats().ranks_lost, 1);
+  EXPECT_TRUE(sched.stats().degraded);
+  // Degraded to serial root execution: still bitwise.
+  EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
+  sched.shutdown();  // must not hang on the corpse
+}
+
+TEST(SchedulerFault, SingleRankNeedsNoWorkersAndCannotBreak) {
+  auto [a, b] = many_block_pair(46);
+  Scheduler sched;  // defaults: 1 rank
+  EXPECT_EQ(sched.num_ranks(), 1);
+  EXPECT_THROW(sched.kill_rank(1), tt::Error);
+  EXPECT_TRUE(
+      bitwise_equal(tt::symm::contract(a, b, {{2, 0}}), sched.contract(a, b, {{2, 0}})));
+}
 
 // ---------------------------------------------------------------------------
 // Acceptance: the TT_FAULTS-grammar schedule of the issue, at 2 and 4 ranks.
@@ -407,7 +430,7 @@ TEST(FaultEnvSchedule, WorkerKillPlusFrameTruncationHealBitwiseAt2And4Ranks) {
       opts.retry.base_delay_seconds = 0.001;
       Scheduler sched(opts);
 
-      expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+      EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
       // rank 2 only exists in the 4-rank run; the kill always fires.
       const long expect_faults = ranks == 4 ? 2 : 1;
       EXPECT_EQ(sched.stats().faults_detected, expect_faults)
@@ -418,7 +441,7 @@ TEST(FaultEnvSchedule, WorkerKillPlusFrameTruncationHealBitwiseAt2And4Ranks) {
       EXPECT_GT(sched.last().recovery_seconds, 0.0);
 
       // Healed group keeps serving, bitwise.
-      expect_bitwise_equal(ref, sched.contract(a, b, {{2, 0}}));
+      EXPECT_TRUE(bitwise_equal(ref, sched.contract(a, b, {{2, 0}})));
       sched.shutdown();
     }
   }

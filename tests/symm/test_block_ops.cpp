@@ -27,20 +27,6 @@ BlockTensor site_b(Rng& rng) {
                              QN::zero(1), rng);
 }
 
-TEST(BlockContract, MatchesFusedDenseEinsum) {
-  Rng rng(21);
-  BlockTensor a = site_a(rng);
-  BlockTensor b = site_b(rng);
-  // Contract a's right bond with b's left bond: theta(l,s1,s2,r).
-  BlockTensor c = tt::symm::contract(a, b, {{2, 0}});
-  // Reference: loop-based contraction of the fused dense operands.
-  auto da = tt::testing::fuse_dense(a);
-  auto db = tt::testing::fuse_dense(b);
-  auto want = tt::testing::naive_einsum("lsr,rtm->lstm", da, db);
-  auto got = tt::testing::fuse_dense(c);
-  EXPECT_LT(tt::tensor::max_abs_diff(got, want), 1e-10 * (1.0 + want.max_abs()));
-}
-
 TEST(BlockContract, OutputStructure) {
   Rng rng(22);
   BlockTensor a = site_a(rng);
@@ -53,19 +39,6 @@ TEST(BlockContract, OutputStructure) {
   EXPECT_TRUE(c.index(3).same_space(b.index(2)));
   EXPECT_EQ(c.flux(), QN(0));
   for (const auto& [key, blk] : c.blocks()) EXPECT_TRUE(c.key_allowed(key));
-}
-
-TEST(BlockContract, MultiModeContraction) {
-  Rng rng(23);
-  BlockTensor a = site_a(rng);
-  // Contract over both bond AND phys: overlap-style double contraction with
-  // the dagger of an identically-structured tensor.
-  BlockTensor b = site_a(rng).dagger();
-  BlockTensor c = tt::symm::contract(a, b, {{1, 1}, {2, 2}});
-  auto want = tt::testing::naive_einsum("lsr,msr->lm", tt::testing::fuse_dense(a),
-                                       tt::testing::fuse_dense(b));
-  EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(c), want),
-            1e-10 * (1.0 + want.max_abs()));
 }
 
 TEST(BlockContract, FullContractionToScalar) {
