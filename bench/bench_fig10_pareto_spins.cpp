@@ -31,16 +31,14 @@ void mark_pareto(std::vector<Point>& pts) {
 }
 
 void panel(const char* title, const tt::rt::MachineModel& machine,
-           const char* tag, tt::bench::Csv& csv) {
+           const char* tag, const tt::bench::Workload& spins,
+           const std::vector<tt::bench::KernelMeasurement>& ks, tt::bench::Csv& csv) {
   using namespace tt;
-  auto spins = bench::Workload::spins();
-  const auto ms = bench::spin_ms();
-  const auto base = bench::baseline(spins, machine, ms.front());
+  const auto base = bench::baseline(ks.front(), machine);
 
   std::vector<Point> pts;
   for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseDense}) {
-    for (index_t m : ms) {
-      const auto k = bench::measure_step(spins, m);
+    for (const auto& k : ks) {
       const double flops = k.flops(kind);
       // Extrapolated single-node baseline time at this m (paper method: the
       // baseline's max rate applied to this problem's flops).
@@ -96,17 +94,18 @@ void panel(const char* title, const tt::rt::MachineModel& machine,
 
 int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig10_pareto_spins");
-  if (tt::bench::distributed_mode(cli, "bench_fig10_pareto_spins",
-                                  tt::bench::Workload::spins(),
-                                  tt::bench::spin_ms()))
+  const auto spins = tt::bench::Workload::spins();
+  const auto ms = tt::bench::spin_ms();
+  if (tt::bench::distributed_mode(cli, "bench_fig10_pareto_spins", spins, ms))
     return 0;
   tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,engine,m_equiv,nodes,ppn,"
                      "rel_time,rel_cost,rate_speedup,pareto");
+  const auto ks = tt::bench::measure_ladder(spins, ms);
   panel("Fig 10 (left) — spins relative time vs cost, Blue Waters",
-        tt::rt::blue_waters(), "blue_waters", csv);
+        tt::rt::blue_waters(), "blue_waters", spins, ks, csv);
   panel("Fig 10 (right) — spins relative time vs cost, Stampede2",
-        tt::rt::stampede2(), "stampede2", csv);
+        tt::rt::stampede2(), "stampede2", spins, ks, csv);
   std::cout << "Shape to reproduce (paper Fig 10): on Blue Waters the Pareto\n"
                "frontier is all list-algorithm points; best speedups come at\n"
                "modest extra cost (paper: 5.9x-99x rate at ~1.5x cost).\n";

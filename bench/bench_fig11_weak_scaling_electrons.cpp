@@ -13,18 +13,16 @@
 namespace {
 
 void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
-           const char* tag, tt::bench::Csv& csv) {
+           const char* tag, const tt::bench::Workload& electrons,
+           const std::vector<tt::bench::KernelMeasurement>& ks, tt::bench::Csv& csv) {
   using namespace tt;
-  auto electrons = bench::Workload::electrons();
-  const auto ms = bench::electron_ms();
-  const auto base = bench::baseline(electrons, machine, ms.front());
+  const auto base = bench::baseline(ks.front(), machine);
 
   Table t(title);
   t.header({"engine", "m", "nodes", "GF/s/node", "rel efficiency"});
   for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseSparse}) {
     int nodes = 1;
-    for (index_t m : ms) {
-      auto k = bench::measure_step(electrons, m);
+    for (const auto& k : ks) {
       const auto tr = bench::replayed(k, kind, bench::cluster(machine, nodes, ppn));
       const double per_node = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes;
       const double rel = per_node / bench::gflops_equiv(base.flops, base.sim_seconds);
@@ -45,8 +43,7 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
     for (int nodes : bench::node_counts(bench::full_mode() ? 32 : 8)) {
       double best = 0.0;
       index_t best_m = 0;
-      for (index_t m : ms) {
-        auto k = bench::measure_step(electrons, m);
+      for (const auto& k : ks) {
         const auto tr = bench::replayed(k, kind, bench::cluster(machine, nodes, ppn));
         const double rel = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes /
                              bench::gflops_equiv(base.flops, base.sim_seconds);
@@ -69,17 +66,19 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
 
 int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig11_weak_scaling_electrons");
-  if (tt::bench::distributed_mode(cli, "bench_fig11_weak_scaling_electrons",
-                                  tt::bench::Workload::electrons(),
-                                  tt::bench::electron_ms()))
+  const auto electrons = tt::bench::Workload::electrons();
+  const auto ms = tt::bench::electron_ms();
+  if (tt::bench::distributed_mode(cli, "bench_fig11_weak_scaling_electrons", electrons,
+                                  ms))
     return 0;
   tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,series,engine,m_equiv,nodes,ppn,"
                      "gfs_per_node,rel_efficiency");
+  const auto ks = tt::bench::measure_ladder(electrons, ms);
   panel("Fig 11 (left) — electrons weak scaling, Blue Waters (16/node)",
-        tt::rt::blue_waters(), 16, "blue_waters", csv);
+        tt::rt::blue_waters(), 16, "blue_waters", electrons, ks, csv);
   panel("Fig 11 (right) — electrons weak scaling, Stampede2 (64/node)",
-        tt::rt::stampede2(), 64, "stampede2", csv);
+        tt::rt::stampede2(), 64, "stampede2", electrons, ks, csv);
   return 0;
 }
 

@@ -12,11 +12,9 @@
 namespace {
 
 void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
-           int min_nodes, const char* tag, tt::bench::Csv& csv) {
+           int min_nodes, const char* tag, const tt::bench::Workload& electrons,
+           const tt::bench::KernelMeasurement& k, tt::bench::Csv& csv) {
   using namespace tt;
-  auto electrons = bench::Workload::electrons();
-  const index_t m = bench::electron_ms().back();  // paper: m = 8192
-  auto k = bench::measure_step(electrons, m);
   const auto ss = dmrg::EngineKind::kSparseSparse;
 
   Table t(title);
@@ -38,17 +36,19 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
 
 int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig12_strong_scaling_electrons");
-  if (tt::bench::distributed_mode(cli, "bench_fig12_strong_scaling_electrons",
-                                  tt::bench::Workload::electrons(),
-                                  tt::bench::electron_ms()))
+  const auto electrons = tt::bench::Workload::electrons();
+  const auto ms = tt::bench::electron_ms();
+  if (tt::bench::distributed_mode(cli, "bench_fig12_strong_scaling_electrons", electrons,
+                                  ms))
     return 0;
   tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,m_equiv,ppn,nodes,sim_s,speedup,"
                      "efficiency");
+  const auto k = tt::bench::measure_step(electrons, ms.back());  // paper: m = 8192
   panel("Fig 12 (left) — electrons sparse-sparse strong scaling at fixed m, Blue Waters",
-        tt::rt::blue_waters(), 16, 2, "blue_waters", csv);
+        tt::rt::blue_waters(), 16, 2, "blue_waters", electrons, k, csv);
   panel("Fig 12 (right) — electrons sparse-sparse strong scaling at fixed m, Stampede2",
-        tt::rt::stampede2(), 64, 4, "stampede2", csv);
+        tt::rt::stampede2(), 64, 4, "stampede2", electrons, k, csv);
   return 0;
 }
 

@@ -14,17 +14,15 @@
 namespace {
 
 void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
-           const char* tag, tt::bench::Csv& csv) {
+           const char* tag, const tt::bench::Workload& electrons,
+           const std::vector<tt::bench::KernelMeasurement>& ks, tt::bench::Csv& csv) {
   using namespace tt;
-  auto electrons = bench::Workload::electrons();
-  const auto ms = bench::electron_ms();
-  const auto base = bench::baseline(electrons, machine, ms.front());
+  const auto base = bench::baseline(ks.front(), machine);
 
   Table t(title);
   t.header({"engine", "m", "nodes", "rel time", "rel cost", "rate speedup"});
   for (auto kind : {dmrg::EngineKind::kList, dmrg::EngineKind::kSparseSparse}) {
-    for (index_t m : ms) {
-      const auto k = bench::measure_step(electrons, m);
+    for (const auto& k : ks) {
       const double flops = k.flops(kind);
       const double base_time =
           k.flops(dmrg::EngineKind::kReference) / (base.gflops_rate * 1e9);
@@ -56,17 +54,18 @@ void panel(const char* title, const tt::rt::MachineModel& machine, int ppn,
 
 int run(const tt::Cli& cli) {
   tt::bench::print_driver_header("bench_fig13_pareto_electrons");
-  if (tt::bench::distributed_mode(cli, "bench_fig13_pareto_electrons",
-                                  tt::bench::Workload::electrons(),
-                                  tt::bench::electron_ms()))
+  const auto electrons = tt::bench::Workload::electrons();
+  const auto ms = tt::bench::electron_ms();
+  if (tt::bench::distributed_mode(cli, "bench_fig13_pareto_electrons", electrons, ms))
     return 0;
   tt::bench::Csv csv(cli.get("csv", ""),
                      "driver,workload,machine,engine,m_equiv,nodes,ppn,"
                      "rel_time,rel_cost,rate_speedup");
+  const auto ks = tt::bench::measure_ladder(electrons, ms);
   panel("Fig 13 (left) — electrons relative time vs cost, Blue Waters (16/node)",
-        tt::rt::blue_waters(), 16, "blue_waters", csv);
+        tt::rt::blue_waters(), 16, "blue_waters", electrons, ks, csv);
   panel("Fig 13 (right) — electrons relative time vs cost, Stampede2 (64/node)",
-        tt::rt::stampede2(), 64, "stampede2", csv);
+        tt::rt::stampede2(), 64, "stampede2", electrons, ks, csv);
   std::cout << "Shape to reproduce (paper Fig 13): list is cost-efficient on\n"
                "Blue Waters; sparse-sparse reaches higher rates at higher cost;\n"
                "the cost gap narrows on Stampede2.\n";

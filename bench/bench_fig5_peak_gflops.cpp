@@ -63,9 +63,9 @@ void panel(const char* title, const tt::bench::Workload& w,
   head.push_back("@nodes");
   t.header(head);
 
+  const auto ks = bench::measure_ladder(w, ms);
   for (auto kind : kinds) {
-    for (index_t m : ms) {
-      const auto k = bench::measure_step(w, m);
+    for (const auto& k : ks) {
       const double flops = k.flops(kind);
       std::vector<std::string> row{dmrg::engine_name(kind),
                                    fmt_int(bench::m_equiv(k.m_actual))};

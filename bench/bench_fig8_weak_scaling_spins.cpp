@@ -19,7 +19,8 @@ int run(const tt::Cli& cli) {
   if (bench::distributed_mode(cli, "bench_fig8_weak_scaling_spins",
                               spins, ms))
     return 0;
-  const auto base = bench::baseline(spins, rt::blue_waters(), ms.front());
+  const auto ks = bench::measure_ladder(spins, ms);
+  const auto base = bench::baseline(ks.front(), rt::blue_waters());
   bench::Csv csv(cli.get("csv", ""),
                  "driver,workload,source,panel,m_equiv,nodes,ppn,gf_per_node,"
                  "rel_efficiency");
@@ -29,8 +30,7 @@ int run(const tt::Cli& cli) {
     t.header({"m", "nodes", "ppn", "GF/s/node", "relative efficiency"});
     for (int ppn : {16, 32}) {
       int nodes = 1;
-      for (index_t m : ms) {
-        auto k = bench::measure_step(spins, m);
+      for (const auto& k : ks) {
         const auto tr = bench::replayed(k, dmrg::EngineKind::kList,
                                         bench::cluster(rt::blue_waters(), nodes, ppn));
         const double per_node = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes;
@@ -54,8 +54,7 @@ int run(const tt::Cli& cli) {
       for (int nodes : bench::node_counts(bench::full_mode() ? 128 : 32)) {
         double best = 0.0;
         index_t best_m = 0;
-        for (index_t m : ms) {
-          auto k = bench::measure_step(spins, m);
+        for (const auto& k : ks) {
           const auto tr = bench::replayed(k, dmrg::EngineKind::kList,
                                           bench::cluster(rt::blue_waters(), nodes, ppn));
           const double rel = bench::gflops_equiv(tr.flops(), tr.total_time()) / nodes /

@@ -6,12 +6,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
-
-#include <unistd.h>
 
 #include "linalg/backend.hpp"
 #include "support/cli.hpp"
@@ -105,188 +101,12 @@ Workload Workload::electrons(int lx, int ly, double u) {
   return w;
 }
 
-namespace {
-
-std::filesystem::path cache_dir() {
-  const char* env = std::getenv("TT_BENCH_CACHE");
-  return env ? std::filesystem::path(env) : std::filesystem::path("bench_cache");
-}
-
-std::string cache_key(const Workload& w, index_t m, unsigned seed) {
-  std::ostringstream os;
-  os << "v6_" << w.name << "_m" << m << "_s" << seed << ".txt";
-  return os.str();
-}
-
-// Cache file layout, one line each (store_cached writes it):
-//   m_actual theta_blocks largest_block fill records
-//   0 role_a role_b m n k size_a size_b size_c nnz_a nnz_b nnz_c nzbw_c matched pairs
-//     then `pairs` lines:  flops words_a words_b words_c
-//   1 in_elements uv_elements groups
-//     then `groups` lines: rows cols
-constexpr std::size_t kHeaderFields = 5, kContractionFields = 15, kPairFields = 4,
-                      kSvdFields = 4, kGroupFields = 2;
-
-// Loads a cached measurement; false when the file does not exist. A file that
-// does not hold exactly the lines store_cached writes is a tt::Error naming it.
-bool load_cached(const std::filesystem::path& path, KernelMeasurement& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(std::move(line));
-  const std::string file = "bench cache file '" + path.string() + "'";
-
-  // The fields of the current line; every one store_cached writes is a
-  // finite non-negative number.
-  std::size_t ln = 0, pos = 0;
-  std::vector<std::string> fields;
-  auto next_line = [&](const char* what) {
-    TT_CHECK(ln < lines.size(), "corrupt " << file << ": ends before its " << what);
-    fields.clear();
-    std::istringstream is(lines[ln++]);
-    for (std::string tok; is >> tok;) fields.push_back(std::move(tok));
-    pos = 0;
-  };
-  auto expect_fields = [&](std::size_t n) {
-    TT_CHECK(fields.size() == n, "corrupt " << file << ": line " << ln << " holds "
-                                            << fields.size() << " fields, not " << n);
-  };
-  auto read = [&](auto& v) {
-    TT_CHECK(pos < fields.size(), "corrupt " << file << ": line " << ln << " is empty");
-    const std::string& tok = fields[pos];
-    const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    TT_CHECK(ec == std::errc() && ptr == tok.data() + tok.size() &&
-                 std::isfinite(static_cast<double>(v)) && v >= 0,
-             "corrupt " << file << ": line " << ln << " field " << pos << " '" << tok
-                        << "' is not a finite non-negative number");
-    ++pos;
-  };
-  // A count of sub-lines still to come, checked against the lines left
-  // before anything is allocated for them.
-  auto read_count = [&](std::size_t i, const char* what) {
-    index_t count = 0;
-    read(count);
-    const auto n = static_cast<std::size_t>(count);
-    TT_CHECK(n <= lines.size() - ln, "corrupt " << file << ": record " << i
-                                                << " declares " << n << " " << what
-                                                << " but " << lines.size() - ln
-                                                << " lines are left");
-    return n;
-  };
-  auto read_role = [&](std::size_t i, dmrg::Role& role) {
-    int r = 0;
-    read(r);
-    TT_CHECK(r <= 1, "corrupt " << file << ": record " << i << " has role " << r
-                                << ", valid 0 to 1");
-    role = static_cast<dmrg::Role>(r);
-  };
-
-  next_line("header");
-  expect_fields(kHeaderFields);
-  index_t records = 0;
-  read(out.m_actual);
-  read(out.theta_blocks);
-  read(out.largest_block);
-  read(out.fill);
-  read(records);
-  const auto nrec = static_cast<std::size_t>(records);
-  TT_CHECK(nrec <= lines.size() - ln, "corrupt " << file << ": declares " << nrec
-                                                 << " records but holds "
-                                                 << lines.size() - ln << " lines");
-  out.log.reserve(nrec);
-  for (std::size_t i = 0; i < nrec; ++i) {
-    next_line("records");
-    int type = 0;
-    read(type);
-    TT_CHECK(type <= 1, "corrupt " << file << ": record " << i << " has op type " << type
-                                   << ", valid 0 to 1");
-    if (type == 0) {
-      expect_fields(kContractionFields);
-      dmrg::ContractionRecord r;
-      read_role(i, r.role_a);
-      read_role(i, r.role_b);
-      for (double* v : {&r.m, &r.n, &r.k, &r.size_a, &r.size_b, &r.size_c, &r.nnz_a,
-                        &r.nnz_b, &r.nnz_c, &r.nonzero_block_words_c,
-                        &r.matched_products})
-        read(*v);
-      r.pairs.resize(read_count(i, "pairs"));
-      for (symm::BlockOpCost& p : r.pairs) {
-        next_line("pairs");
-        expect_fields(kPairFields);
-        read(p.flops);
-        read(p.words_a);
-        read(p.words_b);
-        read(p.words_c);
-      }
-      out.log.emplace_back(std::move(r));
-    } else {
-      expect_fields(kSvdFields);
-      dmrg::SvdRecord r;
-      read(r.in_elements);
-      read(r.uv_elements);
-      r.groups.resize(read_count(i, "groups"));
-      for (symm::FactorShape& g : r.groups) {
-        next_line("groups");
-        expect_fields(kGroupFields);
-        read(g.rows);
-        read(g.cols);
-      }
-      out.log.emplace_back(std::move(r));
-    }
-  }
-  TT_CHECK(ln == lines.size(),
-           "corrupt " << file << ": trailing bytes after its " << nrec << " records");
-  return true;
-}
-
-// Writes to a temporary file and renames it over `path`, so an interrupted
-// run never leaves a half-written cache file behind. Caching is best-effort:
-// a write failure leaves no file and the next run measures again.
-void store_cached(const std::filesystem::path& path, const KernelMeasurement& k) {
-  std::error_code ec;
-  std::filesystem::create_directories(path.parent_path(), ec);
-  std::filesystem::path tmp = path;
-  tmp += ".tmp" + std::to_string(::getpid());
-  std::ofstream outf(tmp);
-  if (!outf) return;
-  outf.precision(17);
-  outf << k.m_actual << " " << k.theta_blocks << " " << k.largest_block << " " << k.fill
-       << " " << k.log.size() << "\n";
-  for (const dmrg::OpRecord& op : k.log) {
-    if (const auto* r = std::get_if<dmrg::ContractionRecord>(&op)) {
-      outf << 0 << " " << static_cast<int>(r->role_a) << " "
-           << static_cast<int>(r->role_b);
-      for (double v : {r->m, r->n, r->k, r->size_a, r->size_b, r->size_c, r->nnz_a,
-                       r->nnz_b, r->nnz_c, r->nonzero_block_words_c, r->matched_products})
-        outf << " " << v;
-      outf << " " << r->pairs.size() << "\n";
-      for (const symm::BlockOpCost& p : r->pairs)
-        outf << p.flops << " " << p.words_a << " " << p.words_b << " " << p.words_c
-             << "\n";
-    } else {
-      const auto& s = std::get<dmrg::SvdRecord>(op);
-      outf << 1 << " " << s.in_elements << " " << s.uv_elements << " " << s.groups.size()
-           << "\n";
-      for (const symm::FactorShape& g : s.groups) outf << g.rows << " " << g.cols << "\n";
-    }
-  }
-  outf.close();
-  if (outf) std::filesystem::rename(tmp, path, ec);
-  if (!outf || ec) std::filesystem::remove(tmp, ec);
-}
-
-}  // namespace
-
 double KernelMeasurement::flops(dmrg::EngineKind kind) const {
   // Charged flops do not depend on the cluster.
   return dmrg::price(kind, log, cluster(rt::blue_waters(), 1, 16)).flops();
 }
 
 KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed) {
-  const auto path = cache_dir() / cache_key(w, m, seed);
-  KernelMeasurement k;
-  if (load_cached(path, k)) return k;
-
   // Grow the state to m at the middle bond (untimed, paper §VI): a random MPS
   // with charge-path-proportional sector dims stands in for DMRG growth
   // sweeps.
@@ -297,6 +117,7 @@ KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed) {
   dmrg::ContractionEngine* eng = engine.get();
   dmrg::Dmrg solver(std::move(psi), w.h, std::move(engine));
 
+  KernelMeasurement k;
   const int j = solver.psi().size() / 2;
   {
     // Two-site tensor structure stats (paper Fig 2).
@@ -316,9 +137,15 @@ KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed) {
   params.davidson_iter = 2;  // paper production setting
   solver.optimize_bond(j, params, /*sweep_right=*/true);
   k.log = eng->log();
-
-  store_cached(path, k);
   return k;
+}
+
+std::vector<KernelMeasurement> measure_ladder(const Workload& w,
+                                              const std::vector<index_t>& ms) {
+  std::vector<KernelMeasurement> out;
+  out.reserve(ms.size());
+  for (index_t m : ms) out.push_back(measure_step(w, m));
+  return out;
 }
 
 DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks,
@@ -514,9 +341,7 @@ rt::CostTracker replayed(const KernelMeasurement& k, dmrg::EngineKind kind,
   return dmrg::price(kind, k.log, cluster, scaled_params());
 }
 
-Baseline baseline(const Workload& w, const rt::MachineModel& machine, index_t m,
-                  unsigned seed) {
-  const KernelMeasurement k = measure_step(w, m, seed);
+Baseline baseline(const KernelMeasurement& k, const rt::MachineModel& machine) {
   Baseline b;
   b.flops = k.flops(dmrg::EngineKind::kReference);
   b.sim_seconds = sim_seconds(k, dmrg::EngineKind::kReference, cluster(machine, 1, 1));

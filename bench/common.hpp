@@ -6,8 +6,8 @@
 // SVD, and one environment update. The engine's kind-neutral op log is
 // captured once per step, so the BSP cost model can price it as any
 // algorithm on any virtual cluster without re-executing the numerics
-// (dmrg/replay.hpp); measurements are cached on disk because several figure
-// benches share them.
+// (dmrg/replay.hpp). A driver measures each (workload, m, seed) step once and
+// passes that KernelMeasurement to every table that prices it.
 #pragma once
 
 #include <iostream>
@@ -100,9 +100,12 @@ struct KernelMeasurement {
   double flops(dmrg::EngineKind kind) const;
 };
 
-/// Execute (or load from cache) one measured step. A missing cache file is a
-/// miss; a malformed one is a tt::Error naming the file.
+/// Execute one measured step (seeded, so bitwise reproducible).
 KernelMeasurement measure_step(const Workload& w, index_t m, unsigned seed = 1);
+
+/// measure_step at each bond dimension of `ms`, in order (seed 1).
+std::vector<KernelMeasurement> measure_ladder(const Workload& w,
+                                              const std::vector<index_t>& ms);
 
 /// Simulated seconds of a measurement priced as `kind` on a cluster.
 double sim_seconds(const KernelMeasurement& k, dmrg::EngineKind kind,
@@ -127,8 +130,7 @@ struct DistMeasurement {
 };
 
 /// Execute one middle-bond optimization routed through a `ranks`-rank
-/// rt::Scheduler. Never cached: this is a real measurement of this machine,
-/// not a replayable log.
+/// rt::Scheduler: a real measurement of this machine, not a replayable log.
 DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks,
                                          unsigned seed = 1);
 
@@ -141,16 +143,15 @@ DistMeasurement measure_step_distributed(const Workload& w, index_t m, int ranks
 bool distributed_mode(const Cli& cli, const std::string& driver, const Workload& w,
                       const std::vector<index_t>& ms);
 
-/// Single-node baseline ("ITensor" stand-in): a step priced as the reference
-/// kind on one node of `machine`. gflops_rate is used for the paper's
-/// extrapolated comparisons.
+/// Single-node baseline ("ITensor" stand-in): a measured step priced as the
+/// reference kind on one node of `machine`. gflops_rate is used for the
+/// paper's extrapolated comparisons.
 struct Baseline {
   double flops = 0.0;
   double sim_seconds = 0.0;
   double gflops_rate = 0.0;
 };
-Baseline baseline(const Workload& w, const rt::MachineModel& machine, index_t m,
-                  unsigned seed = 1);
+Baseline baseline(const KernelMeasurement& k, const rt::MachineModel& machine);
 
 /// True when TT_BENCH_FULL=1 (larger sweeps, closer to paper scale). The
 /// value must be 0 or 1 (empty counts as unset); anything else is a tt::Error.

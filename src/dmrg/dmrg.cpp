@@ -243,22 +243,4 @@ real_t Dmrg::energy_expectation() {
   return symm::dot(theta, htheta) / nn;
 }
 
-std::vector<SweepParams> standard_schedule(index_t m_first, index_t m_final,
-                                           int per_m, real_t cutoff) {
-  TT_CHECK(m_first >= 1 && m_final >= m_first, "bad schedule bounds");
-  TT_CHECK(per_m >= 1, "need at least one sweep per bond dimension");
-  std::vector<SweepParams> out;
-  for (index_t m = m_first;; m *= 2) {
-    m = std::min(m, m_final);
-    for (int s = 0; s < per_m; ++s) {
-      SweepParams p;
-      p.max_m = m;
-      p.cutoff = cutoff;
-      out.push_back(p);
-    }
-    if (m == m_final) break;
-  }
-  return out;
-}
-
 }  // namespace tt::dmrg

@@ -117,9 +117,4 @@ class Dmrg {
   real_t max_trunc_partial_ = 0.0;     // running max of the in-flight sweep
 };
 
-/// Convenience: geometric bond-dimension ramp-up schedule
-/// (m_first, …, m_final doubling, each `per_m` sweeps).
-std::vector<SweepParams> standard_schedule(index_t m_first, index_t m_final,
-                                           int per_m = 2, real_t cutoff = 1e-12);
-
 }  // namespace tt::dmrg

@@ -17,12 +17,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-real_t Matrix::frobenius_norm() const {
-  real_t s = 0.0;
-  for (real_t v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 real_t Matrix::max_abs() const {
   real_t m = 0.0;
   for (real_t v : data_) m = std::max(m, std::abs(v));

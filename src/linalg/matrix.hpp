@@ -55,9 +55,6 @@ class Matrix {
   /// Out-of-place transpose.
   Matrix transposed() const;
 
-  /// Frobenius norm.
-  real_t frobenius_norm() const;
-
   /// Max |a_ij|.
   real_t max_abs() const;
 

@@ -168,26 +168,6 @@ Mps read_mps(std::istream& is, SiteSetPtr sites) {
   return psi;
 }
 
-void write_mpo(std::ostream& os, const Mpo& h) {
-  os << "TTMPO 1\n" << h.size() << " " << h.sites()->qn_rank() << "\n";
-  for (int j = 0; j < h.size(); ++j) write_block_tensor(os, h.site(j));
-}
-
-Mpo read_mpo(std::istream& is, SiteSetPtr sites) {
-  read_header(is, "TTMPO", 1);
-  int n = 0, rank = 0;
-  is >> n >> rank;
-  TT_CHECK(is, "truncated stream: missing TTMPO size header");
-  TT_CHECK(sites && sites->size() == n, "MPO site count mismatch");
-  TT_CHECK(sites->qn_rank() == rank, "QN rank mismatch");
-  std::vector<BlockTensor> tensors;
-  for (int j = 0; j < n; ++j) {
-    tensors.push_back(read_block_tensor(is));
-    check_phys_match(tensors.back(), 1, *sites);
-  }
-  return Mpo(std::move(sites), std::move(tensors));  // validates consistency
-}
-
 void save_mps(const std::string& path, const Mps& psi) {
   std::ofstream os(path);
   TT_CHECK(os.good(), "cannot open '" << path << "' for writing");

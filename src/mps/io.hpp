@@ -1,16 +1,15 @@
-// Portable text serialization for MPS and MPO.
+// Portable text serialization for MPS.
 //
 // Plays the role of the paper's ITensor↔Cyclops conversion interface (§VI:
 // "we developed an interface to convert ITensor MPS data to a readable format
-// for Cyclops"): states and operators can be written by one toolchain and
-// read by another — or checkpointed between runs. The format is exact
+// for Cyclops"): states can be written by one toolchain and read by another —
+// or checkpointed between runs. The format is exact
 // (hex-encoded doubles) and versioned.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "mps/mpo.hpp"
 #include "mps/mps.hpp"
 
 namespace tt::mps {
@@ -19,10 +18,6 @@ namespace tt::mps {
 /// sectors); the reader validates it against the supplied site set.
 void write_mps(std::ostream& os, const Mps& psi);
 Mps read_mps(std::istream& is, SiteSetPtr sites);
-
-/// Write/read an MPO.
-void write_mpo(std::ostream& os, const Mpo& h);
-Mpo read_mpo(std::istream& is, SiteSetPtr sites);
 
 /// File-path convenience wrappers for an MPS. The loader rejects truncated
 /// files, wrong magic, and unsupported versions with tt::Error (never silent

@@ -10,11 +10,10 @@
 //     "context": { "<key>": <number|string>, ... },
 //     "sections": [ { "name": "<row id>", "values": { ... } }, ... ] }
 //
-// emitted by the bench drivers via `--metrics <path>` and consumed by
-// bench/trajectory_diff.py, which diffs per-category percentage breakdowns
-// ("pct.<Category>" keys) between a fresh run and the committed trajectory
-// snapshot. Section names are row identities — stable across runs of the
-// same driver (e.g. "fig7a.m32.nodes16") — and `context` holds the run-wide
+// emitted by the bench drivers via `--metrics <path>` for scripts that
+// compare runs (a breakdown is its "pct.<Category>" keys). Section names are
+// row identities — stable across runs of the same driver (e.g.
+// "fig7a.m32.nodes16") — and `context` holds the run-wide
 // configuration (backend, threads, ranks) that explains, but does not
 // identify, the numbers.
 //
@@ -47,8 +46,7 @@ class MetricsRegistry {
            const std::string& value);
 
   /// Flatten a CostTracker: total_s, flops, words, supersteps, and per
-  /// category `time_s.<name>` / `pct.<name>` (trajectory_diff.py reads the
-  /// pct.* keys for breakdown drift detection).
+  /// category `time_s.<name>` / `pct.<name>`.
   void add_tracker(const std::string& section, const CostTracker& t);
 
   /// Flatten measured distributed-run quantities (ranks, comm/imbalance/

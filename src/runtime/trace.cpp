@@ -165,6 +165,11 @@ void Trace::counter(const char* name, double value) {
 }
 
 void Trace::start(const TraceOptions& opts) {
+  if (!opts.path.empty()) {
+    // An unwritable export path fails now, not as a lost trace at exit.
+    const std::ofstream probe(opts.path);
+    TT_CHECK(probe, "cannot open '" << opts.path << "' for writing");
+  }
   Registry& r = registry();
   {
     std::lock_guard<std::mutex> lock(r.mu);
@@ -454,13 +459,20 @@ void Trace::clear() {
 namespace {
 
 // TT_TRACE=<path> activates tracing before main() (any TU recording spans
-// links this object file in, so the initializer always runs).
+// links this object file in, so the initializer always runs). No caller can
+// catch an error this early, so a path that cannot be opened exits the way
+// every binary does on a tt::Error: a message and code 2.
 const bool g_env_activation = [] {
   const char* path = std::getenv("TT_TRACE");
   if (path != nullptr && *path != '\0') {
     TraceOptions opts;
     opts.path = path;
-    Trace::instance().start(opts);
+    try {
+      Trace::instance().start(opts);
+    } catch (const Error& e) {
+      std::cerr << "error: TT_TRACE: " << e.what() << "\n";
+      std::exit(2);
+    }
   }
   return true;
 }();

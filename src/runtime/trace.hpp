@@ -95,7 +95,9 @@ class Trace {
   static Trace& instance();
 
   /// Enable recording. Idempotent; `opts.path` (or TT_TRACE) is flushed at
-  /// process exit. Thread-safe against concurrent span recording.
+  /// process exit. Thread-safe against concurrent span recording. Throws
+  /// tt::Error, before enabling anything, when `opts.path` cannot be opened
+  /// for writing.
   void start(const TraceOptions& opts = {});
 
   /// Disable recording and, when an export path is set, flush to it.

@@ -77,16 +77,6 @@ void BlockTensor::accumulate(const BlockKey& key, tensor::DenseTensor t) {
   }
 }
 
-void BlockTensor::prune(real_t tol) {
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->second.max_abs() <= tol) {
-      it = blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::vector<BlockKey> BlockTensor::admissible_keys() const {
   std::vector<BlockKey> keys;
   BlockKey key(static_cast<std::size_t>(order()), 0);
@@ -120,13 +110,6 @@ index_t BlockTensor::dense_size() const {
 double BlockTensor::fill_fraction() const {
   const index_t d = dense_size();
   return d == 0 ? 0.0 : static_cast<double>(num_elements()) / static_cast<double>(d);
-}
-
-index_t BlockTensor::largest_block_dim(int mode) const {
-  index_t best = 0;
-  for (const auto& [key, blk] : blocks_)
-    best = std::max(best, blk.dim(mode));
-  return best;
 }
 
 void BlockTensor::scale(real_t s) {

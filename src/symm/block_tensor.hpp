@@ -53,9 +53,6 @@ class BlockTensor {
   const std::map<BlockKey, tensor::DenseTensor>& blocks() const { return blocks_; }
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
 
-  /// Drop blocks whose max |entry| is below tol (exact zeros by default).
-  void prune(real_t tol = 0.0);
-
   /// All admissible keys for this index structure (present or not).
   std::vector<BlockKey> admissible_keys() const;
 
@@ -68,9 +65,6 @@ class BlockTensor {
   /// num_elements / dense_size — the fill fraction of the fused single tensor
   /// (paper Fig 2b plots exactly this).
   double fill_fraction() const;
-
-  /// Largest block dimension along mode `mode` among present blocks.
-  index_t largest_block_dim(int mode) const;
 
   // ---- vector-space operations (blocks aligned by key) ----
   void scale(real_t s);

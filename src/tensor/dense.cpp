@@ -93,16 +93,6 @@ std::size_t DenseTensor::flat_index(std::span<const index_t> idx) const {
   return flat;
 }
 
-DenseTensor DenseTensor::reshaped(std::vector<index_t> new_shape) const {
-  index_t n = 1;
-  for (index_t d : new_shape) n *= d;
-  TT_CHECK(n == size(), "reshape size mismatch: " << n << " vs " << size());
-  DenseTensor out;
-  out.shape_ = std::move(new_shape);
-  out.data_ = data_;
-  return out;
-}
-
 DenseTensor DenseTensor::permuted(std::span<const int> perm) const {
   check_permutation(perm, order());
   std::vector<index_t> out_shape(perm.size());

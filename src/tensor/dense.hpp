@@ -51,9 +51,6 @@ class DenseTensor {
   /// Row-major strides (stride of last mode = 1).
   std::vector<index_t> strides() const;
 
-  /// Same data, new shape (total size must match).
-  DenseTensor reshaped(std::vector<index_t> new_shape) const;
-
   /// Permuted copy: out mode i = in mode perm[i].
   DenseTensor permuted(std::span<const int> perm) const;
   DenseTensor permuted(std::initializer_list<int> perm) const {

@@ -100,16 +100,6 @@ TEST(Dmrg, BondDimensionGrowsFromProductState) {
   EXPECT_GT(solver.psi().max_bond_dim(), 1);
 }
 
-TEST(Dmrg, StandardScheduleShape) {
-  auto sched = tt::dmrg::standard_schedule(8, 64, 2);
-  // m: 8,8,16,16,32,32,64,64.
-  ASSERT_EQ(sched.size(), 8u);
-  EXPECT_EQ(sched.front().max_m, 8);
-  EXPECT_EQ(sched.back().max_m, 64);
-  EXPECT_THROW(tt::dmrg::standard_schedule(0, 8), tt::Error);
-  EXPECT_THROW(tt::dmrg::standard_schedule(8, 4), tt::Error);
-}
-
 TEST(Dmrg, RejectsBadConstruction) {
   auto sites = tt::models::spin_half_sites(4);
   auto lat = tt::models::chain(4);

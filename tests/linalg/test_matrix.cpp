@@ -61,13 +61,6 @@ TEST(Matrix, TransposeElements) {
   EXPECT_DOUBLE_EQ(t(2, 1), -2.0);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  Matrix a(1, 2);
-  a(0, 0) = 3.0;
-  a(0, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
-}
-
 TEST(Matrix, PlusMinusScale) {
   Matrix a(2, 2, 1.0), b(2, 2, 2.0);
   a += b;

@@ -3,9 +3,6 @@
 #include <sstream>
 
 #include "models/electron.hpp"
-#include "models/heisenberg.hpp"
-#include "models/hubbard.hpp"
-#include "models/lattice.hpp"
 #include "models/spin_half.hpp"
 #include "mps/io.hpp"
 #include "mps/measure.hpp"
@@ -13,7 +10,6 @@
 namespace {
 
 using tt::Rng;
-using tt::mps::Mpo;
 using tt::mps::Mps;
 using tt::symm::QN;
 
@@ -114,41 +110,6 @@ TEST(MpsIo, RejectsCorruptNumericToken) {
   text.replace(pos, 2, "0z");
   std::stringstream bad(text);
   EXPECT_THROW(tt::mps::read_mps(bad, sites), tt::Error);
-}
-
-TEST(MpoIo, RejectsWrongMagicAndVersion) {
-  auto sites = tt::models::spin_half_sites(2);
-  std::stringstream wrong_kind("TTMPS 1\n");
-  EXPECT_THROW(tt::mps::read_mpo(wrong_kind, sites), tt::Error);
-  std::stringstream future("TTMPO 2\n");
-  EXPECT_THROW(tt::mps::read_mpo(future, sites), tt::Error);
-}
-
-TEST(MpoIo, RoundTripPreservesMatrixElements) {
-  auto lat = tt::models::chain(5);
-  auto sites = tt::models::spin_half_sites(5);
-  Mpo h = tt::models::heisenberg_mpo(sites, lat, 1.0);
-  std::stringstream ss;
-  tt::mps::write_mpo(ss, h);
-  Mpo back = tt::mps::read_mpo(ss, sites);
-  EXPECT_EQ(back.bond_dims(), h.bond_dims());
-  // Expectation on a probe state must be identical.
-  Rng rng(5);
-  Mps probe = Mps::random(sites, QN(1), 8, rng);
-  EXPECT_DOUBLE_EQ(tt::mps::expectation(probe, back),
-                   tt::mps::expectation(probe, h));
-}
-
-TEST(MpoIo, HubbardRoundTrip) {
-  auto lat = tt::models::triangular_cylinder(2, 2);
-  auto sites = tt::models::electron_sites(4);
-  Mpo h = tt::models::hubbard_mpo(sites, lat, 1.0, 8.5);
-  std::stringstream ss;
-  tt::mps::write_mpo(ss, h);
-  Mpo back = tt::mps::read_mpo(ss, sites);
-  Mps probe = Mps::product_state(sites, {1, 2, 1, 2});
-  EXPECT_DOUBLE_EQ(tt::mps::expectation(probe, back),
-                   tt::mps::expectation(probe, h));
 }
 
 TEST(MpsIo, FileSaveLoad) {

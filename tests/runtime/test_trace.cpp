@@ -149,6 +149,13 @@ TEST_F(TraceTest, BufferDropsNewestEventsAndCountsThem) {
   EXPECT_NE(exported_json().find("\"dropped_events\":12"), std::string::npos);
 }
 
+TEST_F(TraceTest, UnwritablePathThrowsBeforeEnabling) {
+  TraceOptions opts;
+  opts.path = "/nonexistent/dir/t.json";
+  EXPECT_THROW(Trace::instance().start(opts), tt::Error);
+  EXPECT_FALSE(tt::rt::trace_enabled());
+}
+
 TEST_F(TraceTest, SerializeAbsorbRoundTripRetagsRank) {
   Trace::instance().start();
   {

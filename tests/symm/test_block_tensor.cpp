@@ -71,13 +71,6 @@ TEST(BlockTensor, NumElementsAndDenseSize) {
   EXPECT_NEAR(t.fill_fraction(), 19.0 / 60.0, 1e-12);
 }
 
-TEST(BlockTensor, LargestBlockDim) {
-  Rng rng(5);
-  BlockTensor t = workable(rng);
-  EXPECT_EQ(t.largest_block_dim(0), 3);
-  EXPECT_EQ(t.largest_block_dim(2), 2);
-}
-
 TEST(BlockTensor, PartialCharge) {
   Rng rng(6);
   BlockTensor t = workable(rng);
@@ -144,17 +137,6 @@ TEST(BlockTensor, DaggerFlipsStructureKeepsData) {
   EXPECT_NEAR(d.norm2(), t.norm2(), 0.0);
 }
 
-TEST(BlockTensor, PruneDropsZeroBlocks) {
-  Rng rng(13);
-  BlockTensor t = workable(rng);
-  const BlockKey key{1, 1, 1};
-  t.block(key).fill(0.0);
-  const int before = t.num_blocks();
-  t.prune();
-  EXPECT_EQ(t.num_blocks(), before - 1);
-  EXPECT_EQ(t.find_block(key), nullptr);
-}
-
 TEST(BlockTensor, NonzeroFluxShiftsAdmissibleKeys) {
   Index l({{QN(0), 2}}, Dir::In);
   Index s = phys(Dir::In);
@@ -175,10 +157,10 @@ TEST(BlockTensor, DotStructureMismatchThrows) {
 TEST(BlockTensor, MaxAbsDiffSeesMissingBlocks) {
   Rng rng(15);
   BlockTensor a = workable(rng);
-  BlockTensor b = a;
-  // Remove one block from b by pruning after zeroing.
-  b.block({1, 1, 1}).fill(0.0);
-  b.prune();
+  // b holds every block of a except {1,1,1}.
+  BlockTensor b(a.indices(), a.flux());
+  for (const auto& [key, blk] : a.blocks())
+    if (key != BlockKey{1, 1, 1}) b.accumulate(key, blk);
   const double diff = tt::symm::max_abs_diff(a, b);
   EXPECT_DOUBLE_EQ(diff, a.find_block({1, 1, 1})->max_abs());
 }

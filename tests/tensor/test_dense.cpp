@@ -47,15 +47,6 @@ TEST(DenseTensor, OutOfBoundsIndexThrows) {
   EXPECT_THROW(t.at({0, 0, 0}), tt::Error);
 }
 
-TEST(DenseTensor, ReshapePreservesData) {
-  Rng rng(1);
-  DenseTensor t = DenseTensor::random({3, 4}, rng);
-  DenseTensor r = t.reshaped({2, 6});
-  EXPECT_EQ(r.order(), 2);
-  for (index_t i = 0; i < 12; ++i) EXPECT_DOUBLE_EQ(t[i], r[i]);
-  EXPECT_THROW(t.reshaped({5, 5}), tt::Error);
-}
-
 TEST(DenseTensor, PermuteMatrixTranspose) {
   Rng rng(2);
   DenseTensor t = DenseTensor::random({3, 5}, rng);
