@@ -40,7 +40,7 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(2 * n * n * n));
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 void BM_GemmTransposed(benchmark::State& state) {
   // AᵀBᵀ: the packed builtin kernel (and dgemm) absorb the transposes during

@@ -6,6 +6,7 @@
 // types: DMRG failures are data dependent and must be catchable in production.
 #pragma once
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,18 +21,22 @@ class Error : public std::runtime_error {
 
 namespace detail {
 
+// what() is the check's message alone, since that is the line a user reads
+// (every binary prints it after "error: "). A check without a message names
+// its condition, with the source file's base name and line.
 [[noreturn]] inline void throw_error(const char* cond, const char* file, int line,
                                      const std::string& msg) {
+  if (!msg.empty()) throw Error(msg);
+  const char* base = std::strrchr(file, '/');
   std::ostringstream os;
-  os << file << ":" << line << ": check failed: " << cond;
-  if (!msg.empty()) os << " — " << msg;
+  os << (base ? base + 1 : file) << ":" << line << ": check failed: " << cond;
   throw Error(os.str());
 }
 
 }  // namespace detail
 }  // namespace tt
 
-/// Check a user-facing precondition; throws tt::Error with context on failure.
+/// Check a user-facing precondition; throws tt::Error with its message on failure.
 #define TT_CHECK(cond, ...)                                                     \
   do {                                                                          \
     if (!(cond)) {                                                              \

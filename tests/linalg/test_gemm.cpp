@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/parity.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -200,6 +205,97 @@ TEST(Gemm, BuiltinBitwiseDeterministicAcrossThreadCounts) {
   const Matrix c1 = run_with_threads(1);
   for (int threads : {2, 3, 8})
     EXPECT_TRUE(run_with_threads(threads) == c1) << threads << " threads";
+  tt::support::set_num_threads(0);
+}
+
+// ---------------------------------------------------------------------------
+// The FMA bit rule. Every micro-kernel build starts each C element's
+// accumulator at +0 for each k panel of kKc = 256 steps (gemm.cpp), updates
+// it with one fused multiply-add per k in ascending order, with alpha folded
+// into op(A), and adds it into C after beta has scaled C (beta 1 leaves C,
+// beta 0 zeroes it). This reference does exactly that with std::fma, so
+// every build must match it bit for bit.
+// ---------------------------------------------------------------------------
+
+constexpr index_t kPanelK = 256;
+
+std::vector<double> fma_reference(bool ta, bool tb, index_t m, index_t n,
+                                  index_t k, double alpha, const double* a,
+                                  const double* b, double beta,
+                                  std::vector<double> c) {
+  for (double& x : c) x = beta == 0.0 ? 0.0 : beta == 1.0 ? x : x * beta;
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t pc = 0; pc < k; pc += kPanelK) {
+        double acc = 0.0;
+        for (index_t kk = pc; kk < std::min(k, pc + kPanelK); ++kk) {
+          const double aik = alpha * (ta ? a[kk * m + i] : a[i * k + kk]);
+          acc = std::fma(aik, tb ? b[j * k + kk] : b[kk * n + j], acc);
+        }
+        c[static_cast<std::size_t>(i * n + j)] += acc;
+      }
+  return c;
+}
+
+::testing::AssertionResult same_bits(const std::vector<double>& x,
+                                     const std::vector<double>& y) {
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (!tt::testing::same_bits(x[i], y[i]))
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << x[i] << " vs " << y[i];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GemmKernels, TheFirstHostKernelIsTheOneInUse) {
+  const auto& kernels = tt::linalg::detail::host_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(tt::linalg::backend_name(), kernels.front().name);
+  // The portable build runs everywhere and is listed last.
+  EXPECT_STREQ(kernels.back().name, "builtin-fma");
+}
+
+TEST(GemmKernels, EveryHostKernelMatchesTheFmaReferenceBitwise) {
+  // m not a multiple of 4 and n not of 8 (partial tiles on both edges);
+  // k = 257 and 600 span two and three k panels. The 7×13 shape crosses every
+  // k with every (alpha, beta); the 67×130 one has k blocks above the serial
+  // flop cutoff, so at 8 threads packing and tiles really split.
+  struct Case {
+    index_t m, n, k;
+    double alpha, beta;
+  };
+  std::vector<Case> cases;
+  for (const index_t k : {1, 257, 600})
+    for (const auto& [alpha, beta] : {std::pair{1.0, 0.0}, std::pair{0.7, 1.0},
+                                     std::pair{-1.25, 0.5}})
+      cases.push_back({7, 13, k, alpha, beta});
+  cases.push_back({67, 130, 257, -1.25, 0.5});
+
+  const auto& kernels = tt::linalg::detail::host_kernels();
+  for (const Case& cs : cases)
+    for (const bool ta : {false, true})
+      for (const bool tb : {false, true}) {
+        Rng rng(static_cast<std::uint64_t>(1000 * cs.m + cs.k + 2 * ta + tb));
+        const Matrix a = Matrix::random(cs.m, cs.k, rng);
+        const Matrix b = Matrix::random(cs.k, cs.n, rng);
+        const Matrix c0 = Matrix::random(cs.m, cs.n, rng);
+        const std::vector<double> c_in(c0.data(), c0.data() + cs.m * cs.n);
+        const std::vector<double> ref =
+            fma_reference(ta, tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
+                          b.data(), cs.beta, c_in);
+        for (const auto& kernel : kernels)
+          for (const int threads : {1, 8}) {
+            tt::support::set_num_threads(threads);
+            std::vector<double> c = c_in;
+            tt::linalg::detail::gemm_raw_with(kernel.run, ta, tb, cs.m, cs.n,
+                                              cs.k, cs.alpha, a.data(),
+                                              b.data(), cs.beta, c.data());
+            EXPECT_TRUE(same_bits(c, ref))
+                << kernel.name << " at " << threads << " threads, m=" << cs.m
+                << " n=" << cs.n << " k=" << cs.k << " transa=" << ta
+                << " transb=" << tb << " alpha=" << cs.alpha
+                << " beta=" << cs.beta;
+          }
+      }
   tt::support::set_num_threads(0);
 }
 

@@ -12,14 +12,20 @@ TEST(Error, CheckThrowsOnFalse) {
   EXPECT_THROW(TT_CHECK(false), tt::Error);
 }
 
-TEST(Error, CheckMessageContainsConditionAndDetail) {
+TEST(Error, WhatIsTheMessageAlone) {
+  // A user reads what() after "error: ", so a check with a message carries
+  // no source path, line or condition.
   try {
     TT_CHECK(2 < 1, "two is not less than " << 1);
     FAIL() << "expected throw";
   } catch (const tt::Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("2 < 1"), std::string::npos);
-    EXPECT_NE(what.find("two is not less than 1"), std::string::npos);
+    EXPECT_STREQ(e.what(), "two is not less than 1");
+  }
+  try {
+    TT_FAIL("unconditional");
+    FAIL() << "expected throw";
+  } catch (const tt::Error& e) {
+    EXPECT_STREQ(e.what(), "unconditional");
   }
 }
 
@@ -37,13 +43,16 @@ TEST(Error, ErrorIsARuntimeError) {
   FAIL() << "tt::Error should derive from std::runtime_error";
 }
 
-TEST(Error, CheckWithoutMessageStillThrows) {
+TEST(Error, CheckWithoutMessageNamesTheConditionAndBaseName) {
   try {
     // tt-lint: allow(check-macro) the message-less form is the behaviour under test
     TT_CHECK(false);
     FAIL() << "expected throw";
   } catch (const tt::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("false"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("test_error.cpp:", 0), 0u) << what;
+    EXPECT_NE(what.find(": check failed: false"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
   }
 }
 
