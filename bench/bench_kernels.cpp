@@ -1,6 +1,7 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
 // tensor permutation (HPTT stand-in), dense pairwise contraction,
-// SVD, block-sparse contraction (Alg. 2) and the transport frame checksum.
+// SVD, block-sparse contraction (Alg. 2), block tensor vector operations and
+// the transport frame checksum.
 // These measure real host throughput — the numbers behind the wall-clock
 // columns of the figure benches.
 #include <benchmark/benchmark.h>
@@ -166,6 +167,29 @@ void BM_BlockContractPermuted(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockContractPermuted)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
+
+// Davidson's vector work on one two-site θ (the middle bond of the 4×3
+// triangular Hubbard cylinder): a copy, scale, axpy, dot and norm2, each a
+// pass over every block of θ.
+void BM_BlockTensorVectorOps(benchmark::State& state) {
+  const index_t m = state.range(0);
+  Rng rng(9);
+  const auto lat = tt::models::triangular_cylinder(4, 3);
+  auto sites = tt::models::electron_sites(lat.num_sites);
+  auto psi = tt::mps::Mps::random(sites, tt::symm::QN(lat.num_sites, 0), m, rng);
+  const int j = lat.num_sites / 2 - 1;
+  const auto theta = tt::symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
+  auto other = theta;
+  other.scale(0.5);
+  for (auto _ : state) {
+    auto x = theta;
+    x.scale(0.75);
+    x.axpy(-0.25, other);
+    benchmark::DoNotOptimize(tt::symm::dot(x, other) + x.norm2());
+  }
+  state.SetItemsProcessed(state.iterations() * theta.num_elements());
+}
+BENCHMARK(BM_BlockTensorVectorOps)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 // The transport frame checksum, which both ends run over every payload byte.
 // 64 MiB is well past the last-level cache, so it reads from memory.

@@ -48,8 +48,8 @@ Index phys(Dir d) { return Index({{QN(-1), 2}, {QN(1), 2}}, d); }
 bool bitwise_equal(const BlockTensor& x, const BlockTensor& y) {
   if (x.num_blocks() != y.num_blocks()) return false;
   for (const auto& [key, blk] : x.blocks()) {
-    const tt::tensor::DenseTensor* other = y.find_block(key);
-    if (!other || blk.shape() != other->shape()) return false;
+    const auto other = y.find_block(key);
+    if (!other || !tt::tensor::same_shape(blk.shape(), other->shape())) return false;
     if (std::memcmp(blk.data(), other->data(),
                     static_cast<std::size_t>(blk.size()) * sizeof(double)) != 0)
       return false;

@@ -17,11 +17,8 @@ namespace {
 // re-orthogonalization breakdown, paper §II.C).
 void add_noise(BlockTensor& t, real_t eps, Rng& rng) {
   BlockTensor noise = t;
-  for (const auto& [key, blk] : t.blocks()) {
-    tensor::DenseTensor n(blk.shape());
-    for (index_t i = 0; i < n.size(); ++i) n[i] = rng.normal();
-    noise.block(key) = std::move(n);
-  }
+  for (const auto& [key, blk] : noise.blocks())
+    for (index_t i = 0; i < blk.size(); ++i) blk[i] = rng.normal();
   const real_t scale = eps * std::max(t.norm2(), real_t{1e-30});
   t.axpy(scale / std::max(noise.norm2(), real_t{1e-300}), noise);
 }

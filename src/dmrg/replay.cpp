@@ -1,5 +1,6 @@
 #include "dmrg/replay.hpp"
 
+#include <algorithm>
 #include <map>
 
 namespace tt::dmrg {
@@ -12,10 +13,8 @@ using Pairs = std::vector<std::pair<int, int>>;
 
 // Exact nonzeros (x != 0.0): the elements a fused sparse tensor stores.
 double nonzeros(const BlockTensor& t) {
-  index_t n = 0;
-  for (const auto& [key, blk] : t.blocks())
-    for (index_t i = 0; i < blk.size(); ++i) n += blk[i] != 0.0 ? 1 : 0;
-  return static_cast<double>(n);
+  return static_cast<double>(
+      std::ranges::count_if(t.elements(), [](real_t x) { return x != 0.0; }));
 }
 
 // Elements of the blocks holding at least one nonzero: what splitting a fused
@@ -23,11 +22,9 @@ double nonzeros(const BlockTensor& t) {
 double nonzero_block_words(const BlockTensor& t) {
   index_t n = 0;
   for (const auto& [key, blk] : t.blocks())
-    for (index_t i = 0; i < blk.size(); ++i)
-      if (blk[i] != 0.0) {
-        n += blk.size();
-        break;
-      }
+    if (std::any_of(blk.data(), blk.data() + blk.size(),
+                    [](real_t x) { return x != 0.0; }))
+      n += blk.size();
   return static_cast<double>(n);
 }
 
@@ -38,7 +35,7 @@ using PositionCounts = std::map<BlockKey, std::vector<index_t>>;
 PositionCounts nonzeros_by_position(const BlockTensor& t, const std::vector<int>& modes) {
   PositionCounts out;
   for (const auto& [key, blk] : t.blocks()) {
-    const std::vector<index_t>& shape = blk.shape();
+    const std::span<const index_t> shape = blk.shape();
     std::vector<index_t> weight(shape.size(), 0);
     index_t positions = 1;
     for (auto m = modes.rbegin(); m != modes.rend(); ++m) {

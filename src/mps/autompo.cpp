@@ -233,7 +233,7 @@ Mpo AutoMpo::to_mpo(real_t rel_cutoff) const {
           const int sk = sites_->sector_of_state(k);
           symm::BlockKey key{llay.sector_of[static_cast<std::size_t>(lstate)], sb, sk,
                              rlay.sector_of[static_cast<std::size_t>(rstate)]};
-          tensor::DenseTensor& blk = w.block(key);
+          const tensor::View blk = w.block(key);
           // += : several on-site terms can share the same FSM transition.
           blk.at({llay.local_of[static_cast<std::size_t>(lstate)],
                   sites_->local_of_state(b), sites_->local_of_state(k),

@@ -93,7 +93,7 @@ BlockTensor read_block_tensor(std::istream& is) {
     symm::BlockKey key(static_cast<std::size_t>(order));
     for (int m = 0; m < order; ++m) is >> key[static_cast<std::size_t>(m)];
     TT_CHECK(is, "corrupt block key");
-    tensor::DenseTensor& blk = t.block(key);  // validates conservation
+    const tensor::View blk = t.block(key);  // validates conservation
     for (index_t i = 0; i < blk.size(); ++i) blk[i] = read_real_hex(is);
   }
   return t;

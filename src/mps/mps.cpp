@@ -39,8 +39,7 @@ Mps Mps::product_state(SiteSetPtr sites, const std::vector<int>& sector_per_site
                    Index::single(accum, 1, Dir::Out)},
                   QN::zero(rank));
     // Occupy the first state of the chosen sector.
-    tensor::DenseTensor& blk = t.block({0, sec, 0});
-    blk[0] = 1.0;
+    t.block({0, sec, 0})[0] = 1.0;
     tensors.push_back(std::move(t));
   }
   Mps psi(std::move(sites), std::move(tensors));

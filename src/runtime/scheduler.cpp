@@ -99,7 +99,7 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
       TT_CHECK(ia < task.table_a.size() && ib < task.table_b.size(),
                "task bin references block (" << ia << "," << ib
                                              << ") outside the shipped tables");
-      bin.pairs.push_back({&task.table_a[ia], &task.table_b[ib], {}});
+      bin.pairs.push_back({task.table_a[ia], task.table_b[ib], {}});
     }
     task.bins.push_back(std::move(bin));
   }
@@ -110,20 +110,23 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
 // Executes one parsed task and serializes the reply payload.
 std::vector<std::byte> run_task(const WorkerTask& task) {
   TT_TRACE_SPAN("sched.worker_task", TraceCat::kContract);
-  std::vector<tensor::DenseTensor> done(task.bins.size());
   Timer busy;
   // One layout per task, as on the root; execute_bin checks every shipped
   // block against it.
   tensor::ContractLayout layout;
   if (!task.bins.empty()) {
     const symm::BinPair& first = task.bins.front().pairs.front();
-    layout = tensor::contract_layout(first.ablk->order(), first.bblk->order(), task.pairs);
+    layout = tensor::contract_layout(first.ablk.order(), first.bblk.order(), task.pairs);
   }
+  std::vector<tensor::DenseTensor> done(task.bins.size());
   support::parallel_for(
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
-        done[static_cast<std::size_t>(i)] =
-            symm::execute_bin(task.bins[static_cast<std::size_t>(i)], layout);
+        const symm::OutputBin& bin = task.bins[static_cast<std::size_t>(i)];
+        const symm::BinPair& first = bin.pairs.front();
+        tensor::DenseTensor& out = done[static_cast<std::size_t>(i)];
+        out = tensor::DenseTensor(tensor::contract_shape(layout, first.ablk, first.bblk));
+        symm::execute_bin(bin, layout, out);
       },
       task.threads);
   const double busy_seconds = busy.seconds();
@@ -323,8 +326,10 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
                                       symm::ContractStats* stats) {
   TT_TRACE_SPAN("sched.contract", TraceCat::kScheduler);
   const symm::ContractPlan plan = symm::make_contract_plan(a, b, pairs);
-  symm::BlockTensor c(plan.out_indices, plan.out_flux);
   const std::vector<symm::OutputBin> bins = symm::enumerate_bins(a, b, plan);
+  // The output, laid out once; every bin's result lands in its slot.
+  std::vector<tensor::View> slots;
+  symm::BlockTensor c = symm::layout_output(plan, bins, slots);
   FaultInjector& inj = FaultInjector::instance();
 
   // --- placement -------------------------------------------------------------
@@ -376,19 +381,22 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       // Block tables: the replicated operand ships whole (in key order); the
       // distributed operand ships only blocks this rank's bins reference, in
       // first-touch (bin, pair) order — deterministic either way.
-      std::vector<const tensor::DenseTensor*> table_a, table_b;
+      // A block is interned by its data pointer: blocks are never empty, so
+      // no two blocks of one buffer share one.
+      std::vector<tensor::ConstView> table_a, table_b;
       // tt-lint: allow(ordered-iteration) lookup-only interning index: never iterated; shipped table order is first-touch insertion order, which is deterministic
-      std::unordered_map<const tensor::DenseTensor*, std::uint32_t> index_a, index_b;
-      auto intern = [](std::vector<const tensor::DenseTensor*>& table, auto& index,
-                       const tensor::DenseTensor* blk) {
-        auto [it, fresh] = index.try_emplace(blk, static_cast<std::uint32_t>(table.size()));
+      std::unordered_map<const real_t*, std::uint32_t> index_a, index_b;
+      auto intern = [](std::vector<tensor::ConstView>& table, auto& index,
+                       tensor::ConstView blk) {
+        auto [it, fresh] =
+            index.try_emplace(blk.data(), static_cast<std::uint32_t>(table.size()));
         if (fresh) table.push_back(blk);
         return it->second;
       };
       if (replicated == 0)
-        for (const auto& kv : a.blocks()) intern(table_a, index_a, &kv.second);
+        for (const auto& [key, blk] : a.blocks()) intern(table_a, index_a, blk);
       else
-        for (const auto& kv : b.blocks()) intern(table_b, index_b, &kv.second);
+        for (const auto& [key, blk] : b.blocks()) intern(table_b, index_b, blk);
 
       struct WirePair {
         std::uint32_t ia, ib;
@@ -417,14 +425,14 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       }
       w.u64(table_a.size());
       double operand_words = 0.0;
-      for (const tensor::DenseTensor* t : table_a) {
-        w.tensor(*t);
-        operand_words += static_cast<double>(t->size());
+      for (const tensor::ConstView& t : table_a) {
+        w.tensor(t);
+        operand_words += static_cast<double>(t.size());
       }
       w.u64(table_b.size());
-      for (const tensor::DenseTensor* t : table_b) {
-        w.tensor(*t);
-        operand_words += static_cast<double>(t->size());
+      for (const tensor::ConstView& t : table_b) {
+        w.tensor(t);
+        operand_words += static_cast<double>(t.size());
       }
       w.u64(wire_bins.size());
       for (std::size_t i = 0; i < wire_bins.size(); ++i) {
@@ -449,7 +457,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
   }
 
   // --- execute the root's own share while the workers run theirs -------------
-  std::vector<tensor::DenseTensor> done(bins.size());
   {
     TT_TRACE_SPAN("sched.root_bins", TraceCat::kContract);
     const std::vector<std::size_t>& mine = slot_bins[0];
@@ -458,7 +465,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          done[g] = symm::execute_bin(bins[g], plan.layout);
+          symm::execute_bin(bins[g], plan.layout, slots[g]);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
@@ -509,9 +516,9 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           const std::uint64_t g = reader.u64();
           TT_CHECK(g == expect[i], "scheduler rank " << r << " returned bin " << g
                                                      << ", expected " << expect[i]);
-          done[expect[i]] = reader.tensor();
+          reader.tensor_into(slots[expect[i]]);
           rr.flops += bins[expect[i]].est_flops;
-          d.exchange_words += static_cast<double>(done[expect[i]].size());
+          d.exchange_words += static_cast<double>(slots[expect[i]].size());
         }
       } catch (const Error&) {
         // Unparseable or desynchronized reply. Any partially-parsed bins are
@@ -542,7 +549,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            done[g] = symm::execute_bin(bins[g], plan.layout);
+            symm::execute_bin(bins[g], plan.layout, slots[g]);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();
@@ -551,9 +558,6 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
     }
   }
 
-  // --- deterministic assembly + reduction in global bin order ----------------
-  for (std::size_t g = 0; g < bins.size(); ++g)
-    c.accumulate(bins[g].out_key, std::move(done[g]));
   if (stats) symm::add_bin_stats(bins, *stats);
 
   // --- measured cost bookkeeping ---------------------------------------------

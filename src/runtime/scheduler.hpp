@@ -16,11 +16,11 @@
 //      in fixed pair order), concurrently with the root executing its own
 //      share, and send back only their busy time and the result block of
 //      each bin — no stats: the root prices every bin from its own bin list.
-//   4. Root assembles output blocks in *global bin order* — the same order as
-//      the serial run — and fills ContractStats from the bin list
-//      (symm::add_bin_stats), so results and stats are bitwise identical at
-//      any rank count, the same invariant the TT_THREADS executor guarantees
-//      for threads.
+//   4. Root lays the output out once (symm::layout_output, as the serial run
+//      does), reads every returned block into its bin's slot, and fills
+//      ContractStats from the bin list (symm::add_bin_stats) in global bin
+//      order, so results and stats are bitwise identical at any rank count,
+//      the same invariant the TT_THREADS executor guarantees for threads.
 //
 // Measured per-rank quantities (busy time, bytes each way, transport wall
 // time) land in DistStats, in fixed rank order: the critical (max) rank's busy
@@ -31,7 +31,7 @@
 //
 // The scheduler is fault tolerant: a worker that dies, wedges, fails its
 // task, or corrupts its reply has its bin share re-executed on the root
-// (bitwise-identical — bins are deterministic and assembly order is global),
+// (bitwise-identical — bins are deterministic and each owns its output slot),
 // then gets respawned under a bounded-retry/backoff RetryPolicy, degrading
 // to serial execution when every worker is lost. Recovery cost is measured
 // (DistStats::recovery_seconds) and counted (SchedulerStats). See
@@ -153,7 +153,7 @@ class Scheduler {
   /// Self-healing: a worker that dies, wedges past the timeout, fails its
   /// task, or returns a corrupt or unparseable frame does NOT fail the call —
   /// the root re-executes that rank's bin share itself (results stay bitwise
-  /// identical to the fault-free run, since assembly order and per-bin
+  /// identical to the fault-free run, since the output layout and per-bin
   /// execution are deterministic, and ContractStats come from the bin list
   /// alone), then respawns the rank with exponential backoff, retiring it
   /// once its retry.max_attempts are exhausted (at once when that is 0). When

@@ -67,7 +67,7 @@ void WireWriter::i32_list(const std::vector<int>& v) {
   for (int x : v) u32(static_cast<std::uint32_t>(x));
 }
 
-void WireWriter::tensor(const tensor::DenseTensor& t) {
+void WireWriter::tensor(tensor::ConstView t) {
   u64(static_cast<std::uint64_t>(t.order()));
   for (int m = 0; m < t.order(); ++m) i64(t.dim(m));
   raw(t.data(), static_cast<std::size_t>(t.size()) * sizeof(double));
@@ -146,6 +146,18 @@ tensor::DenseTensor WireReader::tensor() {
   tensor::DenseTensor t(std::move(shape));
   raw(t.data(), static_cast<std::size_t>(elems) * sizeof(double));
   return t;
+}
+
+void WireReader::tensor_into(tensor::View out) {
+  const std::uint64_t order = u64();
+  TT_CHECK(order == static_cast<std::uint64_t>(out.order()),
+           "wire tensor has order " << order << ", expected " << out.order());
+  for (int m = 0; m < out.order(); ++m) {
+    const std::int64_t d = i64();
+    TT_CHECK(d == out.dim(m),
+             "wire tensor mode " << m << " has dim " << d << ", expected " << out.dim(m));
+  }
+  raw(out.data(), static_cast<std::size_t>(out.size()) * sizeof(double));
 }
 
 }  // namespace tt::rt

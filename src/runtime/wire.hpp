@@ -43,7 +43,7 @@ class WireWriter {
   void i32_list(const std::vector<int>& v);
 
   /// shape as i64 list, then the payload as raw doubles.
-  void tensor(const tensor::DenseTensor& t);
+  void tensor(tensor::ConstView t);
 
   const std::vector<std::byte>& bytes() const { return buf_; }
 
@@ -72,6 +72,9 @@ class WireReader {
   std::string str();
   std::vector<int> i32_list();
   tensor::DenseTensor tensor();
+  /// Read a tensor whose shape must equal `out`'s into `out` (tt::Error
+  /// otherwise).
+  void tensor_into(tensor::View out);
 
   std::size_t remaining() const { return buf_.size() - pos_; }
   bool done() const { return pos_ == buf_.size(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -39,17 +40,18 @@ struct SideLayout {
 struct Group {
   QN g;  // Σ_rows sign·qn of every member block
   SideLayout rows, cols;
-  std::vector<const std::pair<const BlockKey, DenseTensor>*> members;
+  std::vector<BlockTensor::Entry<const real_t>> members;
 };
 
-BlockKey subkey(const BlockKey& key, const std::vector<int>& modes) {
+BlockKey subkey(std::span<const int> key, const std::vector<int>& modes) {
   BlockKey s;
   s.reserve(modes.size());
   for (int m : modes) s.push_back(key[static_cast<std::size_t>(m)]);
   return s;
 }
 
-index_t subdim(const BlockTensor& a, const BlockKey& key, const std::vector<int>& modes) {
+index_t subdim(const BlockTensor& a, std::span<const int> key,
+               const std::vector<int>& modes) {
   index_t d = 1;
   for (int m : modes)
     d *= a.index(m).sector(key[static_cast<std::size_t>(m)]).dim;
@@ -60,13 +62,13 @@ index_t subdim(const BlockTensor& a, const BlockKey& key, const std::vector<int>
 std::vector<Group> build_groups(const BlockTensor& a, const std::vector<int>& row_modes,
                                 const std::vector<int>& col_modes) {
   std::map<QN, Group> by_charge;
-  for (const auto& kv : a.blocks()) {
-    const QN g = a.partial_charge(kv.first, row_modes);
+  for (const auto& entry : a.blocks()) {
+    const QN g = a.partial_charge(entry.key, row_modes);
     Group& grp = by_charge.try_emplace(g).first->second;
     grp.g = g;
-    grp.rows.add(subkey(kv.first, row_modes), subdim(a, kv.first, row_modes));
-    grp.cols.add(subkey(kv.first, col_modes), subdim(a, kv.first, col_modes));
-    grp.members.push_back(&kv);
+    grp.rows.add(subkey(entry.key, row_modes), subdim(a, entry.key, row_modes));
+    grp.cols.add(subkey(entry.key, col_modes), subdim(a, entry.key, col_modes));
+    grp.members.push_back(entry);
   }
   std::vector<Group> groups;
   groups.reserve(by_charge.size());
@@ -85,9 +87,8 @@ linalg::Matrix assemble(const BlockTensor& a, const Group& grp,
   perm.reserve(row_modes.size() + col_modes.size());
   for (int mo : row_modes) perm.push_back(mo);
   for (int mo : col_modes) perm.push_back(mo);
-  for (const auto* kv : grp.members) {
-    const BlockKey& key = kv->first;
-    const DenseTensor block = kv->second.permuted(perm);
+  for (const auto& [key, blk] : grp.members) {
+    const DenseTensor block = blk.permuted(perm);
     const index_t rdim = subdim(a, key, row_modes);
     const index_t cdim = subdim(a, key, col_modes);
     const index_t roff = grp.rows.offsets[static_cast<std::size_t>(
@@ -116,45 +117,52 @@ std::vector<int> complement_modes(const BlockTensor& a, const std::vector<int>& 
   return cols;
 }
 
-// Scatter a (rows_total × keep) matrix into blocks "row modes + bond sector".
-void scatter_rows(BlockTensor& out, const BlockTensor& a, const Group& grp,
-                  const std::vector<int>& row_modes, const linalg::Matrix& u,
-                  index_t keep, int bond_sector) {
-  for (std::size_t rk = 0; rk < grp.rows.keys.size(); ++rk) {
-    const BlockKey& rkey = grp.rows.keys[rk];
-    const index_t roff = grp.rows.offsets[rk];
-    const index_t rdim = grp.rows.dims[rk];
-    std::vector<index_t> shape;
-    for (std::size_t t = 0; t < row_modes.size(); ++t)
-      shape.push_back(a.index(row_modes[t]).sector(rkey[t]).dim);
-    shape.push_back(keep);
-    DenseTensor blk(shape);
-    for (index_t r = 0; r < rdim; ++r)
-      for (index_t c = 0; c < keep; ++c) blk[r * keep + c] = u(roff + r, c);
-    BlockKey okey = rkey;
-    okey.push_back(bond_sector);
-    out.accumulate(okey, std::move(blk));
-  }
+// Key of a factor block: a side's subkey with the bond sector appended
+// (rows) or prepended (columns).
+BlockKey factor_key(const BlockKey& side, int bond_sector, bool bond_last) {
+  BlockKey key;
+  key.reserve(side.size() + 1);
+  if (!bond_last) key.push_back(bond_sector);
+  key.insert(key.end(), side.begin(), side.end());
+  if (bond_last) key.push_back(bond_sector);
+  return key;
 }
 
-// Scatter a (keep × cols_total) matrix into blocks "bond sector + col modes".
-void scatter_cols(BlockTensor& out, const BlockTensor& a, const Group& grp,
-                  const std::vector<int>& col_modes, const linalg::Matrix& vt,
-                  index_t keep, int bond_sector) {
+// Keys of the factor blocks, so that each factor is laid out once: "row
+// modes + bond sector" (left) and "bond sector + col modes" (right) for each
+// group with a bond sector (bond_id[g] >= 0).
+std::pair<std::vector<BlockKey>, std::vector<BlockKey>> factor_keys(
+    const std::vector<Group>& groups, const std::vector<int>& bond_id) {
+  std::pair<std::vector<BlockKey>, std::vector<BlockKey>> keys;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    if (bond_id[gi] < 0) continue;
+    for (const BlockKey& k : groups[gi].rows.keys)
+      keys.first.push_back(factor_key(k, bond_id[gi], true));
+    for (const BlockKey& k : groups[gi].cols.keys)
+      keys.second.push_back(factor_key(k, bond_id[gi], false));
+  }
+  return keys;
+}
+
+// Scatter the group's factors into their blocks: u (rows_total × keep) into
+// "row modes + bond sector", vt (keep × cols_total) into "bond sector + col
+// modes".
+void scatter(BlockTensor& left, BlockTensor& right, const Group& grp,
+             const linalg::Matrix& u, const linalg::Matrix& vt, index_t keep,
+             int bond_sector) {
+  for (std::size_t rk = 0; rk < grp.rows.keys.size(); ++rk) {
+    const index_t roff = grp.rows.offsets[rk];
+    const tensor::View blk = left.block(factor_key(grp.rows.keys[rk], bond_sector, true));
+    for (index_t r = 0; r < grp.rows.dims[rk]; ++r)
+      for (index_t c = 0; c < keep; ++c) blk[r * keep + c] = u(roff + r, c);
+  }
   for (std::size_t ck = 0; ck < grp.cols.keys.size(); ++ck) {
-    const BlockKey& ckey = grp.cols.keys[ck];
     const index_t coff = grp.cols.offsets[ck];
     const index_t cdim = grp.cols.dims[ck];
-    std::vector<index_t> shape{keep};
-    for (std::size_t t = 0; t < col_modes.size(); ++t)
-      shape.push_back(a.index(col_modes[t]).sector(ckey[t]).dim);
-    DenseTensor blk(shape);
+    const tensor::View blk =
+        right.block(factor_key(grp.cols.keys[ck], bond_sector, false));
     for (index_t r = 0; r < keep; ++r)
       for (index_t c = 0; c < cdim; ++c) blk[r * cdim + c] = vt(r, coff + c);
-    BlockKey okey;
-    okey.push_back(bond_sector);
-    okey.insert(okey.end(), ckey.begin(), ckey.end());
-    out.accumulate(okey, std::move(blk));
   }
 }
 
@@ -196,16 +204,18 @@ TwoFactors two_factor(const BlockTensor& a, const std::vector<int>& row_modes,
   for (const Index& i : side_indices(a, col_modes)) right_idx.push_back(i);
 
   const QN zero = QN::zero(a.flux().rank());
-  TwoFactors out{BlockTensor(left_idx, flux_on_left ? a.flux() : zero),
-                 BlockTensor(right_idx, flux_on_left ? zero : a.flux()),
+  std::vector<int> bond_id(groups.size());
+  std::iota(bond_id.begin(), bond_id.end(), 0);
+  const auto [left_keys, right_keys] = factor_keys(groups, bond_id);
+  TwoFactors out{BlockTensor(left_idx, flux_on_left ? a.flux() : zero, left_keys),
+                 BlockTensor(right_idx, flux_on_left ? zero : a.flux(), right_keys),
                  {}};
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const Group& grp = groups[gi];
     const linalg::Matrix m = assemble(a, grp, row_modes, col_modes);
     const auto [left, right] = dense(m);
     const index_t keep = bond_sectors[gi].dim;
-    scatter_rows(out.left, a, grp, row_modes, left, keep, static_cast<int>(gi));
-    scatter_cols(out.right, a, grp, col_modes, right, keep, static_cast<int>(gi));
+    scatter(out.left, out.right, grp, left, right, keep, static_cast<int>(gi));
     out.shapes.push_back({m.rows(), m.cols()});
   }
   return out;
@@ -235,9 +245,8 @@ BlockTensor BlockSvd::u_times_s() const {
   BlockTensor out = u;
   const int bond_mode = out.order() - 1;
   // Scale each block's trailing (bond) mode slice j by σ_j of its sector.
-  for (const auto& [key, blk] : u.blocks()) {
+  for (const auto& [key, dst] : out.blocks()) {
     const auto& s = singular_values[static_cast<std::size_t>(key.back())];
-    tensor::DenseTensor& dst = out.block(key);
     const index_t rg = dst.dim(bond_mode);
     const index_t lead = dst.size() / std::max<index_t>(rg, 1);
     for (index_t i = 0; i < lead; ++i)
@@ -248,9 +257,8 @@ BlockTensor BlockSvd::u_times_s() const {
 
 BlockTensor BlockSvd::s_times_vt() const {
   BlockTensor out = vt;
-  for (const auto& [key, blk] : vt.blocks()) {
+  for (const auto& [key, dst] : out.blocks()) {
     const auto& s = singular_values[static_cast<std::size_t>(key.front())];
-    tensor::DenseTensor& dst = out.block(key);
     const index_t rg = dst.dim(0);
     const index_t tail = dst.size() / std::max<index_t>(rg, 1);
     for (index_t j = 0; j < rg; ++j)
@@ -331,8 +339,9 @@ BlockSvd block_svd(const BlockTensor& a, const std::vector<int>& row_modes,
   std::vector<Index> vt_idx{bond_in};
   for (const Index& i : side_indices(a, col_modes)) vt_idx.push_back(i);
 
-  out.u = BlockTensor(u_idx, QN::zero(a.flux().rank()));
-  out.vt = BlockTensor(vt_idx, a.flux());
+  const auto [u_keys, vt_keys] = factor_keys(groups, bond_id);
+  out.u = BlockTensor(u_idx, QN::zero(a.flux().rank()), u_keys);
+  out.vt = BlockTensor(vt_idx, a.flux(), vt_keys);
   out.singular_values.assign(bond_sectors.size(), {});
 
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
@@ -340,8 +349,7 @@ BlockSvd block_svd(const BlockTensor& a, const std::vector<int>& row_modes,
     const Group& grp = groups[gi];
     const linalg::SvdResult& f = factors[gi];
     const index_t kg = keep[gi];
-    scatter_rows(out.u, a, grp, row_modes, f.u, kg, bond_id[gi]);
-    scatter_cols(out.vt, a, grp, col_modes, f.vt, kg, bond_id[gi]);
+    scatter(out.u, out.vt, grp, f.u, f.vt, kg, bond_id[gi]);
     auto& sv = out.singular_values[static_cast<std::size_t>(bond_id[gi])];
     sv.assign(f.s.begin(), f.s.begin() + kg);
   }

@@ -21,7 +21,7 @@ struct SectorCode {
   std::vector<int> modes;
   std::vector<std::uint64_t> weights;  // last digit fastest
 
-  std::uint64_t of(const BlockKey& key) const {
+  std::uint64_t of(std::span<const int> key) const {
     std::uint64_t code = 0;
     for (std::size_t i = 0; i < modes.size(); ++i)
       code += weights[i] * static_cast<std::uint64_t>(key[static_cast<std::size_t>(modes[i])]);
@@ -50,8 +50,7 @@ SectorCode sector_code(const BlockTensor& t, const std::vector<int>& modes,
 struct BEntry {
   std::uint64_t con_code;  // over b's contracted modes
   std::uint64_t out_code;  // b's free modes' share of the output code
-  const BlockKey* key;
-  const tensor::DenseTensor* blk;
+  tensor::ConstView blk;
   double n_dim;
 };
 
@@ -77,7 +76,8 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
                                       const ContractPlan& plan) {
   const tensor::ContractLayout& l = plan.layout;
   // Contracted legs carry equal sector lists, so a's and b's contracted
-  // codes share their weights; output codes number free(a) ++ free(b).
+  // codes share their weights; output codes number free(a) ++ free(b), last
+  // mode fastest: the output tensor's own key codes.
   std::uint64_t con_span = 1, out_span = 1;
   const SectorCode con_b = sector_code(b, l.con_b, con_span);
   const SectorCode con_a{l.con_a, con_b.weights};
@@ -91,7 +91,7 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
   for (const auto& [key, blk] : b.blocks()) {
     double n_dim = 1.0;
     for (int m : l.free_b) n_dim *= static_cast<double>(blk.dim(m));
-    b_entries.push_back({con_b.of(key), out_b.of(key), &key, &blk, n_dim});
+    b_entries.push_back({con_b.of(key), out_b.of(key), blk, n_dim});
   }
   std::stable_sort(b_entries.begin(), b_entries.end(),
                    [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
@@ -106,7 +106,7 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
   for (const auto& [akey, ablk] : a.blocks()) {
     const std::uint64_t ccode = con_a.of(akey);
     auto group = std::equal_range(
-        b_entries.begin(), b_entries.end(), BEntry{ccode, 0, nullptr, nullptr, 0.0},
+        b_entries.begin(), b_entries.end(), BEntry{ccode, 0, {}, 0.0},
         [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
     if (group.first == group.second) continue;
 
@@ -118,18 +118,13 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
     const std::uint64_t acode = out_a.of(akey);
 
     for (auto it = group.first; it != group.second; ++it) {
-      auto [slot, inserted] = bin_of.try_emplace(acode + it->out_code, bins.size());
-      if (inserted) {
-        OutputBin& fresh = bins.emplace_back();
-        fresh.out_key.reserve(l.free_a.size() + l.free_b.size());
-        for (int m : l.free_a) fresh.out_key.push_back(akey[static_cast<std::size_t>(m)]);
-        for (int m : l.free_b)
-          fresh.out_key.push_back((*it->key)[static_cast<std::size_t>(m)]);
-      }
+      const std::uint64_t out_code = acode + it->out_code;
+      auto [slot, inserted] = bin_of.try_emplace(out_code, bins.size());
+      if (inserted) bins.emplace_back().out_code = out_code;
       const BlockOpCost cost{2.0 * m_dim * it->n_dim * k_dim, words_a,
-                             static_cast<double>(it->blk->size()), m_dim * it->n_dim};
+                             static_cast<double>(it->blk.size()), m_dim * it->n_dim};
       OutputBin& bin = bins[slot->second];
-      bin.pairs.push_back({&ablk, it->blk, cost});
+      bin.pairs.push_back({ablk, it->blk, cost});
       bin.est_flops += cost.flops;
     }
   }
@@ -142,12 +137,27 @@ void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
     for (const BinPair& pw : bin.pairs) stats.total_flops += pw.cost.flops;
 }
 
-tensor::DenseTensor execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout) {
-  const BinPair& first = bin.pairs.front();
-  tensor::DenseTensor out(tensor::contract_shape(layout, *first.ablk, *first.bblk));
+BlockTensor layout_output(const ContractPlan& plan, const std::vector<OutputBin>& bins,
+                          std::vector<tensor::View>& slots) {
+  // Bins in code order: the table order of the output.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order(bins.size());
+  for (std::size_t i = 0; i < bins.size(); ++i)
+    order[i] = {bins[i].out_code, static_cast<std::uint32_t>(i)};
+  std::sort(order.begin(), order.end());
+  std::vector<std::uint64_t> codes(bins.size());
+  for (std::size_t r = 0; r < order.size(); ++r) codes[r] = order[r].first;
+
+  BlockTensor c = BlockTensor::for_overwrite(plan.out_indices, plan.out_flux, codes);
+  slots.resize(bins.size());
+  for (std::size_t r = 0; r < order.size(); ++r) slots[order[r].second] = c.block_at(r);
+  return c;
+}
+
+void execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout,
+                 tensor::View out) {
+  std::fill_n(out.data(), out.size(), 0.0);
   for (const BinPair& pw : bin.pairs)
-    tensor::contract_accumulate(layout, *pw.ablk, *pw.bblk, out);
-  return out;
+    tensor::contract_accumulate(layout, pw.ablk, pw.bblk, out);
 }
 
 BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
@@ -155,25 +165,18 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
                      ContractStats* stats, int num_threads) {
   TT_TRACE_SPAN("symm.contract", rt::TraceCat::kContract);
   const ContractPlan plan = make_contract_plan(a, b, pairs);
-  BlockTensor c(plan.out_indices, plan.out_flux);
-
   const std::vector<OutputBin> bins = enumerate_bins(a, b, plan);
-  std::vector<tensor::DenseTensor> done(bins.size());
+  std::vector<tensor::View> slots;
+  BlockTensor c = layout_output(plan, bins, slots);
 
   support::parallel_for(
       static_cast<index_t>(bins.size()),
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
-        done[static_cast<std::size_t>(bi)] =
-            execute_bin(bins[static_cast<std::size_t>(bi)], plan.layout);
+        const auto i = static_cast<std::size_t>(bi);
+        execute_bin(bins[i], plan.layout, slots[i]);
       },
       num_threads);
-
-  // Serial insertion in bin order (every bin has >= 1 pair, so every result
-  // is populated); accumulate() shape-checks each block against the output
-  // structure.
-  for (std::size_t bi = 0; bi < bins.size(); ++bi)
-    c.accumulate(bins[bi].out_key, std::move(done[bi]));
   if (stats) add_bin_stats(bins, *stats);
   return c;
 }

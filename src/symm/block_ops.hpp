@@ -10,15 +10,19 @@
 // costs come from block shapes at enumeration, so a recorded log can price the
 // list algorithm block-wise without observing execution (dmrg/replay.hpp).
 //
-// Execution is thread-parallel: bins run concurrently on the shared
-// work-stealing pool (support/thread_pool.hpp, TT_THREADS knob), and each bin
-// accumulates its pairs in the fixed enumeration order. Because every output
-// block is owned by exactly one bin and stats come from the bin list alone,
-// results and stats are bitwise identical at any thread count — including the
-// serial path. rt::Scheduler runs the same execute_bin on its root and its
-// worker ranks, so they are bitwise identical at any rank count too.
+// The output is laid out once, from the bins' output key codes, as one
+// BlockTensor buffer (layout_output); each bin zero-fills and accumulates its
+// own slice of it. Execution is thread-parallel: bins run concurrently on the
+// shared work-stealing pool (support/thread_pool.hpp, TT_THREADS knob), and
+// each bin accumulates its pairs in the fixed enumeration order. Because every
+// output block is owned by exactly one bin and stats come from the bin list
+// alone, results and stats are bitwise identical at any thread count —
+// including the serial path. rt::Scheduler lays out its output the same way
+// and runs the same execute_bin on its root and its worker ranks, so they are
+// bitwise identical at any rank count too.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -55,18 +59,18 @@ struct ContractPlan {
 ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
                                 const std::vector<std::pair<int, int>>& pairs);
 
-/// One block pair of an output bin. Pointers refer into the operand tensors'
-/// block maps (stable for the operands' lifetime).
+/// One block pair of an output bin. The views refer into the operand tensors'
+/// buffers (valid while the operands are unchanged).
 struct BinPair {
-  const tensor::DenseTensor* ablk = nullptr;
-  const tensor::DenseTensor* bblk = nullptr;
+  tensor::ConstView ablk;
+  tensor::ConstView bblk;
   BlockOpCost cost;  ///< from block shapes: 2·m·n·k flops, words of a, b, c
 };
 
 /// All pairs contributing to one output block — the unit of parallel and of
 /// distributed placement. Pair order is the fixed accumulation order.
 struct OutputBin {
-  BlockKey out_key;
+  std::uint64_t out_code = 0;  ///< the output block's key code (BlockTensor)
   std::vector<BinPair> pairs;
   double est_flops = 0.0;  ///< Σ pairs' cost.flops (rank placement weight)
 };
@@ -85,13 +89,19 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
 /// contraction's only cost record: stats never depend on who executed a bin.
 void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats);
 
-/// Run every pair of `bin` under `layout` in pair order, as β=1 GEMMs into
-/// one output block allocated once. Each pair's block orders and dimensions
-/// are checked against the layout (tt::Error on a mismatch), which also
+/// The output tensor of `bins`, laid out once: one block per bin, in key
+/// order, elements left for the bins to write. `slots[i]` is the block bin i
+/// writes.
+BlockTensor layout_output(const ContractPlan& plan, const std::vector<OutputBin>& bins,
+                          std::vector<tensor::View>& slots);
+
+/// Zero-fill `out`, then run every pair of `bin` under `layout` in pair order
+/// as β=1 GEMMs into it. Each pair's block orders and dimensions are checked
+/// against the layout and `out` (tt::Error on a mismatch), which also
 /// validates blocks read off the wire. Deterministic: one thread, fixed order
 /// — callers parallelize *across* bins.
-tensor::DenseTensor execute_bin(const OutputBin& bin,
-                                const tensor::ContractLayout& layout);
+void execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout,
+                 tensor::View out);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg
 /// pairs must be contractible (equal sector lists, opposite directions).

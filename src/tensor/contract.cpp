@@ -21,7 +21,7 @@ bool is_identity(const std::vector<int>& perm) {
   return true;
 }
 
-void check_orders(const ContractLayout& l, const DenseTensor& a, const DenseTensor& b) {
+void check_orders(const ContractLayout& l, ConstView a, ConstView b) {
   TT_CHECK(a.order() == l.order_a && b.order() == l.order_b,
            "contract: operand orders (" << a.order() << "," << b.order()
                                         << ") do not match the layout's ("
@@ -74,8 +74,8 @@ ContractLayout contract_layout(int order_a, int order_b,
   return l;
 }
 
-std::vector<index_t> contract_shape(const ContractLayout& layout,
-                                    const DenseTensor& a, const DenseTensor& b) {
+std::vector<index_t> contract_shape(const ContractLayout& layout, ConstView a,
+                                    ConstView b) {
   check_orders(layout, a, b);
   std::vector<index_t> shape;
   shape.reserve(layout.free_a.size() + layout.free_b.size());
@@ -84,8 +84,8 @@ std::vector<index_t> contract_shape(const ContractLayout& layout,
   return shape;
 }
 
-void contract_accumulate(const ContractLayout& layout, const DenseTensor& a,
-                         const DenseTensor& b, DenseTensor& out) {
+void contract_accumulate(const ContractLayout& layout, ConstView a, ConstView b,
+                         View out) {
   check_orders(layout, a, b);
   const int nfa = static_cast<int>(layout.free_a.size());
   const int nfb = static_cast<int>(layout.free_b.size());

@@ -38,14 +38,14 @@ ContractLayout contract_layout(int order_a, int order_b,
                                const std::vector<std::pair<int, int>>& pairs);
 
 /// Shape of a·b under `layout`: the free dims of a, then those of b.
-std::vector<index_t> contract_shape(const ContractLayout& layout,
-                                    const DenseTensor& a, const DenseTensor& b);
+std::vector<index_t> contract_shape(const ContractLayout& layout, ConstView a,
+                                    ConstView b);
 
 /// out += a·b under `layout`, as one β=1 GEMM. Throws tt::Error when an
 /// operand's order, a contracted dimension pair or `out`'s shape disagrees
 /// with the layout — integer compares that also validate wire input.
-void contract_accumulate(const ContractLayout& layout, const DenseTensor& a,
-                         const DenseTensor& b, DenseTensor& out);
+void contract_accumulate(const ContractLayout& layout, ConstView a, ConstView b,
+                         View out);
 
 /// Contract `a` with `b` over (mode of a, mode of b) pairs: the one-pair case
 /// of the code above. The output holds the free modes of `a` in order, then

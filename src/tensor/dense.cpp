@@ -58,6 +58,9 @@ DenseTensor::DenseTensor(std::vector<index_t> shape, real_t fill)
   data_.assign(static_cast<std::size_t>(n), fill);
 }
 
+DenseTensor::DenseTensor(ConstView v)
+    : shape_(v.shape().begin(), v.shape().end()), data_(v.data(), v.data() + v.size()) {}
+
 DenseTensor DenseTensor::random(std::vector<index_t> shape, Rng& rng) {
   DenseTensor t(std::move(shape));
   for (auto& v : t.data_) v = rng.normal();
@@ -80,28 +83,35 @@ std::vector<index_t> DenseTensor::strides() const {
   return s;
 }
 
-std::size_t DenseTensor::flat_index(std::span<const index_t> idx) const {
-  TT_ASSERT(idx.size() == shape_.size(), "index order mismatch: " << idx.size()
-                                                                  << " vs " << shape_.size());
-  std::size_t flat = 0;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    TT_ASSERT(idx[i] >= 0 && idx[i] < shape_[i],
-              "index " << idx[i] << " out of bounds for mode " << i << " (dim "
-                       << shape_[i] << ")");
-    flat = flat * static_cast<std::size_t>(shape_[i]) + static_cast<std::size_t>(idx[i]);
-  }
-  return flat;
-}
-
-DenseTensor DenseTensor::permuted(std::span<const int> perm) const {
+template <class T>
+DenseTensor BasicView<T>::permuted(std::span<const int> perm) const {
   check_permutation(perm, order());
   std::vector<index_t> out_shape(perm.size());
   for (std::size_t i = 0; i < perm.size(); ++i)
     out_shape[i] = shape_[static_cast<std::size_t>(perm[i])];
   DenseTensor out(std::move(out_shape));
-  permute_into(data(), shape_, perm, out.data());
+  permute_into(data_, shape_, perm, out.data());
   return out;
 }
+
+template <class T>
+real_t BasicView<T>::norm2() const {
+  real_t s = 0.0;
+  const index_t n = size();
+  for (index_t i = 0; i < n; ++i) s += data_[i] * data_[i];
+  return std::sqrt(s);
+}
+
+template <class T>
+real_t BasicView<T>::max_abs() const {
+  real_t m = 0.0;
+  const index_t n = size();
+  for (index_t i = 0; i < n; ++i) m = std::max(m, std::abs(data_[i]));
+  return m;
+}
+
+template class BasicView<real_t>;
+template class BasicView<const real_t>;
 
 void DenseTensor::fill(real_t v) { std::fill(data_.begin(), data_.end(), v); }
 
@@ -115,31 +125,19 @@ void DenseTensor::axpy(real_t alpha, const DenseTensor& other) {
   for (std::size_t i = 0; i < n; ++i) data_[i] += alpha * other.data_[i];
 }
 
-real_t DenseTensor::norm2() const {
-  real_t s = 0.0;
-  const std::size_t n = data_.size();
-  for (std::size_t i = 0; i < n; ++i) s += data_[i] * data_[i];
-  return std::sqrt(s);
-}
-
-real_t DenseTensor::max_abs() const {
-  real_t m = 0.0;
-  for (real_t v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-real_t dot(const DenseTensor& a, const DenseTensor& b) {
-  TT_CHECK(a.shape() == b.shape(), "dot shape mismatch");
+real_t dot(ConstView a, ConstView b) {
+  TT_CHECK(same_shape(a.shape(), b.shape()), "dot shape mismatch");
   real_t s = 0.0;
   const index_t n = a.size();
   for (index_t i = 0; i < n; ++i) s += a[i] * b[i];
   return s;
 }
 
-real_t max_abs_diff(const DenseTensor& a, const DenseTensor& b) {
-  TT_CHECK(a.shape() == b.shape(), "max_abs_diff shape mismatch");
+real_t max_abs_diff(ConstView a, ConstView b) {
+  TT_CHECK(same_shape(a.shape(), b.shape()), "max_abs_diff shape mismatch");
   real_t m = 0.0;
-  for (index_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
+  const index_t n = a.size();
+  for (index_t i = 0; i < n; ++i) m = std::max(m, std::abs(a[i] - b[i]));
   return m;
 }
 

@@ -38,8 +38,8 @@ inline ::testing::AssertionResult bitwise_equal(const symm::BlockTensor& x,
     return ::testing::AssertionFailure() << "different structure or block count";
   int i = 0;
   for (const auto& [key, blk] : x.blocks()) {
-    const tensor::DenseTensor* other = y.find_block(key);
-    if (other == nullptr || blk.shape() != other->shape() ||
+    const auto other = y.find_block(key);
+    if (!other || !tensor::same_shape(blk.shape(), other->shape()) ||
         std::memcmp(blk.data(), other->data(),
                     static_cast<std::size_t>(blk.size()) * sizeof(double)) != 0)
       return ::testing::AssertionFailure() << "block " << i << " (in key order) differs";

@@ -32,8 +32,8 @@ TEST(Fuse, BlockValuesLandAtSectorOffsets) {
   BlockTensor t = site(rng);
   auto d = tt::testing::fuse_dense(t);
   // Block (l=0 sector id 1, s=+1 id 1, r=+1 id 1): offsets l:2, s:1, r:2.
-  const auto* blk = t.find_block({1, 1, 1});
-  ASSERT_NE(blk, nullptr);
+  const auto blk = t.find_block({1, 1, 1});
+  ASSERT_TRUE(blk.has_value());
   EXPECT_DOUBLE_EQ(d.at({2, 1, 2}), blk->at({0, 0, 0}));
   EXPECT_DOUBLE_EQ(d.at({4, 1, 3}), blk->at({2, 0, 1}));
 }

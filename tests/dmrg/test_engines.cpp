@@ -343,16 +343,12 @@ TEST_P(PricingOracle, FusedRecordsMatchFusedDenseWalk) {
   // Exact zeros inside blocks, and one block that is zero throughout: stored
   // elements that a sparse format would not store.
   for (BlockTensor* t : {&a, &b}) {
-    std::vector<tt::symm::BlockKey> keys;
-    for (const auto& kv : t->blocks()) keys.push_back(kv.first);
-    for (const auto& key : keys) {
-      DenseTensor& blk = t->block(key);
+    for (const auto& [key, blk] : t->blocks())
       for (index_t i = 0; i < blk.size(); ++i)
         if (rng.uniform() < 0.3) blk[i] = 0.0;
-    }
   }
   {
-    DenseTensor& blk = a.block(a.blocks().begin()->first);
+    const auto blk = (*a.blocks().begin()).blk;
     for (index_t i = 0; i < blk.size(); ++i) blk[i] = 0.0;
   }
 

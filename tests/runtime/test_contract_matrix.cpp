@@ -151,7 +151,7 @@ Input layout_input(const LayoutCase& c, int seed) {
       most_pairs = std::max(most_pairs, bin.pairs.size());
       for (const auto& pw : bin.pairs) {
         index_t k = 1;
-        for (int m : plan.layout.con_a) k *= pw.ablk->dim(m);
+        for (int m : plan.layout.con_a) k *= pw.ablk.dim(m);
         most_k = std::max(most_k, k);
       }
     }
@@ -209,6 +209,16 @@ TEST(ContractMatrixReference, AgreesWithTheFusedDenseOracle) {
     EXPECT_LT(tt::tensor::max_abs_diff(tt::testing::fuse_dense(in.ref), want),
               1e-10 * (1.0 + want.max_abs()));
   }
+  // Bins are enumerated in A-block order, not output key order, so the
+  // output layout (bins sorted by key code) must reorder them: some inputs
+  // enumerate out of key order.
+  int out_of_order = 0;
+  for (const Input& in : inputs()) {
+    const auto plan = tt::symm::make_contract_plan(in.a, in.b, in.pairs);
+    const auto bins = tt::symm::enumerate_bins(in.a, in.b, plan);
+    if (!std::ranges::is_sorted(bins, {}, &tt::symm::OutputBin::out_code)) ++out_of_order;
+  }
+  EXPECT_GT(out_of_order, 0);
   // The many-block pair spreads over every rank; the scalar is one bin.
   EXPECT_GT(inputs().front().stats.num_bins, 8);
   EXPECT_GT(inputs().front().ref.num_blocks(), 8);

@@ -49,7 +49,7 @@ TEST(BlockContract, FullContractionToScalar) {
   EXPECT_EQ(c.order(), 0);
   ASSERT_EQ(c.num_blocks(), 1);
   const double norm2 = a.norm2() * a.norm2();
-  EXPECT_NEAR(c.blocks().begin()->second[0], norm2, 1e-9 * (1.0 + norm2));
+  EXPECT_NEAR((*c.blocks().begin()).blk[0], norm2, 1e-9 * (1.0 + norm2));
 }
 
 TEST(BlockContract, StatsCountBlockPairsAndFlops) {
@@ -74,17 +74,18 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
       for (const auto& pw : bin.pairs) {
         ++npairs;
         double m = 1.0, n = 1.0, k = 1.0;
-        for (int mode : plan.layout.free_a) m *= static_cast<double>(pw.ablk->dim(mode));
-        for (int mode : plan.layout.free_b) n *= static_cast<double>(pw.bblk->dim(mode));
-        for (auto [ma, mb] : pairs) k *= static_cast<double>(pw.ablk->dim(ma));
+        for (int mode : plan.layout.free_a) m *= static_cast<double>(pw.ablk.dim(mode));
+        for (int mode : plan.layout.free_b) n *= static_cast<double>(pw.bblk.dim(mode));
+        for (auto [ma, mb] : pairs) k *= static_cast<double>(pw.ablk.dim(ma));
         const auto& op = pw.cost;
         sum += op.flops;
         EXPECT_GT(op.flops, 0.0);
         EXPECT_EQ(op.flops, 2.0 * m * n * k);
-        EXPECT_EQ(op.words_a, static_cast<double>(pw.ablk->size()));
-        EXPECT_EQ(op.words_b, static_cast<double>(pw.bblk->size()));
+        EXPECT_EQ(op.words_a, static_cast<double>(pw.ablk.size()));
+        EXPECT_EQ(op.words_b, static_cast<double>(pw.bblk.size()));
         EXPECT_EQ(op.words_c, m * n);
-        const auto executed = tt::tensor::contract(*pw.ablk, *pw.bblk, pairs);
+        const tt::tensor::DenseTensor ablk(pw.ablk), bblk(pw.bblk);
+        const auto executed = tt::tensor::contract(ablk, bblk, pairs);
         EXPECT_EQ(op.words_c, static_cast<double>(executed.size()));
       }
     EXPECT_GT(npairs, 0u);
