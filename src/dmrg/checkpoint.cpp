@@ -25,21 +25,6 @@ std::uint64_t checksum_of(const std::string& blob) {
                            blob.size());
 }
 
-// "<magic> <version>" with distinct truncation / magic / version errors,
-// mirroring the mps::io header discipline.
-void read_header(std::istream& is, const char* magic, int version) {
-  std::string m;
-  is >> m;
-  TT_CHECK(is, "truncated stream: missing " << magic << " header");
-  TT_CHECK(m == magic, "bad magic '" << m << "': not a " << magic << " stream");
-  int v = 0;
-  is >> v;
-  TT_CHECK(is, "truncated stream: missing " << magic << " version");
-  TT_CHECK(v == version, "unsupported " << magic << " version " << v
-                                        << " (reader understands version "
-                                        << version << ")");
-}
-
 // Replace-by-rename: write the full contents to a temp name in the same
 // directory (same filesystem, so rename() is atomic), then move into place.
 void write_atomic(const fs::path& target, const std::string& blob) {
@@ -70,7 +55,7 @@ CheckpointManager::CheckpointManager(std::string dir) : dir_(std::move(dir)) {
   if (fs::exists(manifest_path())) {
     std::ifstream is(manifest_path());
     TT_CHECK(is.good(), "cannot read manifest '" << manifest_path() << "'");
-    read_header(is, "TTCKPT-MANIFEST", kManifestVersion);
+    mps::read_header(is, "TTCKPT-MANIFEST", kManifestVersion);
     long seq = 0;
     is >> seq;
     TT_CHECK(is && seq > 0, "corrupt manifest: bad sequence number");
@@ -136,7 +121,7 @@ CheckpointData CheckpointManager::load(mps::SiteSetPtr sites) const {
            "no checkpoint manifest in '" << dir_ << "' to resume from");
   std::ifstream mis(manifest_path());
   TT_CHECK(mis.good(), "cannot read manifest '" << manifest_path() << "'");
-  read_header(mis, "TTCKPT-MANIFEST", kManifestVersion);
+  mps::read_header(mis, "TTCKPT-MANIFEST", kManifestVersion);
   long seq = 0;
   std::string file;
   std::uint64_t sum = 0;
@@ -158,7 +143,7 @@ CheckpointData CheckpointManager::load(mps::SiteSetPtr sites) const {
            "checkpoint '" << path.string() << "' corrupt: checksum mismatch");
 
   std::istringstream body(blob);
-  read_header(body, "TTCKPT", kSnapshotVersion);
+  mps::read_header(body, "TTCKPT", kSnapshotVersion);
   SweepPosition pos;
   body >> pos.schedule_pos >> pos.sweep_count >> pos.phase >> pos.next_bond >>
       pos.center;

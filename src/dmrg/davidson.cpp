@@ -1,6 +1,7 @@
 #include "dmrg/davidson.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/eigen.hpp"
@@ -12,6 +13,9 @@ namespace tt::dmrg {
 using symm::BlockTensor;
 
 namespace {
+
+// Seed of the randomized-restart stream: fixed, so every solve is reproducible.
+constexpr std::uint64_t kRestartSeed = 0xdad1d50ULL;
 
 // Add N(0, eps·|t|) noise into every existing block (randomized recovery from
 // re-orthogonalization breakdown, paper §II.C).
@@ -33,7 +37,7 @@ DavidsonResult davidson(const BlockMatVec& apply, BlockTensor x0,
   TT_CHECK(nrm0 > 0.0, "Davidson initial guess must be nonzero");
   x0.scale(1.0 / nrm0);
 
-  Rng rng(opts.seed);
+  Rng rng(kRestartSeed);
   DavidsonResult out;
 
   auto traced_apply = [&apply](const BlockTensor& t) {

@@ -19,7 +19,6 @@ struct DavidsonOptions {
   int max_iter = 2;       ///< matvec budget per optimization (paper: 2)
   int subspace = 2;       ///< restart after this many basis vectors
   real_t tol = 1e-10;     ///< residual-norm convergence threshold
-  std::uint64_t seed = 0xdad1d50ULL;  ///< randomized restart seed
 };
 
 struct DavidsonResult {

@@ -1,6 +1,6 @@
 // Name of the library's dense kernel set.
 //
-// Every dense kernel — gemm_raw/gemv (gemm.hpp), svd (svd.hpp), qr (qr.hpp),
+// Every dense kernel — gemm_raw (gemm.hpp), svd (svd.hpp), qr (qr.hpp),
 // eigh (eigen.hpp) — is the self-contained implementation in this directory,
 // bitwise deterministic at any TT_THREADS. Only the GEMM micro-kernel varies
 // by host (picked once per process, same bits on every host). Drivers and run

@@ -317,16 +317,4 @@ Matrix matmul(bool transa, bool transb, const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void gemv(index_t m, index_t n, real_t alpha, const real_t* a, const real_t* x,
-          real_t beta, real_t* y) {
-  for (index_t i = 0; i < m; ++i) {
-    real_t s = 0.0;
-    const real_t* ai = a + i * n;
-    for (index_t j = 0; j < n; ++j) s += ai[j] * x[j];
-    // BLAS semantics: beta == 0 overwrites without reading y, which may hold
-    // NaN or uninitialized garbage that 0*y would propagate.
-    y[i] = (beta == 0.0) ? alpha * s : alpha * s + beta * y[i];
-  }
-}
-
 }  // namespace tt::linalg

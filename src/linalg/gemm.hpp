@@ -33,10 +33,6 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 /// Returns op(A) * op(B).
 Matrix matmul(bool transa, bool transb, const Matrix& a, const Matrix& b);
 
-/// y := alpha * A * x + beta * y (row-major A, contiguous x/y).
-void gemv(index_t m, index_t n, real_t alpha, const real_t* a, const real_t* x,
-          real_t beta, real_t* y);
-
 /// Flop count of one GEMM call (2*m*n*k), used by the runtime's flop counter.
 inline double gemm_flops(index_t m, index_t n, index_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *

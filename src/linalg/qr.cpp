@@ -86,11 +86,4 @@ LqResult lq(const Matrix& a) {
   return {f.r.transposed(), f.q.transposed()};
 }
 
-double qr_flops(index_t m, index_t n) {
-  const double dm = static_cast<double>(m);
-  const double dn = static_cast<double>(n);
-  if (m >= n) return 2.0 * dm * dn * dn - (2.0 / 3.0) * dn * dn * dn;
-  return 2.0 * dn * dm * dm - (2.0 / 3.0) * dm * dm * dm;
-}
-
 }  // namespace tt::linalg

@@ -25,7 +25,4 @@ struct LqResult {
 };
 LqResult lq(const Matrix& a);
 
-/// Flop estimate for the QR of an m×n matrix (2mn² − 2n³/3 for m ≥ n).
-double qr_flops(index_t m, index_t n);
-
 }  // namespace tt::linalg

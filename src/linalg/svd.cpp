@@ -233,17 +233,4 @@ double svd_flops(index_t m, index_t n) {
   return 14.0 * hi * lo * lo;
 }
 
-index_t svd_rank(const std::vector<real_t>& s, real_t cutoff, index_t max_keep) {
-  index_t keep = 0;
-  for (real_t v : s) {
-    if (v <= cutoff) break;
-    ++keep;
-  }
-  // Floor before clamping: the "never empty the bond" rule must not override
-  // an explicit max_keep == 0 truncation request.
-  if (keep == 0 && !s.empty()) keep = 1;
-  keep = std::min(keep, max_keep);
-  return keep;
-}
-
 }  // namespace tt::linalg

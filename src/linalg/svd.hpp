@@ -32,10 +32,4 @@ SvdResult svd(const Matrix& a);
 /// Flop estimate for the SVD of an m×n matrix (LAPACK-style 14·m·n² model).
 double svd_flops(index_t m, index_t n);
 
-/// Kept count under truncation: r' = min(max_keep, max(1, #{s > cutoff}))
-/// when s is non-empty, else 0. The keep-at-least-one floor (DMRG must keep a
-/// nonzero bond) applies before the cap, so an explicit max_keep == 0 request
-/// wins and returns 0.
-index_t svd_rank(const std::vector<real_t>& s, real_t cutoff, index_t max_keep);
-
 }  // namespace tt::linalg

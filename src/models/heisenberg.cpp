@@ -1,6 +1,10 @@
 #include "models/heisenberg.hpp"
 
+#include "mps/autompo.hpp"
+
 namespace tt::models {
+
+namespace {
 
 mps::AutoMpo heisenberg_terms(mps::SiteSetPtr sites, const Lattice& lat, double j1,
                               double j2) {
@@ -17,6 +21,8 @@ mps::AutoMpo heisenberg_terms(mps::SiteSetPtr sites, const Lattice& lat, double 
   }
   return ampo;
 }
+
+}  // namespace
 
 mps::Mpo heisenberg_mpo(mps::SiteSetPtr sites, const Lattice& lat, double j1,
                         double j2, double rel_cutoff) {

@@ -5,15 +5,12 @@
 #pragma once
 
 #include "models/lattice.hpp"
-#include "mps/autompo.hpp"
+#include "mps/mpo.hpp"
 
 namespace tt::models {
 
-/// Builds the AutoMpo for the Heisenberg model on `lat` (spin-1/2 sites).
-mps::AutoMpo heisenberg_terms(mps::SiteSetPtr sites, const Lattice& lat, double j1,
-                              double j2 = 0.0);
-
-/// Convenience: compiled MPO with the given compression cutoff.
+/// The Heisenberg MPO on `lat` (spin-1/2 sites), compiled with the given
+/// compression cutoff.
 mps::Mpo heisenberg_mpo(mps::SiteSetPtr sites, const Lattice& lat, double j1,
                         double j2 = 0.0, double rel_cutoff = 1e-13);
 

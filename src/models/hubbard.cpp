@@ -1,6 +1,10 @@
 #include "models/hubbard.hpp"
 
+#include "mps/autompo.hpp"
+
 namespace tt::models {
+
+namespace {
 
 mps::AutoMpo hubbard_terms(mps::SiteSetPtr sites, const Lattice& lat, double t,
                            double u) {
@@ -20,6 +24,8 @@ mps::AutoMpo hubbard_terms(mps::SiteSetPtr sites, const Lattice& lat, double t,
     for (int i = 0; i < lat.num_sites; ++i) ampo.add(u, "Nupdn", i);
   return ampo;
 }
+
+}  // namespace
 
 mps::Mpo hubbard_mpo(mps::SiteSetPtr sites, const Lattice& lat, double t, double u,
                      double rel_cutoff) {

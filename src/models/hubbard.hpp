@@ -4,15 +4,12 @@
 #pragma once
 
 #include "models/lattice.hpp"
-#include "mps/autompo.hpp"
+#include "mps/mpo.hpp"
 
 namespace tt::models {
 
-/// Builds the AutoMpo for the Hubbard model on `lat` (electron sites).
-mps::AutoMpo hubbard_terms(mps::SiteSetPtr sites, const Lattice& lat, double t,
-                           double u);
-
-/// Convenience: compiled MPO with the given compression cutoff.
+/// The Hubbard MPO on `lat` (electron sites), compiled with the given
+/// compression cutoff.
 mps::Mpo hubbard_mpo(mps::SiteSetPtr sites, const Lattice& lat, double t, double u,
                      double rel_cutoff = 1e-13);
 

@@ -38,8 +38,6 @@ class AutoMpo {
   AutoMpo& add(real_t coeff, const std::string& op1, int i, const std::string& op2,
                int j);
 
-  std::size_t num_terms() const { return terms_.size(); }
-
   /// Compile. rel_cutoff > 0 compresses each bond via SVD with
   /// σ ≤ rel_cutoff·σ_max dropped; rel_cutoff <= 0 returns the exact FSM MPO.
   /// Requires the "F" (fermion parity) and "Id" operators on the site set

@@ -104,10 +104,8 @@ void check_phys_match(const BlockTensor& t, int mode, const SiteSet& sites) {
            "stored tensor's physical leg does not match the site set");
 }
 
-// Reads "<magic> <version>" and rejects truncation, wrong magic, and
-// unsupported versions with three distinct errors — a reader pointed at the
-// wrong kind of file (or a file from a future format) says so instead of
-// failing deeper in with a misleading "corrupt" message.
+}  // namespace
+
 void read_header(std::istream& is, const char* expect_magic, int expect_version) {
   std::string magic;
   is >> magic;
@@ -122,8 +120,6 @@ void read_header(std::istream& is, const char* expect_magic, int expect_version)
                           << " (reader understands version " << expect_version
                           << ")");
 }
-
-}  // namespace
 
 void write_real_hex(std::ostream& os, real_t v) {
   char buf[48];

@@ -32,4 +32,10 @@ Mps load_mps(const std::string& path, SiteSetPtr sites);
 void write_real_hex(std::ostream& os, real_t v);
 real_t read_real_hex(std::istream& is);
 
+/// Reads "<magic> <version>". Truncation, wrong magic and an unsupported
+/// version each get their own error, so a reader pointed at the wrong kind of
+/// file (or a future format) says so instead of failing deeper in as
+/// "corrupt". dmrg::CheckpointManager reads its manifest and snapshots with it.
+void read_header(std::istream& is, const char* expect_magic, int expect_version);
+
 }  // namespace tt::mps

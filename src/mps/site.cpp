@@ -45,12 +45,6 @@ const LocalOp& SiteSet::op(const std::string& name) const {
   return it->second;
 }
 
-const symm::QN& SiteSet::qn_of_state(index_t p) const {
-  TT_CHECK(p >= 0 && p < static_cast<index_t>(state_qn_.size()),
-           "physical state " << p << " out of range");
-  return state_qn_[static_cast<std::size_t>(p)];
-}
-
 int SiteSet::sector_of_state(index_t p) const {
   TT_CHECK(p >= 0 && p < static_cast<index_t>(state_sector_.size()),
            "physical state " << p << " out of range");

@@ -31,16 +31,13 @@ class SiteSet {
   SiteSet(int num_sites, symm::Index phys, std::map<std::string, LocalOp> ops);
 
   int size() const { return num_sites_; }
-  int phys_dim() const { return static_cast<int>(phys_.dim()); }
   const symm::Index& phys() const { return phys_; }
   int qn_rank() const { return phys_.sector(0).qn.rank(); }
 
   bool has_op(const std::string& name) const { return ops_.count(name) != 0; }
   const LocalOp& op(const std::string& name) const;
 
-  /// Charge of physical basis state p (position within the fused dimension).
-  const symm::QN& qn_of_state(index_t p) const;
-  /// Sector id of physical state p.
+  /// Sector id of physical state p (position within the fused dimension).
   int sector_of_state(index_t p) const;
   /// Offset of state p within its sector.
   index_t local_of_state(index_t p) const;

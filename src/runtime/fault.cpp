@@ -48,15 +48,6 @@ double parse_number(const std::string& entry, const std::string& key,
 
 }  // namespace
 
-const char* fault_side_name(FaultSide s) {
-  switch (s) {
-    case FaultSide::kAny: return "any";
-    case FaultSide::kRoot: return "root";
-    case FaultSide::kWorker: return "worker";
-  }
-  return "?";
-}
-
 FaultInjector& FaultInjector::instance() {
   static FaultInjector* inj = [] {
     auto* p = new FaultInjector();

@@ -49,8 +49,6 @@ namespace tt::rt {
 /// Which end of a channel a fault-point evaluation is happening on.
 enum class FaultSide { kAny = 0, kRoot = 1, kWorker = 2 };
 
-const char* fault_side_name(FaultSide s);
-
 /// One armed fault: where it fires, when, and its action parameter.
 struct FaultSpec {
   std::string point;      ///< fault-point name (catalog in the file header)

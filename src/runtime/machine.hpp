@@ -75,9 +75,6 @@ struct Cluster {
   /// GEMM rate of the whole cluster (GFlop/s), with a mild penalty when the
   /// node is oversubscribed beyond its core count.
   double cluster_gflops() const;
-
-  /// GEMM rate of a single process (GFlop/s).
-  double proc_gflops() const { return cluster_gflops() / total_procs(); }
 };
 
 }  // namespace tt::rt

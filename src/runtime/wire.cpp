@@ -62,11 +62,6 @@ void WireWriter::str(const std::string& s) {
   raw(s.data(), s.size());
 }
 
-void WireWriter::i32_list(const std::vector<int>& v) {
-  u64(v.size());
-  for (int x : v) u32(static_cast<std::uint32_t>(x));
-}
-
 void WireWriter::tensor(tensor::ConstView t) {
   u64(static_cast<std::uint64_t>(t.order()));
   for (int m = 0; m < t.order(); ++m) i64(t.dim(m));
@@ -108,19 +103,11 @@ double WireReader::f64() {
 std::string WireReader::str() {
   const std::uint64_t n = u64();
   TT_CHECK(n <= kMaxFieldBytes, "wire string length " << n << " exceeds limit");
+  TT_CHECK(n <= remaining(), "wire string claims " << n << " bytes, but only "
+                                                   << remaining() << " remain");
   std::string s(static_cast<std::size_t>(n), '\0');
   raw(s.data(), s.size());
   return s;
-}
-
-std::vector<int> WireReader::i32_list() {
-  const std::uint64_t n = u64();
-  // Divide, don't multiply: n * sizeof(uint32) wraps for n >= 2^62.
-  TT_CHECK(n <= kMaxFieldBytes / sizeof(std::uint32_t),
-           "wire list length " << n << " exceeds limit");
-  std::vector<int> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = static_cast<int>(u32());
-  return v;
 }
 
 tensor::DenseTensor WireReader::tensor() {
@@ -143,6 +130,10 @@ tensor::DenseTensor WireReader::tensor() {
       elems *= static_cast<std::uint64_t>(d);
     }
   }
+  // The message must hold the claimed payload before the tensor is allocated.
+  TT_CHECK(elems <= remaining() / sizeof(double),
+           "wire tensor claims " << elems << " elements, but only " << remaining()
+                                 << " bytes remain");
   tensor::DenseTensor t(std::move(shape));
   raw(t.data(), static_cast<std::size_t>(elems) * sizeof(double));
   return t;

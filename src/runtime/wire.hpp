@@ -40,7 +40,6 @@ class WireWriter {
   void i64(std::int64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
   void str(const std::string& s);
-  void i32_list(const std::vector<int>& v);
 
   /// shape as i64 list, then the payload as raw doubles.
   void tensor(tensor::ConstView t);
@@ -70,7 +69,6 @@ class WireReader {
   std::int64_t i64();
   double f64();
   std::string str();
-  std::vector<int> i32_list();
   tensor::DenseTensor tensor();
   /// Read a tensor whose shape must equal `out`'s into `out` (tt::Error
   /// otherwise).

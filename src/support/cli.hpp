@@ -22,9 +22,6 @@ class Cli {
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
-  /// Positional (non-flag) arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-
   /// Names of all flags seen; used to reject typos in strict tools.
   std::vector<std::string> flag_names() const;
 

@@ -37,10 +37,4 @@ class Rng {
   std::mt19937_64 gen_;
 };
 
-/// Process-global RNG used when a caller does not thread its own seed.
-inline Rng& global_rng() {
-  static Rng rng;
-  return rng;
-}
-
 }  // namespace tt

@@ -24,8 +24,6 @@ class Table {
   /// Render and print to stdout.
   void print() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -221,14 +221,6 @@ QN BlockTensor::partial_charge(std::span<const int> key,
   return sum;
 }
 
-std::vector<index_t> BlockTensor::block_shape(std::span<const int> key) const {
-  std::vector<index_t> shape(key.size());
-  for (int m = 0; m < order(); ++m)
-    shape[static_cast<std::size_t>(m)] =
-        indices_[static_cast<std::size_t>(m)].sector(key[static_cast<std::size_t>(m)]).dim;
-  return shape;
-}
-
 std::uint64_t BlockTensor::code_of(std::span<const int> key) const {
   std::uint64_t code = 0;
   for (std::size_t m = 0; m < key.size(); ++m)

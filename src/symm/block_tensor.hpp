@@ -74,9 +74,6 @@ class BlockTensor {
   /// Signed charge sum over a subset of modes of a key.
   QN partial_charge(std::span<const int> key, const std::vector<int>& modes) const;
 
-  /// Dense shape of the block at `key` (one dim per mode).
-  std::vector<index_t> block_shape(std::span<const int> key) const;
-
   /// Access a block, creating a zero block if admissible and absent.
   /// Throws for inadmissible keys.
   tensor::View block(std::span<const int> key);
@@ -136,8 +133,9 @@ class BlockTensor {
   void axpy(real_t alpha, const BlockTensor& other);  ///< this += α·other
   real_t norm2() const;
 
-  /// Metadata view with all directions reversed and flux negated; block data
-  /// unchanged (real scalars — the bra/adjoint tensor).
+  /// Copy with all directions reversed and flux negated (the bra/adjoint
+  /// tensor). It copies the whole block buffer; the scalars are real, so the
+  /// values are unchanged.
   BlockTensor dagger() const;
 
   /// Structural equality of index lists and flux (not data).

@@ -29,12 +29,6 @@ index_t Index::sector_offset(int s) const {
   return off;
 }
 
-int Index::find_sector(const QN& qn) const {
-  for (std::size_t i = 0; i < sectors_.size(); ++i)
-    if (sectors_[i].qn == qn) return static_cast<int>(i);
-  return -1;
-}
-
 Index Index::reversed() const {
   Index r = *this;
   r.dir_ = symm::reverse(dir_);
@@ -43,10 +37,6 @@ Index Index::reversed() const {
 
 bool Index::contractible_with(const Index& other) const {
   return dir_ != other.dir_ && sectors_ == other.sectors_;
-}
-
-bool Index::same_space(const Index& other) const {
-  return dir_ == other.dir_ && sectors_ == other.sectors_;
 }
 
 }  // namespace tt::symm

@@ -52,9 +52,6 @@ class Index {
   /// Offset of sector s within the fused dimension.
   index_t sector_offset(int s) const;
 
-  /// Position of the sector with charge `qn`, or -1.
-  int find_sector(const QN& qn) const;
-
   /// Same index with reversed direction (bra side).
   Index reversed() const;
 
@@ -63,8 +60,6 @@ class Index {
   bool contractible_with(const Index& other) const;
 
   /// Same sectors and same direction (identical vector spaces).
-  bool same_space(const Index& other) const;
-
   friend bool operator==(const Index& a, const Index& b) {
     return a.dir_ == b.dir_ && a.sectors_ == b.sectors_;
   }

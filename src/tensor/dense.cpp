@@ -67,12 +67,6 @@ DenseTensor DenseTensor::random(std::vector<index_t> shape, Rng& rng) {
   return t;
 }
 
-DenseTensor DenseTensor::scalar(real_t v) {
-  DenseTensor t{std::vector<index_t>{}};
-  t.data_.assign(1, v);
-  return t;
-}
-
 index_t DenseTensor::size() const { return static_cast<index_t>(data_.size()); }
 
 std::vector<index_t> DenseTensor::strides() const {
@@ -112,8 +106,6 @@ real_t BasicView<T>::max_abs() const {
 
 template class BasicView<real_t>;
 template class BasicView<const real_t>;
-
-void DenseTensor::fill(real_t v) { std::fill(data_.begin(), data_.end(), v); }
 
 void DenseTensor::scale(real_t s) {
   for (auto& v : data_) v *= s;

@@ -96,9 +96,6 @@ class DenseTensor {
 
   static DenseTensor random(std::vector<index_t> shape, Rng& rng);
 
-  /// Scalar (order-0) tensor.
-  static DenseTensor scalar(real_t v);
-
   int order() const { return static_cast<int>(shape_.size()); }
   index_t dim(int mode) const { return shape_[static_cast<std::size_t>(mode)]; }
   const std::vector<index_t>& shape() const { return shape_; }
@@ -131,7 +128,6 @@ class DenseTensor {
     return permuted(std::span<const int>(perm.begin(), perm.size()));
   }
 
-  void fill(real_t v);
   void scale(real_t s);
 
   /// this += alpha * other (same shape).

@@ -284,7 +284,9 @@ FusedCounts fused_counts(const BlockTensor& a, const BlockTensor& b, const Pairs
   const BlockTensor probe(out_indices, a.flux() + b.flux());
   const auto strides = fc.strides();
   for (const auto& key : probe.admissible_keys()) {
-    const auto shape = probe.block_shape(key);
+    std::vector<index_t> shape(key.size());
+    for (std::size_t m = 0; m < key.size(); ++m)
+      shape[m] = probe.index(static_cast<int>(m)).sector(key[m]).dim;
     bool nonzero = false;
     for_each_position(shape, [&](const std::vector<index_t>& local) {
       std::vector<index_t> idx(local);

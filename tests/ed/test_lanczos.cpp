@@ -14,7 +14,8 @@ using tt::linalg::Matrix;
 tt::ed::MatVec matvec_of(const Matrix& a) {
   return [&a](const std::vector<double>& x, std::vector<double>& y) {
     y.assign(x.size(), 0.0);
-    tt::linalg::gemv(a.rows(), a.cols(), 1.0, a.data(), x.data(), 0.0, y.data());
+    tt::linalg::gemm_raw(false, false, a.rows(), 1, a.cols(), 1.0, a.data(), x.data(),
+                         0.0, y.data());
   };
 }
 

@@ -130,44 +130,6 @@ TEST(Gemm, AliasedOutputThrows) {
                tt::Error);
 }
 
-TEST(Gemv, MatchesGemm) {
-  Rng rng(12);
-  Matrix a = Matrix::random(7, 9, rng);
-  Matrix x = Matrix::random(9, 1, rng);
-  std::vector<double> y(7, 0.0);
-  tt::linalg::gemv(7, 9, 1.0, a.data(), x.data(), 0.0, y.data());
-  Matrix ref = tt::linalg::matmul(a, x);
-  for (index_t i = 0; i < 7; ++i) EXPECT_NEAR(y[static_cast<std::size_t>(i)], ref(i, 0), 1e-12);
-}
-
-TEST(Gemv, BetaZeroOverwritesWithoutReadingY) {
-  // BLAS semantics: beta == 0 must not read y — NaN-poisoned or
-  // uninitialized output must be overwritten, not propagated via 0 * NaN.
-  Rng rng(13);
-  Matrix a = Matrix::random(5, 6, rng);
-  Matrix x = Matrix::random(6, 1, rng);
-  std::vector<double> y(5, std::numeric_limits<double>::quiet_NaN());
-  tt::linalg::gemv(5, 6, 2.0, a.data(), x.data(), 0.0, y.data());
-  Matrix ref = tt::linalg::matmul(a, x);
-  for (index_t i = 0; i < 5; ++i) {
-    ASSERT_FALSE(std::isnan(y[static_cast<std::size_t>(i)])) << "row " << i;
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], 2.0 * ref(i, 0), 1e-12);
-  }
-}
-
-TEST(Gemv, NonzeroBetaStillAccumulates) {
-  Rng rng(14);
-  Matrix a = Matrix::random(3, 4, rng);
-  Matrix x = Matrix::random(4, 1, rng);
-  std::vector<double> y{1.0, -2.0, 3.0};
-  const std::vector<double> y0 = y;
-  tt::linalg::gemv(3, 4, 1.0, a.data(), x.data(), 0.5, y.data());
-  Matrix ref = tt::linalg::matmul(a, x);
-  for (index_t i = 0; i < 3; ++i)
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)],
-                ref(i, 0) + 0.5 * y0[static_cast<std::size_t>(i)], 1e-12);
-}
-
 TEST(Gemm, FlopCount) {
   EXPECT_DOUBLE_EQ(tt::linalg::gemm_flops(2, 3, 4), 48.0);
 }

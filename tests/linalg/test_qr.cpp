@@ -118,9 +118,4 @@ TEST(Lq, FactorsReproduceInputAndQOrthonormalRows) {
   }
 }
 
-TEST(Qr, FlopsModelPositive) {
-  EXPECT_GT(tt::linalg::qr_flops(64, 32), 0.0);
-  EXPECT_GT(tt::linalg::qr_flops(32, 64), 0.0);
-}
-
 }  // namespace

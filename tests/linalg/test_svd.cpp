@@ -251,23 +251,4 @@ TEST(Svd, RejectsNonFiniteInput) {
   }
 }
 
-TEST(SvdRank, CutoffAndCap) {
-  std::vector<double> s{1.0, 0.5, 1e-3, 1e-13, 0.0};
-  EXPECT_EQ(tt::linalg::svd_rank(s, 1e-12, 100), 3);
-  EXPECT_EQ(tt::linalg::svd_rank(s, 1e-12, 2), 2);
-  EXPECT_EQ(tt::linalg::svd_rank(s, 0.0, 100), 4);  // exact zeros dropped
-  EXPECT_EQ(tt::linalg::svd_rank(s, 10.0, 100), 1); // never drops to zero rank
-  EXPECT_EQ(tt::linalg::svd_rank({}, 1e-12, 4), 0);
-}
-
-TEST(SvdRank, MaxKeepZeroWins) {
-  // The keep-at-least-one floor applies before the cap: an explicit
-  // max_keep == 0 truncation request must return 0, not 1.
-  std::vector<double> s{1.0, 0.5};
-  EXPECT_EQ(tt::linalg::svd_rank(s, 1e-12, 0), 0);
-  EXPECT_EQ(tt::linalg::svd_rank(s, 10.0, 0), 0);   // floor then cap
-  EXPECT_EQ(tt::linalg::svd_rank(s, 10.0, 1), 1);   // floor survives cap >= 1
-  EXPECT_EQ(tt::linalg::svd_rank({}, 1e-12, 0), 0);
-}
-
 }  // namespace

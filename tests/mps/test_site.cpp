@@ -15,7 +15,7 @@ using tt::mps::LocalOp;
 TEST(SpinHalfSites, BasicStructure) {
   auto s = tt::models::spin_half_sites(4);
   EXPECT_EQ(s->size(), 4);
-  EXPECT_EQ(s->phys_dim(), 2);
+  EXPECT_EQ(s->phys().dim(), 2);
   EXPECT_EQ(s->qn_rank(), 1);
   EXPECT_TRUE(s->has_op("Sz"));
   EXPECT_TRUE(s->has_op("Id"));
@@ -25,9 +25,10 @@ TEST(SpinHalfSites, BasicStructure) {
 
 TEST(SpinHalfSites, StateCharges) {
   auto s = tt::models::spin_half_sites(2);
-  EXPECT_EQ(s->qn_of_state(0), tt::symm::QN(1));   // ↑
-  EXPECT_EQ(s->qn_of_state(1), tt::symm::QN(-1));  // ↓
-  EXPECT_THROW(s->qn_of_state(2), tt::Error);
+  auto charge = [&](tt::index_t p) { return s->phys().sector(s->sector_of_state(p)).qn; };
+  EXPECT_EQ(charge(0), tt::symm::QN(1));   // ↑
+  EXPECT_EQ(charge(1), tt::symm::QN(-1));  // ↓
+  EXPECT_THROW(s->sector_of_state(2), tt::Error);
 }
 
 TEST(SpinHalfSites, SpinAlgebra) {
@@ -58,7 +59,7 @@ TEST(SpinHalfSites, SpinAlgebra) {
 
 TEST(ElectronSites, BasicStructure) {
   auto s = tt::models::electron_sites(3);
-  EXPECT_EQ(s->phys_dim(), 4);
+  EXPECT_EQ(s->phys().dim(), 4);
   EXPECT_EQ(s->qn_rank(), 2);
   for (const char* op : {"Cup", "Cdn", "Cdagup", "Cdagdn"})
     EXPECT_TRUE(s->op(op).fermionic) << op;

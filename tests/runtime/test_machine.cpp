@@ -47,9 +47,4 @@ TEST(Cluster, OversubscriptionPenalized) {
   EXPECT_GE(c32.cluster_gflops(), 0.5 * c16.cluster_gflops());
 }
 
-TEST(Cluster, PerProcessRate) {
-  Cluster c{tt::rt::stampede2(), 2, 64};
-  EXPECT_NEAR(c.proc_gflops() * c.total_procs(), c.cluster_gflops(), 1e-9);
-}
-
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/cli.hpp"
 #include "support/error.hpp"
 
@@ -43,10 +46,19 @@ TEST(Cli, DefaultsWhenAbsent) {
 }
 
 TEST(Cli, PositionalArguments) {
+  // A positional argument does not swallow or split the flags around it, and
+  // allow_only rejects it by name.
   Cli c = make({"input.dat", "--m", "8", "output.dat"});
-  ASSERT_EQ(c.positional().size(), 2u);
-  EXPECT_EQ(c.positional()[0], "input.dat");
-  EXPECT_EQ(c.positional()[1], "output.dat");
+  EXPECT_EQ(c.get_int("m", 0), 8);
+  EXPECT_EQ(c.flag_names(), std::vector<std::string>{"m"});
+  try {
+    c.allow_only({"m"});
+    ADD_FAILURE() << "allow_only accepted a positional argument";
+  } catch (const tt::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected argument 'input.dat'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, RejectsNonNumericInt) {

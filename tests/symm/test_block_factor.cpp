@@ -196,14 +196,47 @@ TEST(BlockSvd, TruncationErrorBoundsReconstruction) {
               1e-8 * (1.0 + t.norm2()));
 }
 
-TEST(BlockSvd, CutoffDropsSmallValues) {
+// Truncation floor: the bond is never emptied, and the floor applies after
+// the cap, so a cap of 0 still keeps the largest σ.
+TEST(BlockSvd, MaxDimZeroKeepsExactlyOneSigma) {
+  Rng rng(48);
+  BlockTensor t = theta(rng);
+  TruncParams tr;
+  tr.max_dim = 0;
+  auto f = tt::symm::block_svd(t, {0, 1}, tr);
+  EXPECT_EQ(f.kept, 1);
+  EXPECT_EQ(f.bond.dim(), 1);
+}
+
+TEST(BlockSvd, CutoffAboveEverySigmaKeepsExactlyOneSigma) {
   Rng rng(43);
   BlockTensor t = theta(rng);
-  t.scale(1e-3);
+  const auto full = tt::symm::block_svd(t, {0, 1});
+  double largest = 0.0;
+  for (const auto& sv : full.singular_values)
+    for (double s : sv) largest = std::max(largest, s);
   TruncParams tr;
-  tr.cutoff = 1e-2;  // larger than any singular value after scaling? keep >= 1
+  tr.cutoff = 2.0 * largest;
   auto f = tt::symm::block_svd(t, {0, 1}, tr);
-  EXPECT_GE(f.kept, 1);  // never truncates to an empty bond
+  EXPECT_EQ(f.kept, 1);
+  ASSERT_EQ(f.singular_values.size(), 1u);
+  EXPECT_EQ(f.singular_values[0], std::vector<double>{largest});
+}
+
+TEST(BlockSvd, AllZeroGroupGetsNoBondSector) {
+  // Two quantum-number groups on a matrix; the charge-1 block is all zero,
+  // so its σ are 0 and the default cutoff of 0 drops the whole group.
+  const Index l({{QN(0), 2}, {QN(1), 2}}, Dir::In);
+  const Index r({{QN(0), 3}, {QN(1), 2}}, Dir::Out);
+  BlockTensor t({l, r}, QN::zero(1));
+  const tt::tensor::View live = t.block({0, 0});
+  for (index_t i = 0; i < live.size(); ++i) live[i] = 1.0 + static_cast<double>(i);
+  t.block({1, 1});  // admissible, all zero
+  ASSERT_EQ(t.num_blocks(), 2);
+  auto f = tt::symm::block_svd(t, {0});
+  ASSERT_EQ(f.bond.num_sectors(), 1);
+  EXPECT_EQ(f.bond.sector(0).qn, QN(0));
+  EXPECT_EQ(f.kept, f.bond.dim());
 }
 
 TEST(BlockSvd, AbsorbLeftVsRightConsistent) {

@@ -33,10 +33,10 @@ TEST(BlockContract, OutputStructure) {
   BlockTensor b = site_b(rng);
   BlockTensor c = tt::symm::contract(a, b, {{2, 0}});
   EXPECT_EQ(c.order(), 4);
-  EXPECT_TRUE(c.index(0).same_space(a.index(0)));
-  EXPECT_TRUE(c.index(1).same_space(a.index(1)));
-  EXPECT_TRUE(c.index(2).same_space(b.index(1)));
-  EXPECT_TRUE(c.index(3).same_space(b.index(2)));
+  EXPECT_TRUE(c.index(0) == a.index(0));
+  EXPECT_TRUE(c.index(1) == a.index(1));
+  EXPECT_TRUE(c.index(2) == b.index(1));
+  EXPECT_TRUE(c.index(3) == b.index(2));
   EXPECT_EQ(c.flux(), QN(0));
   for (const auto& [key, blk] : c.blocks()) EXPECT_TRUE(c.key_allowed(key));
 }

@@ -27,13 +27,6 @@ TEST(Index, SectorOffsets) {
   EXPECT_THROW(i.sector_offset(3), tt::Error);
 }
 
-TEST(Index, FindSector) {
-  Index i = spin_bond();
-  EXPECT_EQ(i.find_sector(QN(0)), 1);
-  EXPECT_EQ(i.find_sector(QN(2)), 2);
-  EXPECT_EQ(i.find_sector(QN(4)), -1);
-}
-
 TEST(Index, ReversedFlipsDirectionOnly) {
   Index i = spin_bond(Dir::In);
   Index r = i.reversed();
@@ -53,8 +46,8 @@ TEST(Index, Contractibility) {
 }
 
 TEST(Index, SameSpace) {
-  EXPECT_TRUE(spin_bond(Dir::In).same_space(spin_bond(Dir::In)));
-  EXPECT_FALSE(spin_bond(Dir::In).same_space(spin_bond(Dir::Out)));
+  EXPECT_TRUE(spin_bond(Dir::In) == spin_bond(Dir::In));
+  EXPECT_FALSE(spin_bond(Dir::In) == spin_bond(Dir::Out));
 }
 
 TEST(Index, SingleSectorFactory) {

@@ -22,7 +22,7 @@ TEST(DenseTensor, ShapeAndSize) {
 }
 
 TEST(DenseTensor, ScalarTensor) {
-  DenseTensor s = DenseTensor::scalar(2.5);
+  DenseTensor s({}, 2.5);
   EXPECT_EQ(s.order(), 0);
   EXPECT_EQ(s.size(), 1);
   EXPECT_DOUBLE_EQ(s[0], 2.5);
@@ -205,8 +205,7 @@ TEST_P(DenseThreadCounts, KernelsAreBitwiseEqualToSerial) {
 INSTANTIATE_TEST_SUITE_P(TtThreads, DenseThreadCounts, ::testing::Values(1, 2, 3, 8));
 
 TEST(DenseTensor, FillAndScale) {
-  DenseTensor t({2, 2});
-  t.fill(3.0);
+  DenseTensor t({2, 2}, 3.0);
   t.scale(-2.0);
   for (index_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(t[i], -6.0);
 }
