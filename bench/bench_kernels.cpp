@@ -1,12 +1,13 @@
 // Google-benchmark microbenches for the computational substrates: GEMM,
-// tensor permutation (HPTT stand-in), dense pairwise contraction,
-// SVD, block-sparse contraction (Alg. 2), block tensor vector operations and
-// the transport frame checksum.
+// tensor permutation (HPTT stand-in), dense pairwise contraction, SVD,
+// block-sparse contraction (Alg. 2) and its bin enumeration, block tensor
+// vector operations and the transport frame checksum.
 // These measure real host throughput — the numbers behind the wall-clock
 // columns of the figure benches.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -146,8 +147,9 @@ BENCHMARK(BM_BlockContractElectron)->Arg(16)->Arg(32)->Arg(64)
 // over (mpo, k), (s1, s'), at the middle bond of the 4×3 triangular Hubbard
 // cylinder. Both operands need a permuted copy in every block pair, and the
 // two U(1) charges make the blocks small: the per-pair overhead regime.
-void BM_BlockContractPermuted(benchmark::State& state) {
-  const index_t m = state.range(0);
+const std::vector<std::pair<int, int>> kMatvecPairs = {{1, 0}, {2, 2}};
+
+std::pair<tt::symm::BlockTensor, tt::symm::BlockTensor> matvec_t1_w(index_t m) {
   Rng rng(9);
   const auto lat = tt::models::triangular_cylinder(4, 3);
   auto sites = tt::models::electron_sites(lat.num_sites);
@@ -159,14 +161,30 @@ void BM_BlockContractPermuted(benchmark::State& state) {
   for (int i = 0; i < j; ++i)
     left = tt::dmrg::extend_left(eng, left, psi.site(i), h.site(i));
   const auto x = tt::symm::contract(psi.site(j), psi.site(j + 1), {{2, 0}});
-  const auto t1 = tt::symm::contract(left, x, {{2, 0}});
+  return {tt::symm::contract(left, x, {{2, 0}}), h.site(j)};
+}
+
+void BM_BlockContractPermuted(benchmark::State& state) {
+  const auto [t1, w] = matvec_t1_w(state.range(0));
   for (auto _ : state) {
-    auto c = tt::symm::contract(t1, h.site(j), {{1, 0}, {2, 2}});
+    auto c = tt::symm::contract(t1, w, kMatvecPairs);
     benchmark::DoNotOptimize(c.num_blocks());
   }
 }
 BENCHMARK(BM_BlockContractPermuted)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
+
+// Algorithm 2's enumeration alone — grouping, binning and pricing the block
+// pairs of the t1 × W step above — without laying out or executing them.
+void BM_EnumerateBins(benchmark::State& state) {
+  const auto [t1, w] = matvec_t1_w(state.range(0));
+  const auto plan = tt::symm::make_contract_plan(t1, w, kMatvecPairs);
+  for (auto _ : state) {
+    auto bins = tt::symm::enumerate_bins(t1, w, plan);
+    benchmark::DoNotOptimize(bins.size());
+  }
+}
+BENCHMARK(BM_EnumerateBins)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 // Davidson's vector work on one two-site θ (the middle bond of the 4×3
 // triangular Hubbard cylinder): a copy, scale, axpy, dot and norm2, each a

@@ -86,9 +86,8 @@ int run() {
 
   ContractStats probe;
   const BlockTensor ref = symm::contract(a, b, {{2, 0}}, &probe, /*num_threads=*/1);
-  std::size_t pairs = 0;
   const auto plan = symm::make_contract_plan(a, b, {{2, 0}});
-  for (const auto& bin : symm::enumerate_bins(a, b, plan)) pairs += bin.pairs.size();
+  const std::size_t pairs = symm::enumerate_bins(a, b, plan).pairs.size();
   std::cout << "workload: " << a.num_blocks() << " x " << b.num_blocks()
             << " operand blocks, " << pairs << " block pairs into " << probe.num_bins
             << " output bins, "

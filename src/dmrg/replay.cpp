@@ -158,9 +158,9 @@ ContractionRecord record_contraction(const BlockTensor& a, Role role_a,
   ContractionRecord r;
   r.role_a = role_a;
   r.role_b = role_b;
-  for (const symm::OutputBin& bin :
-       symm::enumerate_bins(a, b, symm::make_contract_plan(a, b, pairs)))
-    for (const symm::BinPair& p : bin.pairs) r.pairs.push_back(p.cost);
+  const auto bins = symm::enumerate_bins(a, b, symm::make_contract_plan(a, b, pairs));
+  r.pairs.reserve(bins.pairs.size());
+  for (const symm::BinPair& p : bins.pairs) r.pairs.push_back(p.cost);
   for (const auto& [ma, mb] : pairs) r.k *= static_cast<double>(a.index(ma).dim());
   const int free_a = a.order() - static_cast<int>(pairs.size());
   for (int i = 0; i < c.order(); ++i)

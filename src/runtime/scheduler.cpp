@@ -47,7 +47,7 @@ struct WorkerTask {
   double timeout_seconds = kDefaultTimeoutSeconds;
   std::vector<tensor::DenseTensor> table_a, table_b;
   std::vector<std::uint64_t> bin_index;   // global bin ids, root's order
-  std::vector<symm::OutputBin> bins;      // blocks only: no keys, no costs
+  symm::BinList bins;                     // pairs only: no codes, no costs
 };
 
 WorkerTask parse_task(const std::vector<std::byte>& payload) {
@@ -85,23 +85,21 @@ WorkerTask parse_task(const std::vector<std::byte>& payload) {
   TT_CHECK(nbins <= r.remaining() / 16,
            "task frame claims " << nbins << " bins in " << r.remaining() << " bytes");
   task.bin_index.reserve(static_cast<std::size_t>(nbins));
-  task.bins.reserve(static_cast<std::size_t>(nbins));
+  task.bins.begin.push_back(0);
   for (std::uint64_t i = 0; i < nbins; ++i) {
     task.bin_index.push_back(r.u64());
-    symm::OutputBin bin;
     const std::uint64_t npairs = r.u64();
     TT_CHECK(npairs >= 1 && npairs <= r.remaining() / 8,
              "task bin claims " << npairs << " pairs in " << r.remaining() << " bytes");
-    bin.pairs.reserve(static_cast<std::size_t>(npairs));
     for (std::uint64_t p = 0; p < npairs; ++p) {
       const std::uint32_t ia = r.u32();
       const std::uint32_t ib = r.u32();
       TT_CHECK(ia < task.table_a.size() && ib < task.table_b.size(),
                "task bin references block (" << ia << "," << ib
                                              << ") outside the shipped tables");
-      bin.pairs.push_back({task.table_a[ia], task.table_b[ib], {}});
+      task.bins.pairs.push_back({task.table_a[ia], task.table_b[ib], {}});
     }
-    task.bins.push_back(std::move(bin));
+    task.bins.begin.push_back(task.bins.pairs.size());
   }
   TT_CHECK(r.done(), "task payload has " << r.remaining() << " trailing bytes");
   return task;
@@ -114,18 +112,18 @@ std::vector<std::byte> run_task(const WorkerTask& task) {
   // One layout per task, as on the root; execute_bin checks every shipped
   // block against it.
   tensor::ContractLayout layout;
-  if (!task.bins.empty()) {
-    const symm::BinPair& first = task.bins.front().pairs.front();
+  if (!task.bins.pairs.empty()) {
+    const symm::BinPair& first = task.bins.pairs.front();
     layout = tensor::contract_layout(first.ablk.order(), first.bblk.order(), task.pairs);
   }
   std::vector<tensor::DenseTensor> done(task.bins.size());
   support::parallel_for(
       static_cast<index_t>(task.bins.size()),
       [&](index_t i) {
-        const symm::OutputBin& bin = task.bins[static_cast<std::size_t>(i)];
-        const symm::BinPair& first = bin.pairs.front();
+        const auto bin = task.bins.pairs_of(static_cast<std::size_t>(i));
         tensor::DenseTensor& out = done[static_cast<std::size_t>(i)];
-        out = tensor::DenseTensor(tensor::contract_shape(layout, first.ablk, first.bblk));
+        out = tensor::DenseTensor(
+            tensor::contract_shape(layout, bin.front().ablk, bin.front().bblk));
         symm::execute_bin(bin, layout, out);
       },
       task.threads);
@@ -326,7 +324,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
                                       symm::ContractStats* stats) {
   TT_TRACE_SPAN("sched.contract", TraceCat::kScheduler);
   const symm::ContractPlan plan = symm::make_contract_plan(a, b, pairs);
-  const std::vector<symm::OutputBin> bins = symm::enumerate_bins(a, b, plan);
+  const symm::BinList bins = symm::enumerate_bins(a, b, plan);
   // The output, laid out once; every bin's result lands in its slot.
   std::vector<tensor::View> slots;
   symm::BlockTensor c = symm::layout_output(plan, bins, slots);
@@ -344,9 +342,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
     if (live_[static_cast<std::size_t>(r)]) slot_rank.push_back(r);
   const int S = static_cast<int>(slot_rank.size());
 
-  std::vector<double> weights(bins.size());
-  for (std::size_t i = 0; i < bins.size(); ++i) weights[i] = bins[i].est_flops;
-  const Partition part = partition_bins(weights, S);
+  const Partition part = partition_bins(bins.est_flops, S);
   const int replicated = choose_replicated(static_cast<double>(a.num_elements()),
                                            static_cast<double>(b.num_elements()));
 
@@ -398,18 +394,15 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
       else
         for (const auto& [key, blk] : b.blocks()) intern(table_b, index_b, blk);
 
+      // The slot's pairs as table indices, bin after bin.
       struct WirePair {
         std::uint32_t ia, ib;
       };
-      std::vector<std::vector<WirePair>> wire_bins;
-      wire_bins.reserve(slot_bins[static_cast<std::size_t>(s)].size());
-      for (std::size_t g : slot_bins[static_cast<std::size_t>(s)]) {
-        std::vector<WirePair>& wb = wire_bins.emplace_back();
-        wb.reserve(bins[g].pairs.size());
-        for (const symm::BinPair& pw : bins[g].pairs)
-          wb.push_back({intern(table_a, index_a, pw.ablk),
-                        intern(table_b, index_b, pw.bblk)});
-      }
+      std::vector<WirePair> wire_pairs;
+      for (std::size_t g : slot_bins[static_cast<std::size_t>(s)])
+        for (const symm::BinPair& pw : bins.pairs_of(g))
+          wire_pairs.push_back({intern(table_a, index_a, pw.ablk),
+                                intern(table_b, index_b, pw.bblk)});
 
       WireWriter w;
       w.u32(static_cast<std::uint32_t>(opts_.worker_threads));
@@ -434,13 +427,15 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         w.tensor(t);
         operand_words += static_cast<double>(t.size());
       }
-      w.u64(wire_bins.size());
-      for (std::size_t i = 0; i < wire_bins.size(); ++i) {
-        w.u64(slot_bins[static_cast<std::size_t>(s)][i]);
-        w.u64(wire_bins[i].size());
-        for (const WirePair& p : wire_bins[i]) {
-          w.u32(p.ia);
-          w.u32(p.ib);
+      w.u64(slot_bins[static_cast<std::size_t>(s)].size());
+      const WirePair* wp = wire_pairs.data();
+      for (std::size_t g : slot_bins[static_cast<std::size_t>(s)]) {
+        const std::size_t n = bins.pairs_of(g).size();
+        w.u64(g);
+        w.u64(n);
+        for (const WirePair* end = wp + n; wp != end; ++wp) {
+          w.u32(wp->ia);
+          w.u32(wp->ib);
         }
       }
 
@@ -465,12 +460,12 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
         static_cast<index_t>(mine.size()),
         [&](index_t i) {
           const std::size_t g = mine[static_cast<std::size_t>(i)];
-          symm::execute_bin(bins[g], plan.layout, slots[g]);
+          symm::execute_bin(bins.pairs_of(g), plan.layout, slots[g]);
         },
         opts_.root_threads);
     d.ranks[0].busy_seconds = busy.seconds();
     d.ranks[0].bins = static_cast<int>(mine.size());
-    for (std::size_t g : mine) d.ranks[0].flops += bins[g].est_flops;
+    for (std::size_t g : mine) d.ranks[0].flops += bins.est_flops[g];
   }
 
   // --- gather worker results in fixed slot order -----------------------------
@@ -517,7 +512,7 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           TT_CHECK(g == expect[i], "scheduler rank " << r << " returned bin " << g
                                                      << ", expected " << expect[i]);
           reader.tensor_into(slots[expect[i]]);
-          rr.flops += bins[expect[i]].est_flops;
+          rr.flops += bins.est_flops[expect[i]];
           d.exchange_words += static_cast<double>(slots[expect[i]].size());
         }
       } catch (const Error&) {
@@ -549,12 +544,12 @@ symm::BlockTensor Scheduler::contract(const symm::BlockTensor& a,
           static_cast<index_t>(makeup.size()),
           [&](index_t i) {
             const std::size_t g = makeup[static_cast<std::size_t>(i)];
-            symm::execute_bin(bins[g], plan.layout, slots[g]);
+            symm::execute_bin(bins.pairs_of(g), plan.layout, slots[g]);
           },
           opts_.root_threads);
       d.recovery_seconds += rec.seconds();
       d.ranks[0].bins += static_cast<int>(makeup.size());
-      for (std::size_t g : makeup) d.ranks[0].flops += bins[g].est_flops;
+      for (std::size_t g : makeup) d.ranks[0].flops += bins.est_flops[g];
     }
   }
 

@@ -1,9 +1,9 @@
 // Multi-process block scheduler: the *real* distributed runtime that replaces
 // the BSP cost replay for block-sparse contractions.
 //
-// The unit of placement is the output-block bin of symm::enumerate_bins —
-// exactly the unit of thread-level parallelism inside symm::contract, promoted
-// across process ranks. One contraction executes as:
+// The unit of placement is one output-block bin of the bin list
+// (symm::BinList) — exactly the unit of thread-level parallelism inside
+// symm::contract, promoted across process ranks. One contraction executes as:
 //
 //   1. Root (rank 0) enumerates the bins and deals them across ranks by
 //      descending estimated flops (runtime/partition.hpp; cyclic deal with a

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
 
 #include "runtime/trace.hpp"
 #include "support/thread_pool.hpp"
@@ -50,8 +50,31 @@ SectorCode sector_code(const BlockTensor& t, const std::vector<int>& modes,
 struct BEntry {
   std::uint64_t con_code;  // over b's contracted modes
   std::uint64_t out_code;  // b's free modes' share of the output code
+  std::uint32_t row;       // b's table row: the order within a group
   tensor::ConstView blk;
-  double n_dim;
+  double n_dim, words;
+};
+
+// One block of a with partners in b: the group [lo, hi) of the sorted BEntry.
+struct AEntry {
+  std::uint64_t out_code;  // a's free modes' share of the output code
+  tensor::ConstView blk;
+  double m_dim, k_dim, words;
+  std::uint32_t lo, hi;
+};
+
+BlockOpCost pair_cost(const AEntry& x, const BEntry& y) {
+  return {2.0 * x.m_dim * y.n_dim * x.k_dim, x.words, y.words, x.m_dim * y.n_dim};
+}
+
+constexpr std::size_t kNoBin = std::numeric_limits<std::size_t>::max();
+
+// enumerate_bins' working arrays: one set per thread, grown, never shrunk.
+struct EnumScratch {
+  std::vector<BEntry> b;
+  std::vector<AEntry> a;
+  std::vector<std::pair<std::uint64_t, std::size_t>> table;  // code -> bin, or kNoBin
+  std::vector<std::size_t> bin_of;  // per pair, in enumeration order
 };
 
 }  // namespace
@@ -72,8 +95,8 @@ ContractPlan make_contract_plan(const BlockTensor& a, const BlockTensor& b,
   return plan;
 }
 
-std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b,
-                                      const ContractPlan& plan) {
+BinList enumerate_bins(const BlockTensor& a, const BlockTensor& b,
+                       const ContractPlan& plan) {
   const tensor::ContractLayout& l = plan.layout;
   // Contracted legs carry equal sector lists, so a's and b's contracted
   // codes share their weights; output codes number free(a) ++ free(b), last
@@ -83,66 +106,89 @@ std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b
   const SectorCode con_a{l.con_a, con_b.weights};
   const SectorCode out_b = sector_code(b, l.free_b, out_span);
   const SectorCode out_a = sector_code(a, l.free_a, out_span);
+  thread_local EnumScratch s;
 
   // --- group B's blocks by contracted sectors (sort join) -------------------
-  // A stable sort keeps each group in b's key order.
-  std::vector<BEntry> b_entries;
-  b_entries.reserve(b.blocks().size());
+  // Ties sort by row, so each group stays in b's key order.
+  s.b.clear();
   for (const auto& [key, blk] : b.blocks()) {
     double n_dim = 1.0;
     for (int m : l.free_b) n_dim *= static_cast<double>(blk.dim(m));
-    b_entries.push_back({con_b.of(key), out_b.of(key), blk, n_dim});
+    s.b.push_back({con_b.of(key), out_b.of(key), static_cast<std::uint32_t>(s.b.size()),
+                   blk, n_dim, static_cast<double>(blk.size())});
   }
-  std::stable_sort(b_entries.begin(), b_entries.end(),
-                   [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
+  std::ranges::sort(s.b, {}, [](const auto& e) { return std::pair(e.con_code, e.row); });
+
+  s.a.clear();
+  std::size_t npairs = 0;
+  for (const auto& [akey, ablk] : a.blocks()) {
+    auto group = std::ranges::equal_range(s.b, con_a.of(akey), {}, &BEntry::con_code);
+    if (group.empty()) continue;
+    // m and k depend only on the A block; n on the B block.
+    AEntry x{out_a.of(akey), ablk, 1.0, 1.0, static_cast<double>(ablk.size()),
+             static_cast<std::uint32_t>(group.begin() - s.b.begin()),
+             static_cast<std::uint32_t>(group.end() - s.b.begin())};
+    for (int m : l.free_a) x.m_dim *= static_cast<double>(ablk.dim(m));
+    for (int m : l.con_a) x.k_dim *= static_cast<double>(ablk.dim(m));
+    s.a.push_back(x);
+    npairs += x.hi - x.lo;
+  }
 
   // --- bin the Algorithm 2 pair list by output block ------------------------
-  // Enumeration order (A blocks in key order, then B's group order) fixes both
-  // the bin order and the within-bin accumulation order; neither depends on
-  // the thread or rank count.
-  // tt-lint: allow(ordered-iteration) lookup-only: output code -> bin index; bins are ordered by first touch in the fixed enumeration, never by this map
-  std::unordered_map<std::uint64_t, std::size_t> bin_of;
-  std::vector<OutputBin> bins;
-  for (const auto& [akey, ablk] : a.blocks()) {
-    const std::uint64_t ccode = con_a.of(akey);
-    auto group = std::equal_range(
-        b_entries.begin(), b_entries.end(), BEntry{ccode, 0, {}, 0.0},
-        [](const BEntry& x, const BEntry& y) { return x.con_code < y.con_code; });
-    if (group.first == group.second) continue;
-
-    // m and k depend only on the A block; n on the B block.
-    double m_dim = 1.0, k_dim = 1.0;
-    for (int m : l.free_a) m_dim *= static_cast<double>(ablk.dim(m));
-    for (int m : l.con_a) k_dim *= static_cast<double>(ablk.dim(m));
-    const auto words_a = static_cast<double>(ablk.size());
-    const std::uint64_t acode = out_a.of(akey);
-
-    for (auto it = group.first; it != group.second; ++it) {
-      const std::uint64_t out_code = acode + it->out_code;
-      auto [slot, inserted] = bin_of.try_emplace(out_code, bins.size());
-      if (inserted) bins.emplace_back().out_code = out_code;
-      const BlockOpCost cost{2.0 * m_dim * it->n_dim * k_dim, words_a,
-                             static_cast<double>(it->blk.size()), m_dim * it->n_dim};
-      OutputBin& bin = bins[slot->second];
-      bin.pairs.push_back({ablk, it->blk, cost});
-      bin.est_flops += cost.flops;
+  // Enumeration order fixes the bin order (first touch) and the within-bin
+  // accumulation order. The table has at least twice as many slots as there
+  // are pairs, so every probe ends at a free slot.
+  int bits = 6;
+  while ((std::size_t{1} << bits) < 2 * npairs) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  s.table.assign(mask + 1, {0, kNoBin});
+  if (s.bin_of.size() < npairs) s.bin_of.resize(npairs);
+  BinList bins;  // per-bin arrays sized for the most bins there can be
+  bins.out_code.reserve(npairs);
+  bins.est_flops.reserve(npairs);
+  bins.begin.reserve(npairs + 1);
+  bins.begin.push_back(0);
+  std::size_t p = 0;
+  for (const AEntry& x : s.a)
+    for (std::uint32_t j = x.lo; j < x.hi; ++j) {
+      const std::uint64_t code = x.out_code + s.b[j].out_code;
+      auto h = static_cast<std::size_t>((code * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+      while (s.table[h].second != kNoBin && s.table[h].first != code) h = (h + 1) & mask;
+      if (s.table[h].second == kNoBin) {
+        s.table[h] = {code, bins.out_code.size()};
+        bins.out_code.push_back(code);
+        bins.est_flops.push_back(0.0);
+        bins.begin.push_back(0);
+      }
+      const std::size_t g = s.bin_of[p++] = s.table[h].second;
+      ++bins.begin[g + 1];  // the bin's pair count, for now
+      bins.est_flops[g] += pair_cost(x, s.b[j]).flops;
     }
-  }
+
+  // --- counting sort of the pairs by bin, stable ----------------------------
+  // begin[g] walks from the start of bin g to its end; a shift restores it.
+  std::partial_sum(bins.begin.begin(), bins.begin.end(), bins.begin.begin());
+  bins.pairs.resize(npairs);
+  p = 0;
+  for (const AEntry& x : s.a)
+    for (std::uint32_t j = x.lo; j < x.hi; ++j)
+      bins.pairs[bins.begin[s.bin_of[p++]]++] = {x.blk, s.b[j].blk, pair_cost(x, s.b[j])};
+  std::shift_right(bins.begin.begin(), bins.begin.end(), 1);
+  bins.begin[0] = 0;
   return bins;
 }
 
-void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats) {
+void add_bin_stats(const BinList& bins, ContractStats& stats) {
   stats.num_bins += static_cast<int>(bins.size());
-  for (const OutputBin& bin : bins)
-    for (const BinPair& pw : bin.pairs) stats.total_flops += pw.cost.flops;
+  for (const BinPair& pw : bins.pairs) stats.total_flops += pw.cost.flops;
 }
 
-BlockTensor layout_output(const ContractPlan& plan, const std::vector<OutputBin>& bins,
+BlockTensor layout_output(const ContractPlan& plan, const BinList& bins,
                           std::vector<tensor::View>& slots) {
   // Bins in code order: the table order of the output.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> order(bins.size());
-  for (std::size_t i = 0; i < bins.size(); ++i)
-    order[i] = {bins[i].out_code, static_cast<std::uint32_t>(i)};
+  for (std::size_t g = 0; g < bins.size(); ++g)
+    order[g] = {bins.out_code[g], static_cast<std::uint32_t>(g)};
   std::sort(order.begin(), order.end());
   std::vector<std::uint64_t> codes(bins.size());
   for (std::size_t r = 0; r < order.size(); ++r) codes[r] = order[r].first;
@@ -153,10 +199,10 @@ BlockTensor layout_output(const ContractPlan& plan, const std::vector<OutputBin>
   return c;
 }
 
-void execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout,
+void execute_bin(std::span<const BinPair> pairs, const tensor::ContractLayout& layout,
                  tensor::View out) {
   std::fill_n(out.data(), out.size(), 0.0);
-  for (const BinPair& pw : bin.pairs)
+  for (const BinPair& pw : pairs)
     tensor::contract_accumulate(layout, pw.ablk, pw.bblk, out);
 }
 
@@ -165,7 +211,7 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
                      ContractStats* stats, int num_threads) {
   TT_TRACE_SPAN("symm.contract", rt::TraceCat::kContract);
   const ContractPlan plan = make_contract_plan(a, b, pairs);
-  const std::vector<OutputBin> bins = enumerate_bins(a, b, plan);
+  const BinList bins = enumerate_bins(a, b, plan);
   std::vector<tensor::View> slots;
   BlockTensor c = layout_output(plan, bins, slots);
 
@@ -174,7 +220,7 @@ BlockTensor contract(const BlockTensor& a, const BlockTensor& b,
       [&](index_t bi) {
         TT_TRACE_SPAN("symm.bin", rt::TraceCat::kContract);
         const auto i = static_cast<std::size_t>(bi);
-        execute_bin(bins[i], plan.layout, slots[i]);
+        execute_bin(bins.pairs_of(i), plan.layout, slots[i]);
       },
       num_threads);
   if (stats) add_bin_stats(bins, *stats);

@@ -10,6 +10,10 @@
 // costs come from block shapes at enumeration, so a recorded log can price the
 // list algorithm block-wise without observing execution (dmrg/replay.hpp).
 //
+// The bin list is flat (BinList): all pairs in one array, grouped by bin, as a
+// CSR matrix holds its rows. Enumeration works in per-thread scratch, so a
+// list takes the same few allocations however many bins it has.
+//
 // The output is laid out once, from the bins' output key codes, as one
 // BlockTensor buffer (layout_output); each bin zero-fills and accumulates its
 // own slice of it. Execution is thread-parallel: bins run concurrently on the
@@ -23,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,40 +72,44 @@ struct BinPair {
   BlockOpCost cost;  ///< from block shapes: 2·m·n·k flops, words of a, b, c
 };
 
-/// All pairs contributing to one output block — the unit of parallel and of
-/// distributed placement. Pair order is the fixed accumulation order.
-struct OutputBin {
-  std::uint64_t out_code = 0;  ///< the output block's key code (BlockTensor)
-  std::vector<BinPair> pairs;
-  double est_flops = 0.0;  ///< Σ pairs' cost.flops (rank placement weight)
+/// The Algorithm 2 block-pair list binned by output block. A bin, the pairs
+/// writing one output block, is the unit of parallel and of distributed
+/// placement. Bins are in first-touch order and pairs in accumulation order
+/// (A blocks in key order, then each B group in key order): both depend only
+/// on the operands, never on thread or rank count.
+struct BinList {
+  std::vector<BinPair> pairs;           ///< every bin's pairs, bin after bin
+  std::vector<std::size_t> begin;       ///< bin g owns pairs [begin[g], begin[g+1])
+  std::vector<std::uint64_t> out_code;  ///< per bin: the output block's key code
+  std::vector<double> est_flops;  ///< per bin: Σ its pairs' cost.flops (placement weight)
+
+  std::size_t size() const { return begin.empty() ? 0 : begin.size() - 1; }
+  std::span<const BinPair> pairs_of(std::size_t g) const {
+    return {pairs.data() + begin[g], begin[g + 1] - begin[g]};
+  }
 };
 
-/// The Algorithm 2 block-pair list binned by output block key. Bin order and
-/// within-bin pair order are fixed by the enumeration (A blocks in key order,
-/// then each B group in key order) — they depend only on (a, b, plan), never
-/// on thread or rank count. This single enumeration backs both the
-/// thread-parallel executor in contract() and the cross-rank placement of
-/// rt::Scheduler, so any distribution reduces in the same order as the
-/// serial run.
-std::vector<OutputBin> enumerate_bins(const BlockTensor& a, const BlockTensor& b,
-                                      const ContractPlan& plan);
+/// The bin list of `a` · `b`. It backs both the thread-parallel executor in
+/// contract() and the cross-rank placement of rt::Scheduler, so any
+/// distribution reduces in the same order as the serial run.
+BinList enumerate_bins(const BlockTensor& a, const BlockTensor& b, const ContractPlan&);
 
 /// Add the bins' flops and count to `stats`, in bin order. The bin list is the
 /// contraction's only cost record: stats never depend on who executed a bin.
-void add_bin_stats(const std::vector<OutputBin>& bins, ContractStats& stats);
+void add_bin_stats(const BinList& bins, ContractStats& stats);
 
 /// The output tensor of `bins`, laid out once: one block per bin, in key
-/// order, elements left for the bins to write. `slots[i]` is the block bin i
+/// order, elements left for the bins to write. `slots[g]` is the block bin g
 /// writes.
-BlockTensor layout_output(const ContractPlan& plan, const std::vector<OutputBin>& bins,
+BlockTensor layout_output(const ContractPlan& plan, const BinList& bins,
                           std::vector<tensor::View>& slots);
 
-/// Zero-fill `out`, then run every pair of `bin` under `layout` in pair order
-/// as β=1 GEMMs into it. Each pair's block orders and dimensions are checked
-/// against the layout and `out` (tt::Error on a mismatch), which also
+/// Zero-fill `out`, then run every pair of one bin under `layout` in pair
+/// order as β=1 GEMMs into it. Each pair's block orders and dimensions are
+/// checked against the layout and `out` (tt::Error on a mismatch), which also
 /// validates blocks read off the wire. Deterministic: one thread, fixed order
 /// — callers parallelize *across* bins.
-void execute_bin(const OutputBin& bin, const tensor::ContractLayout& layout,
+void execute_bin(std::span<const BinPair> pairs, const tensor::ContractLayout& layout,
                  tensor::View out);
 
 /// Contract `a` with `b` over the given (modeA, modeB) pairs. Contracted leg

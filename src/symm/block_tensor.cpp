@@ -81,6 +81,9 @@ BlockTensor BlockTensor::for_overwrite(std::vector<Index> indices, QN flux,
                                        std::span<const std::uint64_t> codes) {
   BlockTensor t(std::move(indices), flux);
   const auto r = t.indices_.size();
+  t.rows_.reserve(codes.size());
+  t.keys_.reserve(codes.size() * r);
+  t.dims_.reserve(codes.size() * r);
   std::vector<int> key(r);
   for (std::uint64_t code : codes) {
     TT_ASSERT(t.rows_.empty() || code > t.rows_.back().code, "codes must ascend");

@@ -86,10 +86,10 @@ TEST(Engines, LogsOneRecordPerOperationOnlyWhenAsked) {
   const auto& r = std::get<tt::dmrg::ContractionRecord>(eng.log()[0]);
   EXPECT_EQ(r.role_a, Role::kIntermediate);
   EXPECT_EQ(r.role_b, Role::kOperator);
+  const auto bins = tt::symm::enumerate_bins(
+      ops.a, ops.b, tt::symm::make_contract_plan(ops.a, ops.b, {{2, 0}}));
   std::size_t pairs = 0;
-  for (const auto& bin : tt::symm::enumerate_bins(
-           ops.a, ops.b, tt::symm::make_contract_plan(ops.a, ops.b, {{2, 0}})))
-    pairs += bin.pairs.size();
+  for (std::size_t g = 0; g < bins.size(); ++g) pairs += bins.pairs_of(g).size();
   EXPECT_EQ(r.pairs.size(), pairs);
   EXPECT_EQ(r.size_c, static_cast<double>(c.dense_size()));
   const auto& s = std::get<tt::dmrg::SvdRecord>(eng.log()[1]);

@@ -105,9 +105,9 @@ TEST(Partition, RandomQnBlockStructuresStayWithinTheBound) {
     const auto bins = tt::symm::enumerate_bins(a, b, plan);
     std::vector<double> weights(bins.size());
     for (std::size_t i = 0; i < bins.size(); ++i) {
-      EXPECT_FALSE(bins[i].pairs.empty());  // a bin exists only if touched
-      EXPECT_GT(bins[i].est_flops, 0.0);
-      weights[i] = bins[i].est_flops;
+      EXPECT_FALSE(bins.pairs_of(i).empty());  // a bin exists only if touched
+      EXPECT_GT(bins.est_flops[i], 0.0);
+      weights[i] = bins.est_flops[i];
     }
     for (int ranks : {1, 2, 3, 4, 7})
       check_partition(partition_bins(weights, ranks), weights, ranks);

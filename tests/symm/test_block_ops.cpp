@@ -70,8 +70,8 @@ TEST(BlockContract, StatsCountBlockPairsAndFlops) {
     EXPECT_EQ(st.num_bins, static_cast<int>(bins.size()));
     double sum = 0.0;
     std::size_t npairs = 0;
-    for (const auto& bin : bins)
-      for (const auto& pw : bin.pairs) {
+    for (std::size_t g = 0; g < bins.size(); ++g)
+      for (const auto& pw : bins.pairs_of(g)) {
         ++npairs;
         double m = 1.0, n = 1.0, k = 1.0;
         for (int mode : plan.layout.free_a) m *= static_cast<double>(pw.ablk.dim(mode));
